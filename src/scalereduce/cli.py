@@ -16,14 +16,14 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .compare import bootstrap_test, check_attr_for_inclusion, delong_test
+from .compare import _inclusion_scores, _inclusion_test
 from .dataset import Dataset, load_csv, select_columns
 from .errors import (
     DuplicateColumn,
@@ -32,8 +32,8 @@ from .errors import (
     UnknownColumn,
 )
 from .hygiene import diff_examples, gray_examples
-from .reduction import reduce_ranking, reduction_ratio, start_auc, total_auc
-from .roc import roc_curve, sum_scores
+from .reduction import _ranking, reduce_ranking, reduction_ratio, start_auc
+from .roc import auc, roc_curve, sum_scores
 from .svg import points_csv, roc_chart, running_auc_chart
 
 TOOL = "scalereduce"
@@ -65,8 +65,14 @@ class RunReport:
 
 def _timestamp() -> str:
     epoch = os.environ.get("SOURCE_DATE_EPOCH")
-    seconds = int(epoch) if epoch else int(time.time())
-    return datetime.fromtimestamp(seconds, tz=timezone.utc).isoformat()
+    try:
+        seconds = int(epoch) if epoch else int(time.time())
+        return datetime.fromtimestamp(seconds, tz=timezone.utc).isoformat()
+    except (ValueError, OverflowError, OSError) as exc:
+        raise LoadError(
+            f"SOURCE_DATE_EPOCH must be an integer number of seconds, "
+            f"got {epoch!r}"
+        ) from exc
 
 
 def _report(args, ds: Dataset, results: dict, parameters: dict) -> RunReport:
@@ -104,37 +110,34 @@ def _load(args) -> Dataset:
     return ds
 
 
-def _orient(ds: Dataset, auto_orient: bool) -> tuple[Dataset, list[str]]:
+def _orient(ds: Dataset, auto_orient: bool) -> tuple[Dataset, list[str], dict]:
     """Optionally flip items with AUC < 0.5 by negating their column.
 
-    Negation reverses orientation exactly: auc(-x) == 1 - auc(x) under the
-    half-tie convention. Flipping lives here in the CLI, never in the
-    library, and flipped items are always reported.
+    Returns the dataset, the flipped labels and the single-item AUCs of
+    the returned dataset. Negation reverses orientation exactly:
+    auc(-x) == 1 - auc(x) under the half-tie convention. Flipping lives
+    here in the CLI, never in the library, and flipped items are always
+    reported.
     """
     singles = start_auc(ds)
     below = [lab for lab, v in singles.items() if v < 0.5]
     if not below:
-        return ds, []
+        return ds, [], singles
     if not auto_orient:
         print(
             f"advisory: {len(below)} item(s) rank below AUC 0.5 and enter "
             f"the ranking un-flipped: {', '.join(below)}",
             file=sys.stderr,
         )
-        return ds, []
+        return ds, [], singles
     attrs = ds.attributes.copy()
     for lab in below:
         i = ds.labels.index(lab)
         attrs[:, i] = -attrs[:, i]
-    flipped = Dataset(
-        attributes=attrs,
-        labels=ds.labels,
-        decision=ds.decision,
-        dropped_rows=ds.dropped_rows,
-        positive_value=ds.positive_value,
-        negative_value=ds.negative_value,
-    )
-    return flipped, below
+    flipped = replace(ds, attributes=attrs)
+    for lab in below:
+        singles[lab] = auc(flipped.column(lab), flipped.decision)
+    return flipped, below, singles
 
 
 def _fmt7(v: float) -> str:
@@ -202,8 +205,7 @@ def cmd_audit(args) -> RunReport:
 
 def cmd_rank(args) -> RunReport:
     ds = _load(args)
-    ds, flipped = _orient(ds, args.auto_orient)
-    singles = start_auc(ds)
+    ds, flipped, singles = _orient(ds, args.auto_orient)
     ordered = sorted(singles.items(), key=lambda kv: -kv[1])
     results = {
         "items": [{"item": lab, "auc": v} for lab, v in ordered],
@@ -232,8 +234,8 @@ def cmd_rank(args) -> RunReport:
 
 def cmd_reduce(args) -> RunReport:
     ds = _load(args)
-    ds, flipped = _orient(ds, args.auto_orient)
-    ranking = total_auc(ds)
+    ds, flipped, singles = _orient(ds, args.auto_orient)
+    ranking = _ranking(ds, singles)
     scale = reduce_ranking(ranking)
     ratio = reduction_ratio(scale, ds.n_items)
     kept = set(scale.items)
@@ -310,17 +312,15 @@ def cmd_reduce(args) -> RunReport:
 
 def cmd_test_inclusion(args) -> RunReport:
     ds = _load(args)
-    ds, flipped = _orient(ds, args.auto_orient)
-    ranking = total_auc(ds)
+    ds, flipped, singles = _orient(ds, args.auto_orient)
+    ranking = _ranking(ds, singles)
     scale = reduce_ranking(ranking)
+    scores_1, scores_2 = _inclusion_scores(ds, ranking)
     methods = ["delong", "bootstrap"] if args.method == "both" else [args.method]
     tests = [
-        check_attr_for_inclusion(
-            ds,
-            method=m,
-            alternative=args.alternative,
-            n_boot=args.n_boot,
-            seed=args.seed,
+        _inclusion_test(
+            scores_1, scores_2, ds.decision, m,
+            args.alternative, args.n_boot, args.seed,
         )
         for m in methods
     ]
@@ -372,6 +372,16 @@ def cmd_test_inclusion(args) -> RunReport:
 def _params(args) -> dict:
     skip = {"command", "func", "input"}
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -431,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_test.add_argument("--alternative",
                         choices=("two-sided", "less", "greater"),
                         default="two-sided")
-    p_test.add_argument("--n-boot", type=int, default=2000)
+    p_test.add_argument("--n-boot", type=_positive_int, default=2000)
     p_test.add_argument("--seed", type=int, default=1234)
     p_test.set_defaults(func=cmd_test_inclusion)
 
@@ -441,6 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _timestamp()  # reject a bad SOURCE_DATE_EPOCH before any work
         args.func(args)
     except (LoadError, UnknownColumn, DuplicateColumn) as exc:
         print(f"{TOOL}: input error: {exc}", file=sys.stderr)

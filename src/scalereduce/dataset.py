@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Sequence, Union
 
 import numpy as np
@@ -129,13 +129,9 @@ def resolve_columns(ds: Dataset, cols: ColumnSelection) -> list[int]:
 def select_columns(ds: Dataset, cols: ColumnSelection) -> Dataset:
     """Dataset restricted to the chosen columns; rows and decision unchanged."""
     idx = resolve_columns(ds, cols)
-    return Dataset(
-        attributes=ds.attributes[:, idx].copy(),
+    return replace(
+        ds, attributes=ds.attributes[:, idx],
         labels=tuple(ds.labels[i] for i in idx),
-        decision=ds.decision,
-        dropped_rows=ds.dropped_rows,
-        positive_value=ds.positive_value,
-        negative_value=ds.negative_value,
     )
 
 
@@ -153,6 +149,15 @@ def _parse_cell(cell: str) -> float | None:
     except ValueError:
         return None
     return value if math.isfinite(value) else None
+
+
+def _records(fh, path: str):
+    """csv.reader over fh, with undecodable bytes and malformed CSV raised
+    as LoadError."""
+    try:
+        yield from csv.reader(fh)
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise LoadError(f"{path}: not a readable UTF-8 CSV file: {exc}") from exc
 
 
 def load_csv(
@@ -173,7 +178,7 @@ def load_csv(
     except OSError as exc:
         raise LoadError(f"cannot open {path}: {exc}") from exc
     with fh:
-        reader = csv.reader(fh)
+        reader = _records(fh, path)
         header_row = next(reader, None)
         if header_row is None:
             raise LoadError(f"{path}: file is empty")

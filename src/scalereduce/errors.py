@@ -11,7 +11,8 @@ class ScaleReduceError(Exception):
 
 
 class LoadError(ScaleReduceError):
-    """A CSV file could not be turned into a valid dataset."""
+    """The input (the CSV file, a flag value or the environment) could not
+    be turned into a valid dataset or run."""
 
 
 class MissingDecisionColumn(LoadError):

@@ -60,7 +60,11 @@ def total_auc(ds: Dataset) -> AucRanking:
     The full running vector is computed even past the eventual stopping
     point; rsr() consumes only the prefix.
     """
-    singles = start_auc(ds)
+    return _ranking(ds, start_auc(ds))
+
+
+def _ranking(ds: Dataset, singles: dict[str, float]) -> AucRanking:
+    """total_auc given the single-item AUCs of ds, keyed by label."""
     values = [singles[lab] for lab in ds.labels]
     # stable sort, descending by AUC; ties keep original column order
     order_idx = sorted(range(ds.n_items), key=lambda i: -values[i])

@@ -6,10 +6,11 @@ class. AUC uses the pairwise kernel
     psi(s_pos, s_neg) = 1 if s_pos > s_neg, 0.5 if equal, 0 otherwise
 
 so it equals the Mann-Whitney probability that a random positive outranks a
-random negative, with ties counted half. The fast evaluation below goes
-through midranks and agrees with the O(P*N) pair enumeration exactly, not
-just to rounding: both numerators are sums of half-integers and both divide
-by the same P*N.
+random negative, with ties counted half. AUC and placements are both read
+off per-class counts over the sorted distinct score levels (the ordinal
+form of Hanley & McNeil, 1982), so they agree with the O(P*N) pair
+enumeration exactly, not just to rounding: the numerator is an integer
+count of half-pairs and the quotient is rounded once.
 
 Everything here is a pure function of immutable inputs; concurrent calls
 are safe.
@@ -20,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .dataset import ColumnSelection, Dataset, resolve_columns
 from .errors import SingleClass
@@ -74,20 +74,34 @@ def _split(scores, decision) -> tuple[np.ndarray, np.ndarray]:
     return s, d
 
 
+def _level_counts(
+    s: np.ndarray, d: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Distinct levels of s (ascending), the positive and negative counts
+    at each level, and each row's level index."""
+    levels, index = np.unique(s, return_inverse=True)
+    pos = np.bincount(index[d], minlength=levels.size)
+    neg = np.bincount(index[~d], minlength=levels.size)
+    return levels, pos, neg, index
+
+
+def _twice_u(pos, neg):
+    """Twice the Mann-Whitney count, sum of pos * (2*neg_below + neg), over
+    the last axis of per-level class counts."""
+    return (pos * (2 * np.cumsum(neg, axis=-1) - neg)).sum(axis=-1)
+
+
 def auc(scores, decision) -> float:
     """Tie-aware AUC of scores against the binary decision.
 
-    Midrank evaluation, O(m log m): with R the sum of the positives'
-    average ranks in the combined sample,
+    Counting evaluation, O(m log m): with pos and neg the class counts at
+    each distinct score level and neg_below the negatives at lower levels,
 
-        auc = (R - P*(P+1)/2) / (P*N)
+        auc = sum(pos * (2*neg_below + neg)) / (2*P*N)
     """
     s, d = _split(scores, decision)
-    n_pos = int(d.sum())
-    n_neg = d.size - n_pos
-    ranks = rankdata(s, method="average")
-    rank_sum = float(ranks[d].sum())
-    return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+    _, pos, neg, _ = _level_counts(s, d)
+    return int(_twice_u(pos, neg)) / (2 * int(pos.sum()) * int(neg.sum()))
 
 
 def roc_curve(scores, decision) -> RocCurve:
@@ -97,20 +111,13 @@ def roc_curve(scores, decision) -> RocCurve:
     area equal to the tie-aware Mann-Whitney AUC.
     """
     s, d = _split(scores, decision)
-    n_pos = int(d.sum())
-    n_neg = d.size - n_pos
-
-    order = np.argsort(-s, kind="stable")
-    s_desc = s[order]
-    d_desc = d[order]
-    cum_tp = np.cumsum(d_desc)
-    cum_fp = np.cumsum(~d_desc)
-    # last index of each run of equal scores
-    run_end = np.nonzero(np.append(s_desc[:-1] != s_desc[1:], True))[0]
-
-    fpr = np.concatenate(([0.0], cum_fp[run_end] / n_neg))
-    tpr = np.concatenate(([0.0], cum_tp[run_end] / n_pos))
-    thresholds = np.concatenate(([np.inf], s_desc[run_end]))
+    levels, pos, neg, _ = _level_counts(s, d)
+    n_pos = int(pos.sum())
+    n_neg = int(neg.sum())
+    # descending thresholds: one point per distinct level, highest first
+    fpr = np.concatenate(([0.0], np.cumsum(neg[::-1]) / n_neg))
+    tpr = np.concatenate(([0.0], np.cumsum(pos[::-1]) / n_pos))
+    thresholds = np.concatenate(([np.inf], levels[::-1]))
 
     area = float(np.sum(np.diff(fpr) * (tpr[1:] + tpr[:-1])) / 2.0)
     return RocCurve(
@@ -122,19 +129,18 @@ def roc_curve(scores, decision) -> RocCurve:
 def placements(scores, decision) -> PlacementValues:
     """Placement values v10 (per positive) and v01 (per negative).
 
-    Computed from midranks: for positive i with combined-sample rank R_i
-    and within-positives rank r_i, v10[i] = (R_i - r_i) / N, and
-    symmetrically v01[j] = 1 - (R_j - r_j) / P for negatives. Entries are
-    in row order of the input within each class.
+    Computed from per-level class counts: a positive at a level with
+    neg_below negatives under it and neg tied with it has
+    v10 = (neg_below + neg/2) / N, and symmetrically a negative has
+    v01 = 1 - (pos_below + pos/2) / P. Entries are in row order of the
+    input within each class.
     """
     s, d = _split(scores, decision)
-    n_pos = int(d.sum())
-    n_neg = d.size - n_pos
-    ranks_all = rankdata(s, method="average")
-    ranks_pos = rankdata(s[d], method="average")
-    ranks_neg = rankdata(s[~d], method="average")
-    v10 = (ranks_all[d] - ranks_pos) / n_neg
-    v01 = 1.0 - (ranks_all[~d] - ranks_neg) / n_pos
+    _, pos, neg, index = _level_counts(s, d)
+    below_pos = np.cumsum(pos) - pos
+    below_neg = np.cumsum(neg) - neg
+    v10 = (below_neg + 0.5 * neg)[index[d]] / int(neg.sum())
+    v01 = 1.0 - (below_pos + 0.5 * pos)[index[~d]] / int(pos.sum())
     return PlacementValues(v10=v10, v01=v01)
 
 

@@ -99,3 +99,41 @@ def best_subset_auc(attrs, decision, auc_fn=auc_pairs):
             if value > best:
                 best, best_cols = value, cols
     return best, best_cols
+
+
+def bootstrap_z_matrices(scores_1, scores_2, decision, n_boot, seed):
+    """z of the stratified bootstrap with every replicate materialised.
+
+    The straightforward implementation: draw all positive then all negative
+    row indices with one rng.integers call per class, build the two
+    (n_boot, m) resampled score matrices, and take each replicate's AUC
+    from row-wise midranks. Uses the same random stream as
+    scalereduce.bootstrap_test, so the two agree exactly. Returns None when
+    the replicate differences have no spread.
+    """
+    from scipy.stats import rankdata
+
+    s1 = np.asarray(scores_1, dtype=float)
+    s2 = np.asarray(scores_2, dtype=float)
+    d = np.asarray(decision, dtype=bool)
+    pos = np.nonzero(d)[0]
+    neg = np.nonzero(~d)[0]
+    n_pos, n_neg = pos.size, neg.size
+    rng = np.random.default_rng(seed)
+    pos_draw = rng.integers(0, n_pos, size=(n_boot, n_pos))
+    neg_draw = rng.integers(0, n_neg, size=(n_boot, n_neg))
+
+    def auc_by_row(s):
+        rep = np.concatenate((s[pos][pos_draw], s[neg][neg_draw]), axis=1)
+        rank_sum = rankdata(rep, method="average", axis=1)[:, :n_pos].sum(axis=1)
+        return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+
+    def auc_full(s):
+        ranks = rankdata(s, method="average")
+        return (ranks[d].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+
+    diffs = auc_by_row(s1) - auc_by_row(s2)
+    sd = float(diffs.std(ddof=1)) if n_boot > 1 else 0.0
+    if not np.isfinite(sd) or sd <= 0.0:
+        return None
+    return float((auc_full(s1) - auc_full(s2)) / sd)

@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
+import scalereduce
+from scalereduce import reduction
 from scalereduce.cli import main
 
 from conftest import write_csv
@@ -69,6 +75,14 @@ class TestAudit:
         )
         assert code == 2
         assert err.strip().count("\n") == 0  # one-line diagnostic
+
+    def test_undecodable_csv_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"x,d\n1,0\n\xff,1\n2,1\n")
+        code, _, err = run(capsys, ["audit", str(path), "--decision", "d"])
+        assert code == 2
+        assert err.startswith("scalereduce: input error:")
+        assert "Traceback" not in err
 
     def test_missing_decision_exits_2(self, capsys, demo_csv):
         code, _, err = run(capsys, ["audit", demo_csv, "--decision", "zzz"])
@@ -276,6 +290,46 @@ class TestTestInclusion:
         _, second, _ = run(capsys, argv)
         assert first == second
 
+    @pytest.mark.parametrize("n_boot", ["0", "-3", "many"])
+    def test_bad_n_boot_is_usage_error(self, capsys, demo_csv, n_boot):
+        with pytest.raises(SystemExit) as exc:
+            main(["test-inclusion", demo_csv, "--decision", "d",
+                  "--n-boot", n_boot])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert err.startswith("usage:")
+        assert "--n-boot" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["rank", "--auto-orient"],
+        ["reduce", "--auto-orient"],
+        ["test-inclusion", "--method", "delong"],
+        ["test-inclusion", "--method", "both", "--auto-orient"],
+    ])
+    def test_rankings_computed_once(self, capsys, monkeypatch, tmp_path, argv):
+        # column "c" ranks below 0.5, so --auto-orient flips it
+        path = write_csv(
+            tmp_path / "flip.csv", ["a", "b", "c", "d"],
+            [row[:2] + [5 - row[0], row[3]] for row in DEMO_ROWS],
+        )
+        calls = {"start_auc": 0, "total_auc": 0}
+        for name in calls:
+            original = getattr(reduction, name)
+
+            def counted(*args, _original=original, _name=name, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            for module in list(sys.modules.values()):
+                if (getattr(module, "__name__", "").startswith("scalereduce")
+                        and getattr(module, name, None) is original):
+                    monkeypatch.setattr(module, name, counted)
+        code, _, _ = run(capsys, [argv[0], path, "--decision", "d", *argv[1:]])
+        assert code == 0
+        assert calls["start_auc"] <= 1
+        assert calls["total_auc"] <= 1
+
     def test_degenerate_equal_scores(self, capsys, tmp_path):
         # duplicated informative column: adding the clone cannot change the
         # AUC, so the comparison hits the zero-difference convention
@@ -308,8 +362,36 @@ class TestReportShape:
         assert report["command"] == "audit"
         assert report["n_rows"] == 16
 
+    @pytest.mark.parametrize("epoch", ["abc", "1.5", "99999999999999999999"])
+    def test_bad_source_date_epoch_exits_2(self, capsys, demo_csv,
+                                           monkeypatch, epoch):
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", epoch)
+        code, out, err = run(capsys, ["reduce", demo_csv, "--decision", "d"])
+        assert code == 2
+        assert out == ""
+        assert "SOURCE_DATE_EPOCH" in err
+        assert "Traceback" not in err
+
     def test_rerun_byte_identical_table(self, capsys, demo_csv):
         argv = ["reduce", demo_csv, "--decision", "d"]
         _, first, _ = run(capsys, argv)
         _, second, _ = run(capsys, argv)
         assert first == second
+
+
+def test_cli_import_leaves_scipy_out():
+    src = str(Path(scalereduce.__file__).parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    probe = (
+        "import sys, scalereduce.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True,
+        text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

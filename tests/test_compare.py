@@ -14,7 +14,10 @@ from scalereduce import (
     total_auc,
     rsr,
 )
+from scalereduce.compare import _BLOCK
 from scalereduce.errors import DegenerateVariance, NoNextAttribute
+
+from oracles import bootstrap_z_matrices
 
 # Hand-computed six-example fixture (P = N = 3). All quantities were
 # worked out from the pairwise kernel with fractions:
@@ -136,6 +139,40 @@ class TestBootstrap:
     def test_seed_required(self):
         with pytest.raises(ValueError):
             bootstrap_test(HAND_SCORES_1, HAND_SCORES_2, HAND_DECISION)
+
+    @pytest.mark.parametrize("kind", ["tie-heavy", "all-distinct", "signed-zeros"])
+    def test_matches_materialised_replicates_exactly(self, kind):
+        # same seed, same draws: the per-cell counting must reproduce the
+        # z of explicit (n_boot, m) replicate matrices bit for bit, for
+        # n_boot on and off the block boundaries
+        rng = np.random.default_rng(139)
+        checked = 0
+        for seed, n_boot in enumerate(
+            [1, 2, 3, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 5, 300]
+        ):
+            m = int(rng.integers(8, 120))
+            decision = np.arange(m) < int(rng.integers(2, m - 1))
+            rng.shuffle(decision)
+            if kind == "tie-heavy":
+                s1 = rng.integers(0, 4, m).astype(float)
+                s2 = s1 + rng.integers(0, 3, m)
+            elif kind == "all-distinct":
+                s1 = rng.normal(size=m) + decision
+                s2 = s1 + rng.normal(size=m)
+            else:
+                s1 = rng.choice([-0.0, 0.0, 1.0], m)
+                s2 = s1 + rng.choice([-0.0, 0.0, 2.0], m)
+            if auc(s1, decision) == auc(s2, decision):
+                continue
+            reference = bootstrap_z_matrices(s1, s2, decision, n_boot, seed)
+            if reference is None:
+                with pytest.raises(DegenerateVariance):
+                    bootstrap_test(s1, s2, decision, n_boot=n_boot, seed=seed)
+            else:
+                t = bootstrap_test(s1, s2, decision, n_boot=n_boot, seed=seed)
+                assert t.z == reference
+                checked += 1
+        assert checked >= 5
 
     def test_single_replicate_degenerate(self):
         with pytest.raises(DegenerateVariance):

@@ -110,6 +110,16 @@ class TestLoadCsv:
         with pytest.raises(LoadError):
             load_csv(str(tmp_path / "absent.csv"), "d")
 
+    @pytest.mark.parametrize("body", [
+        b"a,d\n1,0\n\xff,1\n",  # not UTF-8
+        b"a,d\n1,0\n" + b"2" * 200_000 + b",1\n",  # over the csv field limit
+    ], ids=["undecodable-byte", "oversized-field"])
+    def test_unreadable_file_is_load_error(self, tmp_path, body):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(body)
+        with pytest.raises(LoadError, match="bad.csv"):
+            load_csv(str(path), "d")
+
     def test_duplicate_header(self, tmp_path):
         path = write_csv(tmp_path / "dup.csv", ["a", "a", "d"], [[1, 2, 0], [3, 4, 1]])
         with pytest.raises(DuplicateColumn):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scalereduce import auc, load_csv, placements, roc_curve, sum_scores
 from scalereduce.errors import SingleClass, UnknownColumn
@@ -121,6 +123,35 @@ class TestPlacements:
             assert abs(p.v01.mean() - a) < 1e-12
             assert ((p.v10 >= 0) & (p.v10 <= 1)).all()
             assert ((p.v01 >= 0) & (p.v01 <= 1)).all()
+
+
+@st.composite
+def scored_examples(draw):
+    """Scores drawn from a few levels (ties, signed zeros, and wide values)
+    with a decision holding both classes."""
+    levels = draw(st.lists(
+        st.sampled_from([-0.0, 0.0, 1.0, -2.5, 3.0, 1e300, -1e-300, 7.25]),
+        min_size=1, max_size=5, unique_by=repr,
+    ))
+    m = draw(st.integers(2, 40))
+    scores = draw(st.lists(st.sampled_from(levels), min_size=m, max_size=m))
+    decision = draw(st.lists(st.booleans(), min_size=m, max_size=m))
+    decision[0], decision[1] = True, False
+    return np.array(scores), np.array(decision)
+
+
+@settings(max_examples=300, deadline=None)
+@given(scored_examples())
+def test_counting_kernel_equals_pair_enumeration_exactly(example):
+    scores, decision = example
+    assert auc(scores, decision) == auc_pairs(scores, decision)
+    p = placements(scores, decision)
+    v10, _ = placements_pairs(scores, decision)
+    assert p.v10.tolist() == v10
+    # v01 is 1 minus each negative's own placement among the positives;
+    # 1 - x/P and (P - x)/P can round apart, so compare in that form
+    own, _ = placements_pairs(scores, ~decision)
+    assert p.v01.tolist() == [1.0 - v for v in own]
 
 
 class TestSumScores:
