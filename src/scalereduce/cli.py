@@ -106,6 +106,8 @@ def _load(args) -> Dataset:
             if lab not in ds.labels:
                 raise UnknownColumn(f"--exclude names unknown column {lab!r}")
         keep = [lab for lab in ds.labels if lab not in excluded]
+        if not keep:
+            raise LoadError("--exclude removes every attribute column")
         ds = select_columns(ds, keep)
     return ds
 
@@ -374,14 +376,19 @@ def _params(args) -> dict:
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(low: int):
+    """argparse type: an integer no smaller than low."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -441,8 +448,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_test.add_argument("--alternative",
                         choices=("two-sided", "less", "greater"),
                         default="two-sided")
-    p_test.add_argument("--n-boot", type=_positive_int, default=2000)
-    p_test.add_argument("--seed", type=int, default=1234)
+    p_test.add_argument("--n-boot", type=_int_at_least(1), default=2000)
+    p_test.add_argument("--seed", type=_int_at_least(0), default=1234)
     p_test.set_defaults(func=cmd_test_inclusion)
 
     return parser

@@ -2,13 +2,17 @@
 
 A dataset is a real-valued attribute matrix (one column per rating scale
 item) plus one binary decision vector. Loading is complete-case: any row
-with a missing or unparseable cell is dropped and counted.
+with a missing or unparseable cell is dropped and counted. A complete
+numeric file is read in one np.loadtxt pass; any other file goes through
+the cell-by-cell parser, with the same result.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import math
+import warnings
 from dataclasses import dataclass, replace
 from typing import Sequence, Union
 
@@ -152,12 +156,64 @@ def _parse_cell(cell: str) -> float | None:
 
 
 def _records(fh, path: str):
-    """csv.reader over fh, with undecodable bytes and malformed CSV raised
-    as LoadError."""
+    """csv.reader over fh, with malformed CSV raised as LoadError."""
     try:
         yield from csv.reader(fh)
-    except (UnicodeDecodeError, csv.Error) as exc:
+    except csv.Error as exc:
         raise LoadError(f"{path}: not a readable UTF-8 CSV file: {exc}") from exc
+
+
+def _complete_cases(records, n_cols: int, path: str) -> tuple[np.ndarray, int]:
+    """The complete rows of records as a float matrix, and the count of
+    rows dropped for a wrong field count or a missing or unparseable cell.
+
+    Blank lines are not data rows and are neither kept nor counted.
+    """
+    rows: list[list[float]] = []
+    dropped = 0
+    for record in records:
+        if not record or all(not c.strip() for c in record):
+            continue  # blank line, not a data row
+        if len(record) != n_cols:
+            dropped += 1
+            continue
+        values = [_parse_cell(c) for c in record]
+        if any(v is None for v in values):
+            dropped += 1
+            continue
+        rows.append(values)  # type: ignore[arg-type]
+    if not rows:
+        raise EmptyDataset(f"{path}: no complete rows")
+    return np.asarray(rows, dtype=float), dropped
+
+
+def _may_exceed_field_limit(text: str) -> bool:
+    """True if text may hold a field longer than csv.field_size_limit().
+
+    csv.reader rejects such a field and np.loadtxt does not. A comma-free
+    run longer than the limit covers a whole aligned block of half the
+    limit, so finding a comma in every block rules the run out.
+    """
+    block = (csv.field_size_limit() + 1) // 2
+    return any(
+        text.find(",", i, i + block) < 0
+        for i in range(0, len(text) - block + 1, block)
+    )
+
+
+def _finite_matrix(body: io.StringIO, n_cols: int) -> np.ndarray | None:
+    """The rest of body as a float matrix, or None unless np.loadtxt reads
+    it whole into n_cols columns of finite values."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # "input contained no data"
+        try:
+            table = np.loadtxt(body, delimiter=",", comments=None,
+                               quotechar='"', ndmin=2, dtype=float)
+        except ValueError:
+            return None
+    if table.shape[1] != n_cols or not np.isfinite(table).all():
+        return None
+    return table
 
 
 def load_csv(
@@ -172,47 +228,47 @@ def load_csv(
     column must end up with exactly two distinct values; under
     positive_value="auto" the numerically larger one is positive, otherwise
     the given value is positive.
+
+    A body that np.loadtxt reads whole as finite numbers is taken as read;
+    any other body goes through the cell-by-cell complete-case parser,
+    which alone decides what is dropped. Both give the same Dataset.
     """
     try:
-        fh = open(path, newline="", encoding="utf-8")
+        with open(path, newline="", encoding="utf-8") as fh:
+            text = fh.read()
     except OSError as exc:
         raise LoadError(f"cannot open {path}: {exc}") from exc
-    with fh:
-        reader = _records(fh, path)
-        header_row = next(reader, None)
-        if header_row is None:
-            raise LoadError(f"{path}: file is empty")
-        header = [h.strip() for h in header_row]
-        if decision_column not in header:
-            raise MissingDecisionColumn(
-                f"{path}: no column named {decision_column!r} in header"
-            )
-        if any(not h for h in header):
-            raise LoadError(f"{path}: header contains an empty label")
-        if len(set(header)) != len(header):
-            raise DuplicateColumn(f"{path}: header contains duplicate labels")
-        if len(header) < 2:
-            raise LoadError(f"{path}: no attribute columns besides the decision")
-        d_idx = header.index(decision_column)
+    except UnicodeDecodeError as exc:
+        raise LoadError(f"{path}: not a readable UTF-8 CSV file: {exc}") from exc
+    # np.loadtxt has no field size limit, so csv.reader must judge those
+    vectorised = not _may_exceed_field_limit(text)
+    body = io.StringIO(text, newline="")
+    del text  # body holds its own copy
 
-        rows: list[list[float]] = []
-        dropped = 0
-        for record in reader:
-            if not record or all(not c.strip() for c in record):
-                continue  # blank line, not a data row
-            if len(record) != len(header):
-                dropped += 1
-                continue
-            values = [_parse_cell(c) for c in record]
-            if any(v is None for v in values):
-                dropped += 1
-                continue
-            rows.append(values)  # type: ignore[arg-type]
+    header_row = next(_records(body, path), None)
+    if header_row is None:
+        raise LoadError(f"{path}: file is empty")
+    header = [h.strip() for h in header_row]
+    if decision_column not in header:
+        raise MissingDecisionColumn(
+            f"{path}: no column named {decision_column!r} in header"
+        )
+    if any(not h for h in header):
+        raise LoadError(f"{path}: header contains an empty label")
+    if len(set(header)) != len(header):
+        raise DuplicateColumn(f"{path}: header contains duplicate labels")
+    if len(header) < 2:
+        raise LoadError(f"{path}: no attribute columns besides the decision")
+    d_idx = header.index(decision_column)
 
-    if not rows:
-        raise EmptyDataset(f"{path}: no complete rows")
+    start = body.tell()
+    table = _finite_matrix(body, len(header)) if vectorised else None
+    dropped = 0
+    if table is None:
+        body.seek(start)
+        table, dropped = _complete_cases(_records(body, path), len(header), path)
+    body.close()  # free the text before the table is split and copied
 
-    table = np.asarray(rows, dtype=float)
     raw_decision = table[:, d_idx]
     attrs = np.delete(table, d_idx, axis=1)
     labels = tuple(h for i, h in enumerate(header) if i != d_idx)

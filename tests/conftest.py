@@ -1,5 +1,8 @@
+import csv
+
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from scalereduce import Dataset
 
@@ -58,3 +61,52 @@ def tiny_csv(tmp_path):
             [5, 0, 1],
         ],
     )
+
+
+# Cells that the two loader paths could read differently: padding, quotes,
+# non-finite spellings, underscores, signed zeros, embedded line ends, and
+# one field just past csv.field_size_limit() that still parses as finite.
+ODD_CELLS = [
+    "", " ", "  2 ", "\t1", "\xa03", '"1"', '"1"2', '1"2"', ' "1"', '"1" ',
+    '""', '"1,2"', '"1""2"', '"\n1"', '"2\r\n"', "nan", "-inf", "inf",
+    "1e999", "-1e999", "1_0", "-0", "+0", "-0.0", ".5", "2.", "1e-320",
+    "0x1", "x", "1 2", "\x1c1", "\x00",
+    "0" * csv.field_size_limit() + "1",
+]
+
+
+@st.composite
+def csv_texts(draw):
+    """CSV text with decision column "d": clean rows of 0-3 items and 0/1
+    decisions, then a few damages (an odd cell, a ragged row, a blank
+    line), and \n, \r\n or lone-\r line ends, sometimes mixed. Zero rows
+    gives a header-only file."""
+    n_cols = draw(st.integers(2, 4))
+    header = [f"q{j}" for j in range(n_cols - 1)]
+    header.insert(draw(st.integers(0, n_cols - 1)), "d")
+    item = st.sampled_from(["0", "1", "2", "3"])
+    code = st.sampled_from(["0", "1"])
+    rows = [
+        [draw(code if name == "d" else item) for name in header]
+        for _ in range(draw(st.integers(0, 10)))
+    ]
+    for _ in range(draw(st.sampled_from([0, 1, 1, 3])) if rows else 0):
+        r = draw(st.integers(0, len(rows) - 1))
+        damage = draw(st.sampled_from(["cell", "cell", "ragged", "blank"]))
+        if damage == "cell":
+            i = draw(st.integers(0, max(len(rows[r]) - 1, 0)))
+            rows[r][i:i + 1] = [draw(st.sampled_from(ODD_CELLS))]
+        elif damage == "ragged":
+            rows[r] = rows[r][:-1] if draw(st.booleans()) else rows[r] + ["1"]
+        else:
+            rows.insert(r, [draw(st.sampled_from(["", "  ", ",,"]))])
+    ends = st.sampled_from(["\n", "\r\n", "\r"])
+    end = draw(ends)
+    lines = [",".join(header)] + [",".join(row) for row in rows]
+    text = "".join(
+        line + (draw(ends) if draw(st.integers(0, 9)) == 0 else end)
+        for line in lines
+    )
+    if rows and draw(st.booleans()):
+        text = text.rstrip("\r\n")  # no line end after the last row
+    return text

@@ -137,3 +137,103 @@ def bootstrap_z_matrices(scores_1, scores_2, decision, n_boot, seed):
     if not np.isfinite(sd) or sd <= 0.0:
         return None
     return float((auc_full(s1) - auc_full(s2)) / sd)
+
+
+def load_csv_cells(path, decision_column, positive_value="auto"):
+    """scalereduce.load_csv as it was before its vectorised path.
+
+    Reads the file with csv.reader and parses every cell on its own with
+    float(); rows with a wrong field count or a missing, unparseable or
+    non-finite cell are dropped and counted. Same exceptions, same Dataset.
+    """
+    import csv
+    import math
+
+    from scalereduce import Dataset
+    from scalereduce.errors import (
+        DuplicateColumn,
+        EmptyDataset,
+        LoadError,
+        MissingDecisionColumn,
+        NotBinaryDecision,
+        SingleClass,
+    )
+
+    def parse_cell(cell):
+        text = cell.strip()
+        if not text:
+            return None
+        try:
+            value = float(text)
+        except ValueError:
+            return None
+        return value if math.isfinite(value) else None
+
+    def records(fh):
+        try:
+            yield from csv.reader(fh)
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise LoadError(f"{path}: not a readable UTF-8 CSV file: {exc}") from exc
+
+    try:
+        fh = open(path, newline="", encoding="utf-8")
+    except OSError as exc:
+        raise LoadError(f"cannot open {path}: {exc}") from exc
+    with fh:
+        reader = records(fh)
+        header_row = next(reader, None)
+        if header_row is None:
+            raise LoadError(f"{path}: file is empty")
+        header = [h.strip() for h in header_row]
+        if decision_column not in header:
+            raise MissingDecisionColumn(f"{path}: no column {decision_column!r}")
+        if any(not h for h in header):
+            raise LoadError(f"{path}: header contains an empty label")
+        if len(set(header)) != len(header):
+            raise DuplicateColumn(f"{path}: header contains duplicate labels")
+        if len(header) < 2:
+            raise LoadError(f"{path}: no attribute columns besides the decision")
+        d_idx = header.index(decision_column)
+
+        rows = []
+        dropped = 0
+        for record in reader:
+            if not record or all(not c.strip() for c in record):
+                continue  # blank line, not a data row
+            if len(record) != len(header):
+                dropped += 1
+                continue
+            values = [parse_cell(c) for c in record]
+            if any(v is None for v in values):
+                dropped += 1
+                continue
+            rows.append(values)
+
+    if not rows:
+        raise EmptyDataset(f"{path}: no complete rows")
+
+    table = np.asarray(rows, dtype=float)
+    raw_decision = table[:, d_idx]
+    attrs = np.delete(table, d_idx, axis=1)
+    labels = tuple(h for i, h in enumerate(header) if i != d_idx)
+
+    distinct = np.unique(raw_decision)
+    if distinct.size != 2:
+        raise NotBinaryDecision(f"{path}: {distinct.size} decision values")
+    if positive_value == "auto":
+        pos_val = float(distinct[1])
+    else:
+        pos_val = float(positive_value)
+    decision = raw_decision == pos_val
+    if not decision.any():
+        raise SingleClass(f"{path}: positive value {pos_val!r} matches no row")
+    neg_val = float(distinct[0] if pos_val == distinct[1] else distinct[1])
+
+    return Dataset(
+        attributes=attrs,
+        labels=labels,
+        decision=decision,
+        dropped_rows=dropped,
+        positive_value=pos_val,
+        negative_value=neg_val,
+    )

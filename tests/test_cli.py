@@ -1,17 +1,23 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import scalereduce
 from scalereduce import reduction
 from scalereduce.cli import main
 
-from conftest import write_csv
+from conftest import csv_texts, write_csv
 
 # 3 items, 16 rows; reduces to (a, b) with c left over to test for inclusion
 DEMO_ROWS = [
@@ -191,6 +197,16 @@ class TestReduce:
         assert code == 2
         assert "qq" in err
 
+    def test_exclude_every_item_exits_2(self, capsys, tmp_path):
+        path = write_csv(tmp_path / "one.csv", ["a", "d"], [[1, 0], [2, 1]])
+        code, out, err = run(
+            capsys, ["audit", path, "--decision", "d", "--exclude", "a"]
+        )
+        assert code == 2
+        assert out == ""
+        assert "--exclude" in err
+        assert "Traceback" not in err
+
     def test_json_has_all_table_numbers(self, capsys, demo_csv):
         code, table, _ = run(capsys, ["reduce", demo_csv, "--decision", "d"])
         code, out, _ = run(
@@ -301,6 +317,17 @@ class TestTestInclusion:
         assert "--n-boot" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("seed", ["-1", "x"])
+    def test_bad_seed_is_usage_error(self, capsys, demo_csv, seed):
+        with pytest.raises(SystemExit) as exc:
+            main(["test-inclusion", demo_csv, "--decision", "d",
+                  "--seed", seed])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert err.startswith("usage:")
+        assert "--seed" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("argv", [
         ["rank", "--auto-orient"],
         ["reduce", "--auto-orient"],
@@ -395,3 +422,30 @@ def test_cli_import_leaves_scipy_out():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+@st.composite
+def csv_bytes(draw):
+    """Arbitrary bytes, or fuzzed CSV text with a few arbitrary bytes
+    spliced in."""
+    data = draw(st.one_of(st.binary(max_size=200),
+                          csv_texts().map(str.encode)))
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.binary(min_size=1, max_size=3)) + data[at:]
+    return data
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(csv_bytes())
+def test_any_input_bytes_keep_the_exit_code_contract(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "fuzz.csv")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        with warnings.catch_warnings(), \
+                contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            warnings.simplefilter("error")
+            code = main(["audit", path, "--decision", "d"])
+    assert code in (0, 2, 3)

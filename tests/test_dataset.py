@@ -1,5 +1,11 @@
+import csv
+import os
+import tempfile
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
 
 from scalereduce import Dataset, load_csv, select_columns
 from scalereduce.errors import (
@@ -12,7 +18,8 @@ from scalereduce.errors import (
     UnknownColumn,
 )
 
-from conftest import write_csv
+from conftest import csv_texts, write_csv
+from oracles import load_csv_cells
 
 
 class TestLoadCsv:
@@ -180,3 +187,48 @@ class TestDatasetValidation:
         ds = load_csv(tiny_csv, "d")
         with pytest.raises(ValueError):
             ds.attributes[0, 0] = 99.0
+
+
+def _outcome(load, path):
+    try:
+        return load(path, "d")
+    except Exception as exc:  # the two loaders must fail alike
+        return type(exc)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(csv_texts())
+@example("q0,d\n1,0\n" + "0" * csv.field_size_limit() + "1,1\n2,1\n")
+@example("q0,d\n1,0\nnan,1\n2,1\n")
+@example('q0,d\r"1"2,0\r-0,1\r')
+@example("q0,d\r\n")
+@example("q0,q1,d\n1,0\n2,1\n")
+def test_load_csv_matches_cell_by_cell_reference(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "fuzz.csv")
+        with open(path, "wb") as fh:
+            fh.write(text.encode("utf-8"))
+        expected = _outcome(load_csv_cells, path)
+        got = _outcome(load_csv, path)
+    if isinstance(expected, type):
+        assert got is expected
+        return
+    assert isinstance(got, Dataset), got
+    assert got.labels == expected.labels
+    assert got.dropped_rows == expected.dropped_rows
+    assert got.positive_value == expected.positive_value
+    assert got.negative_value == expected.negative_value
+    assert got.decision.tolist() == expected.decision.tolist()
+    assert got.attributes.shape == expected.attributes.shape
+    assert got.attributes.tobytes() == expected.attributes.tobytes()
+    assert np.array_equal(np.signbit(got.attributes),
+                          np.signbit(expected.attributes))
+
+
+def test_header_only_is_empty_dataset_without_warning(tmp_path):
+    path = tmp_path / "header.csv"
+    path.write_text("a,b,d\n", encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EmptyDataset):
+            load_csv(str(path), "d")
