@@ -16,7 +16,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -39,30 +39,6 @@ from .svg import points_csv, roc_chart, running_auc_chart
 TOOL = "scalereduce"
 
 
-@dataclass(frozen=True)
-class RunReport:
-    """One JSON-serializable record of a CLI run."""
-
-    tool: str
-    version: str
-    command: str
-    input_path: str
-    parameters: dict
-    n_rows: int
-    n_items: int
-    dropped_rows: int
-    positives: int
-    negatives: int
-    results: dict
-    timestamp: str
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
-
-
 def _timestamp() -> str:
     epoch = os.environ.get("SOURCE_DATE_EPOCH")
     try:
@@ -73,23 +49,6 @@ def _timestamp() -> str:
             f"SOURCE_DATE_EPOCH must be an integer number of seconds, "
             f"got {epoch!r}"
         ) from exc
-
-
-def _report(args, ds: Dataset, results: dict, parameters: dict) -> RunReport:
-    return RunReport(
-        tool=TOOL,
-        version=__version__,
-        command=args.command,
-        input_path=args.input,
-        parameters=parameters,
-        n_rows=ds.n_rows,
-        n_items=ds.n_items,
-        dropped_rows=ds.dropped_rows,
-        positives=ds.n_pos,
-        negatives=ds.n_neg,
-        results=results,
-        timestamp=_timestamp(),
-    )
 
 
 def _load(args) -> Dataset:
@@ -142,23 +101,15 @@ def _orient(ds: Dataset, auto_orient: bool) -> tuple[Dataset, list[str], dict]:
     return flipped, below, singles
 
 
-def _fmt7(v: float) -> str:
-    return f"{v:.7f}"
+# --- commands: each computes its results and prints nothing -------------
 
 
-def _print_table(lines: list[str]) -> None:
-    print("\n".join(lines))
-
-
-# --- audit ------------------------------------------------------------
-
-
-def cmd_audit(args) -> RunReport:
+def cmd_audit(args) -> tuple[Dataset, dict]:
     ds = _load(args)
     raw_decision = np.where(ds.decision, ds.positive_value, ds.negative_value)
     dup = diff_examples(ds.attributes)
     pairs = gray_examples(ds.attributes, raw_decision)
-    results = {
+    return ds, {
         "duplicates": {
             "total": dup.total_examples,
             "distinct": dup.distinct_examples,
@@ -176,90 +127,49 @@ def cmd_audit(args) -> RunReport:
             for p in pairs
         ],
     }
-    report = _report(args, ds, results, _params(args))
-
-    if args.format == "json":
-        print(report.to_json())
-    elif args.format == "csv":
-        print("metric,value")
-        print(f"total,{dup.total_examples}")
-        print(f"distinct,{dup.distinct_examples}")
-        print(f"duplicates,{dup.duplicate_examples}")
-        print(f"gray_pairs,{len(pairs)}")
-    else:
-        lines = [
-            f"examples: total {dup.total_examples}, distinct "
-            f"{dup.distinct_examples}, duplicates {dup.duplicate_examples}",
-            f"gray pairs: {len(pairs)}",
-        ]
-        for p in pairs:
-            values = ",".join(f"{v:g}" for v in p.attribute_values)
-            lines.append(
-                f"  rows {p.row_index_a},{p.row_index_b} "
-                f"decision {p.decision_a:g}/{p.decision_b:g} values {values}"
-            )
-        _print_table(lines)
-    return report
 
 
-# --- rank -------------------------------------------------------------
-
-
-def cmd_rank(args) -> RunReport:
+def cmd_rank(args) -> tuple[Dataset, dict]:
     ds = _load(args)
     ds, flipped, singles = _orient(ds, args.auto_orient)
     ordered = sorted(singles.items(), key=lambda kv: -kv[1])
-    results = {
+    return ds, {
         "items": [{"item": lab, "auc": v} for lab, v in ordered],
         "flipped_items": flipped,
     }
-    report = _report(args, ds, results, _params(args))
-
-    if args.format == "json":
-        print(report.to_json())
-    elif args.format == "csv":
-        print("item,auc")
-        for lab, v in ordered:
-            print(f"{lab},{v!r}")
-    else:
-        width = max(len("item"), *(len(lab) for lab, _ in ordered))
-        lines = [f"{'item':<{width}}  {'auc':>9}"]
-        lines += [f"{lab:<{width}}  {_fmt7(v)}" for lab, v in ordered]
-        if flipped:
-            lines.append(f"flipped items: {', '.join(flipped)}")
-        _print_table(lines)
-    return report
 
 
-# --- reduce -----------------------------------------------------------
-
-
-def cmd_reduce(args) -> RunReport:
+def cmd_reduce(args) -> tuple[Dataset, dict]:
     ds = _load(args)
     ds, flipped, singles = _orient(ds, args.auto_orient)
     ranking = _ranking(ds, singles)
     scale = reduce_ranking(ranking)
-    ratio = reduction_ratio(scale, ds.n_items)
     kept = set(scale.items)
 
     plots: list[str] = []
     if args.plot:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
         ks = list(range(1, ds.n_items + 1))
         running = list(ranking.running_auc)
         curve = roc_curve(sum_scores(ds, scale.items), ds.decision)
-        for name, text in (
-            ("running_auc.svg", running_auc_chart(running)),
-            ("running_auc.csv", points_csv(ks, running)),
-            ("roc_reduced.svg", roc_chart(curve.fpr, curve.tpr)),
-            ("roc_reduced.csv", points_csv(curve.fpr, curve.tpr)),
-        ):
-            path = out / name
-            path.write_text(text, encoding="utf-8")
-            plots.append(str(path))
+        files = {
+            "running_auc.svg": running_auc_chart(running),
+            "running_auc.csv": points_csv(ks, running),
+            "roc_reduced.svg": roc_chart(curve.fpr, curve.tpr),
+            "roc_reduced.csv": points_csv(curve.fpr, curve.tpr),
+        }
+        out = Path(args.out)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+            for name, text in files.items():
+                (out / name).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise LoadError(
+                f"cannot write plots to --out {args.out!r}: "
+                f"{exc.strerror or exc}"
+            ) from exc
+        plots = [str(out / name) for name in files]
 
-    results = {
+    return ds, {
         "ranking": [
             {
                 "item": lab,
@@ -273,46 +183,13 @@ def cmd_reduce(args) -> RunReport:
         "reduced_items": list(scale.items),
         "achieved_auc": scale.achieved_auc,
         "stop_reason": scale.stop_reason,
-        "reduction_ratio": ratio,
+        "reduction_ratio": reduction_ratio(scale, ds.n_items),
         "flipped_items": flipped,
         "plots": plots,
     }
-    report = _report(args, ds, results, _params(args))
-
-    if args.format == "json":
-        print(report.to_json())
-    elif args.format == "csv":
-        print("item,auc_single,auc_running,retained")
-        for row in results["ranking"]:
-            print(
-                f"{row['item']},{row['auc_single']!r},"
-                f"{row['auc_running']!r},{int(row['retained'])}"
-            )
-    else:
-        width = max(len("item"), *(len(lab) for lab in ranking.order))
-        lines = [f"{'item':<{width}}  {'single_auc':>10}  {'running_auc':>11}"]
-        for lab, s, r in zip(ranking.order, ranking.single_auc,
-                             ranking.running_auc):
-            mark = " *" if lab in kept else ""
-            lines.append(f"{lab:<{width}}  {_fmt7(s):>10}  {_fmt7(r):>11}{mark}")
-        lines.append(
-            f"reduced scale ({len(scale.items)} of {ds.n_items} items, "
-            f"ratio {100 * ratio:.2f}%): {', '.join(scale.items)}"
-        )
-        lines.append(f"achieved auc: {_fmt7(scale.achieved_auc)}")
-        lines.append(f"stop reason: {scale.stop_reason}")
-        if flipped:
-            lines.append(f"flipped items: {', '.join(flipped)}")
-        for path in plots:
-            lines.append(f"wrote {path}")
-        _print_table(lines)
-    return report
 
 
-# --- test-inclusion ---------------------------------------------------
-
-
-def cmd_test_inclusion(args) -> RunReport:
+def cmd_test_inclusion(args) -> tuple[Dataset, dict]:
     ds = _load(args)
     ds, flipped, singles = _orient(ds, args.auto_orient)
     ranking = _ranking(ds, singles)
@@ -326,10 +203,9 @@ def cmd_test_inclusion(args) -> RunReport:
         )
         for m in methods
     ]
-    next_item = ranking.order[len(scale.items)]
-    results = {
+    return ds, {
         "reduced_items": list(scale.items),
-        "next_item": next_item,
+        "next_item": ranking.order[len(scale.items)],
         "flipped_items": flipped,
         "tests": [
             {
@@ -345,27 +221,124 @@ def cmd_test_inclusion(args) -> RunReport:
             for t in tests
         ],
     }
-    report = _report(args, ds, results, _params(args))
 
-    if args.format == "json":
-        print(report.to_json())
-    elif args.format == "csv":
-        print("method,z,p")
-        for t in tests:
-            print(f"{t.method},{t.z!r},{t.p_value!r}")
+
+# --- views: table and csv lines, read from the report alone ------------
+
+
+def _fmt7(v: float) -> str:
+    return f"{v:.7f}"
+
+
+def _flipped(results: dict) -> list[str]:
+    flipped = results["flipped_items"]
+    return [f"flipped items: {', '.join(flipped)}"] if flipped else []
+
+
+def _table_audit(report: dict) -> list[str]:
+    r = report["results"]
+    dup = r["duplicates"]
+    lines = [
+        f"examples: total {dup['total']}, distinct {dup['distinct']}, "
+        f"duplicates {dup['duplicates']}",
+        f"gray pairs: {r['gray_pair_count']}",
+    ]
+    for p in r["gray_pairs"]:
+        values = ",".join(f"{v:g}" for v in p["values"])
+        lines.append(
+            f"  rows {p['row_a']},{p['row_b']} "
+            f"decision {p['decision_a']:g}/{p['decision_b']:g} values {values}"
+        )
+    return lines
+
+
+def _table_rank(report: dict) -> list[str]:
+    r = report["results"]
+    width = max(len("item"), *(len(row["item"]) for row in r["items"]))
+    lines = [f"{'item':<{width}}  {'auc':>9}"]
+    lines += [f"{row['item']:<{width}}  {_fmt7(row['auc'])}" for row in r["items"]]
+    return lines + _flipped(r)
+
+
+def _table_reduce(report: dict) -> list[str]:
+    r = report["results"]
+    width = max(len("item"), *(len(row["item"]) for row in r["ranking"]))
+    lines = [f"{'item':<{width}}  {'single_auc':>10}  {'running_auc':>11}"]
+    for row in r["ranking"]:
+        mark = " *" if row["retained"] else ""
+        lines.append(
+            f"{row['item']:<{width}}  {_fmt7(row['auc_single']):>10}  "
+            f"{_fmt7(row['auc_running']):>11}{mark}"
+        )
+    items = r["reduced_items"]
+    lines += [
+        f"reduced scale ({len(items)} of {report['n_items']} items, "
+        f"ratio {100 * r['reduction_ratio']:.2f}%): {', '.join(items)}",
+        f"achieved auc: {_fmt7(r['achieved_auc'])}",
+        f"stop reason: {r['stop_reason']}",
+    ]
+    return lines + _flipped(r) + [f"wrote {path}" for path in r["plots"]]
+
+
+def _table_test_inclusion(report: dict) -> list[str]:
+    r = report["results"]
+    first = r["tests"][0]
+    lines = [
+        f"reduced scale: {', '.join(r['reduced_items'])} "
+        f"(auc {_fmt7(first['auc_1'])})",
+        f"next item: {r['next_item']} (auc with it {_fmt7(first['auc_2'])})",
+        f"{'method':<10}  {'z':>10}  {'p':>10}",
+    ]
+    lines += [
+        f"{t['method']:<10}  {t['z']:>10.6f}  {t['p_value']:>10.8f}"
+        for t in r["tests"]
+    ]
+    return lines + _flipped(r)
+
+
+# command -> (table lines, csv header, csv rows from the results)
+VIEWS = {
+    "audit": (
+        _table_audit,
+        "metric,value",
+        lambda r: [
+            *r["duplicates"].items(),
+            ("gray_pairs", r["gray_pair_count"]),
+        ],
+    ),
+    "rank": (
+        _table_rank,
+        "item,auc",
+        lambda r: [(row["item"], row["auc"]) for row in r["items"]],
+    ),
+    "reduce": (
+        _table_reduce,
+        "item,auc_single,auc_running,retained",
+        lambda r: [
+            (row["item"], row["auc_single"], row["auc_running"],
+             int(row["retained"]))
+            for row in r["ranking"]
+        ],
+    ),
+    "test-inclusion": (
+        _table_test_inclusion,
+        "method,z,p",
+        lambda r: [(t["method"], t["z"], t["p_value"]) for t in r["tests"]],
+    ),
+}
+
+
+def _write(report: dict, fmt: str) -> None:
+    """Print the report in one format; table and csv are views of it."""
+    if fmt == "json":
+        print(json.dumps(report, indent=2))
+        return
+    table, header, rows = VIEWS[report["command"]]
+    if fmt == "csv":
+        lines = [header] + [",".join(map(str, row)) for row in rows(report["results"])]
     else:
-        lines = [
-            f"reduced scale: {', '.join(scale.items)} "
-            f"(auc {_fmt7(tests[0].auc_1)})",
-            f"next item: {next_item} (auc with it {_fmt7(tests[0].auc_2)})",
-            f"{'method':<10}  {'z':>10}  {'p':>10}",
-        ]
-        for t in tests:
-            lines.append(f"{t.method:<10}  {t.z:>10.6f}  {t.p_value:>10.8f}")
-        if flipped:
-            lines.append(f"flipped items: {', '.join(flipped)}")
-        _print_table(lines)
-    return report
+        lines = table(report)
+    print("\n".join(lines))
 
 
 # --- wiring -----------------------------------------------------------
@@ -458,14 +431,29 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        _timestamp()  # reject a bad SOURCE_DATE_EPOCH before any work
-        args.func(args)
+        timestamp = _timestamp()  # rejects a bad SOURCE_DATE_EPOCH before any work
+        ds, results = args.func(args)
     except (LoadError, UnknownColumn, DuplicateColumn) as exc:
         print(f"{TOOL}: input error: {exc}", file=sys.stderr)
         return 2
     except ScaleReduceError as exc:
         print(f"{TOOL}: {exc}", file=sys.stderr)
         return 3
+    report = {
+        "tool": TOOL,
+        "version": __version__,
+        "command": args.command,
+        "input_path": args.input,
+        "parameters": _params(args),
+        "n_rows": ds.n_rows,
+        "n_items": ds.n_items,
+        "dropped_rows": ds.dropped_rows,
+        "positives": ds.n_pos,
+        "negatives": ds.n_neg,
+        "results": results,
+        "timestamp": timestamp,
+    }
+    _write(report, args.format)
     return 0
 
 

@@ -8,6 +8,7 @@ import tempfile
 import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -251,6 +252,23 @@ class TestReduce:
             assert lines[0] == "x,y"
             assert len(lines) > 2
 
+    @pytest.mark.parametrize("out", ["taken", "taken/plots"])
+    def test_unusable_out_exits_2(self, capsys, demo_csv, tmp_path, out):
+        # "taken" is a regular file, so it can be neither the output
+        # directory nor a parent of it
+        (tmp_path / "taken").write_text("", encoding="utf-8")
+        code, stdout, err = run(
+            capsys,
+            ["reduce", demo_csv, "--decision", "d", "--plot",
+             "--out", str(tmp_path / out)],
+        )
+        assert code == 2
+        assert stdout == ""
+        # demo.csv's item c draws the below-0.5 advisory first
+        assert err.splitlines()[-1].startswith(
+            "scalereduce: input error: cannot write plots to --out")
+        assert "Traceback" not in err
+
 
 class TestTestInclusion:
     def test_both_methods_two_rows(self, capsys, demo_csv):
@@ -436,16 +454,74 @@ def csv_bytes(draw):
     return data
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(csv_bytes())
-def test_any_input_bytes_keep_the_exit_code_contract(data):
+# what a user can type: no NUL, and nothing the OS cannot encode
+user_text = st.text(
+    st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"),
+    max_size=12,
+)
+
+
+def usually(valid, junk=user_text):
+    """Mostly values the flag is meant to take, else junk, so that most
+    calls get past the flag checks and run to a writer."""
+    return st.tuples(st.integers(0, 4), valid, junk).map(
+        lambda t: t[2] if t[0] == 4 else t[1])
+
+
+@st.composite
+def cli_calls(draw):
+    """An argv for any command and format, and a SOURCE_DATE_EPOCH value
+    (None leaves it unset)."""
+    command = draw(st.sampled_from(["audit", "rank", "reduce", "test-inclusion"]))
+    argv = [command, "--decision", "d",
+            "--format", draw(st.sampled_from(["table", "json", "csv"]))]
+    if draw(st.integers(0, 2)) == 0:
+        positive = st.sampled_from(["auto", "0", "1", "1.0", "2", "nan", "-inf"])
+        argv.append("--positive=" + draw(usually(positive)))
+    if draw(st.integers(0, 2)) == 0:
+        labels = st.lists(st.sampled_from(["q0", "q1", "q2", "d", " ", ""]))
+        argv.append("--exclude=" + draw(usually(labels.map(",".join))))
+    if command != "audit" and draw(st.booleans()):
+        argv.append("--auto-orient")
+    if command == "test-inclusion":
+        junk = st.one_of(st.integers(-3, 0).map(str), user_text)
+        argv += [
+            "--method", draw(st.sampled_from(["delong", "bootstrap", "both"])),
+            "--n-boot=" + draw(usually(st.integers(1, 50).map(str), junk)),
+            "--seed=" + draw(usually(st.integers(0, 50).map(str), junk)),
+        ]
+    epoch = draw(st.one_of(
+        st.none(), usually(st.integers(-10**12, 10**12).map(str))))
+    return argv, epoch
+
+
+# rows of DEMO_ROWS: well-formed files that most calls can run to a writer
+demo_bytes = st.lists(st.sampled_from(DEMO_ROWS), max_size=24).map(
+    lambda rows: "".join(
+        ",".join(map(str, row)) + "\n" for row in [["q0", "q1", "q2", "d"], *rows]
+    ).encode()
+)
+
+
+@settings(max_examples=900, deadline=None, derandomize=True)
+@given(cli_calls(), st.one_of(demo_bytes, csv_bytes()))
+def test_any_input_bytes_keep_the_exit_code_contract(call, data):
+    argv, epoch = call
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "fuzz.csv")
         with open(path, "wb") as fh:
             fh.write(data)
+        env = {} if epoch is None else {"SOURCE_DATE_EPOCH": epoch}
         with warnings.catch_warnings(), \
+                mock.patch.dict(os.environ, env), \
                 contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(io.StringIO()):
             warnings.simplefilter("error")
-            code = main(["audit", path, "--decision", "d"])
+            if epoch is None:
+                os.environ.pop("SOURCE_DATE_EPOCH", None)
+            try:
+                code = main([argv[0], path, *argv[1:]])
+            except SystemExit as exc:  # argparse rejects a flag value
+                assert exc.code == 2
+                code = 2
     assert code in (0, 2, 3)
