@@ -18,7 +18,6 @@ from .compare import (
 from .dataset import ColumnSelection, Dataset, load_csv, select_columns
 from .hygiene import (
     DuplicateReport,
-    GrayPair,
     diff_examples,
     gray_examples,
     gray_examples_for,
@@ -51,7 +50,6 @@ __all__ = [
     "sum_scores",
     # hygiene
     "DuplicateReport",
-    "GrayPair",
     "diff_examples",
     "gray_examples",
     "gray_examples_for",

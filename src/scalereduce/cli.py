@@ -6,7 +6,8 @@ test-inclusion (paired ROC tests for adding one more item).
 
 Outputs are pure functions of (input bytes, flags, seed). The report
 timestamp honors SOURCE_DATE_EPOCH so JSON output is reproducible too.
-Exit codes: 0 success, 2 input error, 3 analysis-domain error.
+Exit codes: 0 success, 2 input error, 3 analysis-domain error. A reader
+that closes stdout early (| head) still gets 0.
 """
 
 from __future__ import annotations
@@ -109,6 +110,10 @@ def cmd_audit(args) -> tuple[Dataset, dict]:
     raw_decision = np.where(ds.decision, ds.positive_value, ds.negative_value)
     dup = diff_examples(ds.attributes)
     pairs = gray_examples(ds.attributes, raw_decision)
+    # one values list per row, shared by every pair that row is in;
+    # + 0.0 prints a -0 cell as 0.0, as the grouping compares it
+    rows = np.unique(pairs[:, 0])
+    values = dict(zip(rows.tolist(), (ds.attributes[rows] + 0.0).tolist()))
     return ds, {
         "duplicates": {
             "total": dup.total_examples,
@@ -118,13 +123,14 @@ def cmd_audit(args) -> tuple[Dataset, dict]:
         "gray_pair_count": len(pairs),
         "gray_pairs": [
             {
-                "row_a": p.row_index_a,
-                "row_b": p.row_index_b,
-                "decision_a": p.decision_a,
-                "decision_b": p.decision_b,
-                "values": list(p.attribute_values),
+                "row_a": a,
+                "row_b": b,
+                "decision_a": da,
+                "decision_b": db,
+                "values": values[a],
             }
-            for p in pairs
+            for (a, b), (da, db) in zip(pairs.tolist(),
+                                        raw_decision[pairs].tolist())
         ],
     }
 
@@ -453,7 +459,15 @@ def main(argv=None) -> int:
         "results": results,
         "timestamp": timestamp,
     }
-    _write(report, args.format)
+    try:
+        _write(report, args.format)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader stopped early; the analysis itself succeeded, so send
+        # what is left to devnull rather than fail the exit-time flush
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return 0
 
 

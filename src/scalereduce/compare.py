@@ -35,7 +35,7 @@ import numpy as np
 from .dataset import Dataset
 from .errors import DegenerateVariance, NoNextAttribute
 from .reduction import AucRanking, reduce_ranking, total_auc
-from .roc import _split, _twice_u, auc, placements, sum_scores
+from .roc import _level_counts, _split, _twice_u, auc, placements, sum_scores
 
 ALTERNATIVES = ("two-sided", "less", "greater")
 
@@ -165,9 +165,9 @@ def _bootstrap_sd(s1: np.ndarray, s2: np.ndarray, d: np.ndarray,
     Every count and every 2U sum is an integer below 2**53, so the float
     arithmetic on them is exact and each replicate AUC is rounded once.
     """
-    _, level_1 = np.unique(s1, return_inverse=True)
-    _, level_2 = np.unique(s2, return_inverse=True)
-    n_1, n_2 = int(level_1.max()) + 1, int(level_2.max()) + 1
+    levels_1, _, _, level_1 = _level_counts(s1, d)
+    levels_2, _, _, level_2 = _level_counts(s2, d)
+    n_1, n_2 = levels_1.size, levels_2.size
     rng = np.random.default_rng(seed)
     classes = []
     for rows in (d, ~d):  # positives first: the draw order fixes the stream

@@ -3,9 +3,9 @@
 A gray example shares its full attribute row with another example that has
 the opposite decision. Row equality is exact value equality, no epsilon:
 rating scale items are discrete codes and tolerance matching would silently
-merge distinct responses. Rows are grouped by hashing their raw bytes
-(negative zeros normalized first), which matches an elementwise == scan on
-finite data.
+merge distinct responses. Rows are grouped by one stable sort of their raw
+bytes (negative zeros normalized first), which matches an elementwise ==
+scan on finite data.
 
 These functions only report; nothing is removed. Whether to screen raw or
 deduplicated rows is the caller's choice: both take plain matrices, so
@@ -14,9 +14,7 @@ feeding np.unique(...) output works the same way.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -30,17 +28,6 @@ class DuplicateReport:
     duplicate_examples: int
 
 
-@dataclass(frozen=True)
-class GrayPair:
-    """Two rows with identical attributes and different decisions; a < b."""
-
-    row_index_a: int
-    row_index_b: int
-    attribute_values: tuple[float, ...]
-    decision_a: object
-    decision_b: object
-
-
 def _as_matrix(attrs) -> np.ndarray:
     a = np.asarray(attrs, dtype=float)
     if a.ndim == 1:
@@ -51,11 +38,25 @@ def _as_matrix(attrs) -> np.ndarray:
     return np.ascontiguousarray(a + 0.0)
 
 
-def _row_groups(a: np.ndarray) -> dict[bytes, list[int]]:
-    groups: dict[bytes, list[int]] = defaultdict(list)
-    for i in range(a.shape[0]):
-        groups[a[i].tobytes()].append(i)
-    return groups
+def _decision(decision, a: np.ndarray) -> np.ndarray:
+    d = np.asarray(decision).ravel()
+    if d.shape[0] != a.shape[0]:
+        raise ValueError(
+            f"decision length {d.shape[0]} does not match {a.shape[0]} rows"
+        )
+    return d
+
+
+def _row_groups(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row indices sorted into groups of equal rows, ascending within each
+    group, and the position in that order where each group starts."""
+    keys = a.view(np.dtype((np.void, a.itemsize * a.shape[1]))).ravel()
+    order = np.argsort(keys, kind="stable")
+    rows = a[order]
+    starts = np.flatnonzero(
+        np.concatenate(([True], (rows[1:] != rows[:-1]).any(axis=1)))
+    )
+    return order, starts
 
 
 def diff_examples(attrs) -> DuplicateReport:
@@ -64,9 +65,8 @@ def diff_examples(attrs) -> DuplicateReport:
     The decision column is not part of the key; pass attributes only.
     """
     a = _as_matrix(attrs)
-    groups = _row_groups(a)
     total = a.shape[0]
-    distinct = len(groups)
+    distinct = _row_groups(a)[1].size
     return DuplicateReport(
         total_examples=total,
         distinct_examples=distinct,
@@ -74,35 +74,24 @@ def diff_examples(attrs) -> DuplicateReport:
     )
 
 
-def gray_examples(attrs, decision) -> list[GrayPair]:
+def gray_examples(attrs, decision) -> np.ndarray:
     """All unordered row pairs with equal attributes and unequal decisions.
 
-    Each pair appears once as (a, b) with a < b; the list is sorted by
-    (a, b), so output is deterministic.
+    Returns a (k, 2) intp array: each pair appears once as (a, b) with
+    a < b, and the rows are sorted by (a, b), so output is deterministic.
     """
     a = _as_matrix(attrs)
-    d = np.asarray(decision).ravel()
-    if d.shape[0] != a.shape[0]:
-        raise ValueError(
-            f"decision length {d.shape[0]} does not match {a.shape[0]} rows"
-        )
-    pairs: list[GrayPair] = []
-    for indices in _row_groups(a).values():
-        if len(indices) < 2:
-            continue
-        for i, j in combinations(indices, 2):
-            if d[i] != d[j]:
-                pairs.append(
-                    GrayPair(
-                        row_index_a=i,
-                        row_index_b=j,
-                        attribute_values=tuple(a[i].tolist()),
-                        decision_a=d[i].item() if hasattr(d[i], "item") else d[i],
-                        decision_b=d[j].item() if hasattr(d[j], "item") else d[j],
-                    )
-                )
-    pairs.sort(key=lambda p: (p.row_index_a, p.row_index_b))
-    return pairs
+    d = _decision(decision, a)
+    order, starts = _row_groups(a)
+    sizes = np.diff(np.append(starts, order.size))
+    found = [np.empty((0, 2), dtype=np.intp)]
+    for start, size in zip(starts[sizes > 1].tolist(), sizes[sizes > 1].tolist()):
+        rows = order[start:start + size]
+        i, j = np.triu_indices(size, 1)
+        within = np.column_stack((rows[i], rows[j]))
+        found.append(within[d[within[:, 0]] != d[within[:, 1]]])
+    pairs = np.concatenate(found)
+    return pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
 
 
 def gray_examples_for(attrs, decision, n: int) -> list[int]:
@@ -113,13 +102,8 @@ def gray_examples_for(attrs, decision, n: int) -> list[int]:
     whether the replicas are gray.
     """
     a = _as_matrix(attrs)
-    d = np.asarray(decision).ravel()
-    if d.shape[0] != a.shape[0]:
-        raise ValueError(
-            f"decision length {d.shape[0]} does not match {a.shape[0]} rows"
-        )
+    _decision(decision, a)
     if not 0 <= n < a.shape[0]:
         raise IndexOutOfRange(f"row index {n} out of range for {a.shape[0]} rows")
-    key = a[n].tobytes()
-    matches = [i for i in range(a.shape[0]) if i != n and a[i].tobytes() == key]
-    return [n] + matches
+    matches = np.flatnonzero((a == a[n]).all(axis=1))
+    return [n] + matches[matches != n].tolist()

@@ -424,22 +424,44 @@ class TestReportShape:
         assert first == second
 
 
-def test_cli_import_leaves_scipy_out():
+def _child_env():
+    """The environment for a child interpreter that imports this package."""
     src = str(Path(scalereduce.__file__).parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p
     )
+    return env
+
+
+def test_cli_import_leaves_scipy_out():
     probe = (
         "import sys, scalereduce.cli; "
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
     result = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True,
+        [sys.executable, "-c", probe], env=_child_env(), capture_output=True,
         text=True, timeout=60,
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+def test_reader_closing_stdout_early_exits_0(tmp_path):
+    # 120 clones with alternating decisions: 3600 gray pairs, far more
+    # output than a pipe buffer holds, so the writer meets the closed end
+    path = write_csv(tmp_path / "clones.csv", ["x", "y", "d"],
+                     [[1, 2, i % 2] for i in range(120)])
+    for fmt in ("table", "json"):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "scalereduce.cli", "audit", path,
+             "--decision", "d", "--format", fmt],
+            env=_child_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 0, err
+        assert err == b"", err  # no traceback, no "Exception ignored"
 
 
 @st.composite

@@ -1,9 +1,16 @@
+import json
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scalereduce import diff_examples, gray_examples, gray_examples_for
+from scalereduce.cli import main
 from scalereduce.errors import EmptyDataset, IndexOutOfRange
 
+from conftest import write_csv
 from oracles import clones_of_quadratic, duplicates_quadratic, gray_pairs_quadratic
 
 
@@ -71,44 +78,65 @@ class TestDiffExamples:
             diff_examples(np.empty((0, 2)))
 
 
+def pair_list(attrs, decision):
+    return [tuple(p) for p in gray_examples(attrs, decision).tolist()]
+
+
 class TestGrayExamples:
     def test_all_distinct_rows_give_no_pairs(self):
-        assert gray_examples([[1, 2], [3, 4]], [1, 0]) == []
+        pairs = gray_examples([[1, 2], [3, 4]], [1, 0])
+        assert pairs.shape == (0, 2)
+        assert pairs.dtype == np.intp
 
-    def test_single_forced_pair(self):
+    def test_single_forced_pair(self, tmp_path, capsys):
         pairs = gray_examples([[1, 4], [1, 4], [2, 2]], [1, 0, 1])
-        assert len(pairs) == 1
-        pair = pairs[0]
-        assert (pair.row_index_a, pair.row_index_b) == (0, 1)
-        assert pair.attribute_values == (1.0, 4.0)
-        assert pair.decision_a != pair.decision_b
+        assert pairs.tolist() == [[0, 1]]
+        # attribute values are reported by the audit, from the same rows
+        path = write_csv(tmp_path / "forced.csv", ["x", "y", "d"],
+                         [[1, 4, 1], [1, 4, 0], [2, 2, 1]])
+        assert main(["audit", path, "--decision", "d", "--format", "json"]) == 0
+        (pair,) = json.loads(capsys.readouterr().out)["results"]["gray_pairs"]
+        assert (pair["row_a"], pair["row_b"]) == (0, 1)
+        assert pair["values"] == [1.0, 4.0]
+        assert pair["decision_a"] != pair["decision_b"]
 
     def test_same_decision_clones_not_gray(self):
-        assert gray_examples([[1, 1], [1, 1]], [1, 1]) == []
+        assert gray_examples([[1, 1], [1, 1]], [1, 1]).shape == (0, 2)
 
     def test_ordering_and_no_mirror_duplicates(self):
         rng = np.random.default_rng(43)
         for _ in range(30):
             attrs, decision = planted_dataset(rng)
-            pairs = gray_examples(attrs, decision)
+            pairs = pair_list(attrs, decision)
             seen = set()
-            for p in pairs:
-                assert p.row_index_a < p.row_index_b
-                key = (p.row_index_a, p.row_index_b)
-                assert key not in seen
-                assert (p.row_index_b, p.row_index_a) not in seen
-                seen.add(key)
-            assert [
-                (p.row_index_a, p.row_index_b) for p in pairs
-            ] == sorted(seen)
+            for a, b in pairs:
+                assert a < b
+                assert (a, b) not in seen
+                assert (b, a) not in seen
+                seen.add((a, b))
+            assert pairs == sorted(seen)
 
     def test_matches_quadratic_oracle(self):
         rng = np.random.default_rng(47)
         for _ in range(50):
             attrs, decision = planted_dataset(rng)
-            got = [(p.row_index_a, p.row_index_b)
-                   for p in gray_examples(attrs, decision)]
-            assert got == gray_pairs_quadratic(attrs, decision)
+            assert pair_list(attrs, decision) == (
+                gray_pairs_quadratic(attrs, decision)
+            )
+
+    def test_signed_zero_twins_are_gray(self, tmp_path, capsys):
+        # -0 and 0 are equal values, so the rows are one response pattern
+        attrs = [[-0.0, 2.0], [0.0, 2.0], [1.0, 1.0]]
+        assert gray_examples(attrs, [1, 0, 1]).tolist() == [[0, 1]]
+        assert diff_examples(attrs).distinct_examples == 2
+        assert gray_examples_for(attrs, [1, 0, 1], 1) == [1, 0]
+        path = write_csv(tmp_path / "zeros.csv", ["x", "y", "d"],
+                         [["-0", 2, 1], [0, 2, 0], [1, 1, 1]])
+        assert main(["audit", path, "--decision", "d", "--format", "json"]) == 0
+        (pair,) = json.loads(capsys.readouterr().out)["results"]["gray_pairs"]
+        assert (pair["row_a"], pair["row_b"]) == (0, 1)
+        assert pair["values"] == [0.0, 2.0]
+        assert math.copysign(1.0, pair["values"][0]) == 1.0  # not -0.0
 
     def test_works_on_deduplicated_rows(self):
         # screening unique (decision, attrs) rows: clones across decisions
@@ -142,3 +170,40 @@ class TestGrayExamplesFor:
     def test_index_out_of_range(self):
         with pytest.raises(IndexOutOfRange):
             gray_examples_for([[1.0]], [1], 5)
+
+
+@st.composite
+def small_matrices(draw):
+    """Small integer codes with signed zeros; one row, one column and
+    all-equal rows included."""
+    m = draw(st.integers(1, 12))
+    n = draw(st.integers(1, 4))
+    cell = st.sampled_from([-0.0, 0.0, 1.0, 2.0, -1.0])
+    if draw(st.booleans()):
+        # every row the same pattern, zeros signed independently
+        row = draw(st.lists(cell, min_size=n, max_size=n))
+        attrs = np.array([[abs(v) if v == 0 and draw(st.booleans()) else v
+                           for v in row] for _ in range(m)])
+    else:
+        attrs = np.array(draw(st.lists(st.lists(cell, min_size=n, max_size=n),
+                                       min_size=m, max_size=m)))
+    decision = np.array(draw(st.lists(st.integers(0, 1), min_size=m, max_size=m)))
+    return attrs.reshape(m, n), decision
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(small_matrices())
+def test_grouping_matches_quadratic_oracles(data):
+    attrs, decision = data
+    report = diff_examples(attrs)
+    assert (report.total_examples, report.distinct_examples,
+            report.duplicate_examples) == duplicates_quadratic(attrs)
+    pairs = gray_examples(attrs, decision)
+    assert pairs.dtype == np.intp and pairs.ndim == 2 and pairs.shape[1] == 2
+    assert [tuple(p) for p in pairs.tolist()] == (
+        gray_pairs_quadratic(attrs, decision)
+    )
+    for n in range(attrs.shape[0]):
+        assert gray_examples_for(attrs, decision, n) == (
+            clones_of_quadratic(attrs, n)
+        )
