@@ -13,12 +13,13 @@ that closes stdout early (| head) still gets 0.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
 from dataclasses import replace
 from datetime import datetime, timezone
+from itertools import repeat, takewhile
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -249,11 +250,15 @@ def _table_audit(report: dict) -> list[str]:
         f"duplicates {dup['duplicates']}",
         f"gray pairs: {r['gray_pair_count']}",
     ]
+    shown: dict[int, str] = {}  # each shared values list, formatted once
     for p in r["gray_pairs"]:
-        values = ",".join(f"{v:g}" for v in p["values"])
+        values = p["values"]
+        if id(values) not in shown:
+            shown[id(values)] = ",".join(f"{v:g}" for v in values)
         lines.append(
             f"  rows {p['row_a']},{p['row_b']} "
-            f"decision {p['decision_a']:g}/{p['decision_b']:g} values {values}"
+            f"decision {p['decision_a']:g}/{p['decision_b']:g} "
+            f"values {shown[id(values)]}"
         )
     return lines
 
@@ -334,10 +339,78 @@ VIEWS = {
 }
 
 
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+# the JSON text of each scalar type, as json.dumps writes it; _scalar tries
+# them in this order, so bool comes before int, its base
+_SCALARS = {
+    float: lambda v: _NONFINITE.get(text := float.__repr__(v), text),
+    bool: {True: "true", False: "false"}.__getitem__,
+    int: int.__repr__,
+    str: encode_basestring_ascii,
+    type(None): lambda v: "null",
+}
+
+
+def _scalar(v) -> str | None:
+    """JSON text of a scalar, None for a dict, list or tuple. A subclass,
+    such as np.float64, is written as its base type, as json does."""
+    if isinstance(v, (dict, list, tuple)):
+        return None
+    base = next((t for t in _SCALARS if isinstance(v, t)), None)
+    if base is None:
+        raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
+    return _SCALARS[base](v)
+
+
+def _write_json(obj, write) -> None:
+    """Write json.dumps(obj, indent=2) and a newline through write, in
+    pieces as the text is encoded. A list of scalars is encoded once per
+    depth however often the same list object recurs: cmd_audit shares one
+    values list among all the gray pairs of a row. Dict keys must be str."""
+    out: list[str] = []
+    lists: dict[tuple[int, int], str | None] = {}
+
+    def leaf(v, depth: int) -> str | None:
+        """JSON text of a scalar or a nonempty list of scalars, else None."""
+        if not isinstance(v, (list, tuple)):
+            return _scalar(v)
+        if (id(v), depth) not in lists:
+            texts = list(takewhile(lambda t: t is not None, map(_scalar, v)))
+            pad = "\n" + "  " * (depth + 1)
+            lists[id(v), depth] = (f"[{pad}{(',' + pad).join(texts)}\n{'  ' * depth}]"
+                                   if 0 < len(texts) == len(v) else None)
+        return lists[id(v), depth]
+
+    def container(v, depth: int) -> None:
+        is_dict = isinstance(v, dict)
+        brackets = "{}" if is_dict else "[]"
+        heads = (map("{}: ".format, map(encode_basestring_ascii, v))
+                 if is_dict else repeat(""))
+        pad = "\n" + "  " * (depth + 1)
+        sep, comma = brackets[0] + pad, "," + pad
+        for head, item in zip(heads, v.values() if is_dict else v):
+            encode = _SCALARS.get(type(item))
+            text = encode(item) if encode else leaf(item, depth + 1)
+            out.append(sep + head if text is None else f"{sep}{head}{text}")
+            if text is None:
+                container(item, depth + 1)
+            sep = comma
+            if len(out) > 4096:
+                write("".join(out))
+                out.clear()
+        out.append("\n" + "  " * depth + brackets[1] if v else brackets)
+
+    text = leaf(obj, 0)
+    if text is None:
+        container(obj, 0)
+        text = "".join(out)
+    write(text + "\n")
+
+
 def _write(report: dict, fmt: str) -> None:
     """Print the report in one format; table and csv are views of it."""
     if fmt == "json":
-        print(json.dumps(report, indent=2))
+        _write_json(report, sys.stdout.write)
         return
     table, header, rows = VIEWS[report["command"]]
     if fmt == "csv":

@@ -10,13 +10,14 @@ import xml.etree.ElementTree as ET
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import scalereduce
 from scalereduce import reduction
-from scalereduce.cli import main
+from scalereduce.cli import _write_json, main
 
 from conftest import csv_texts, write_csv
 
@@ -462,6 +463,65 @@ def test_reader_closing_stdout_early_exits_0(tmp_path):
         _, err = proc.communicate(timeout=60)
         assert proc.returncode == 0, err
         assert err == b"", err  # no traceback, no "Exception ignored"
+
+
+def test_reader_closing_stdout_mid_report_exits_0(tmp_path):
+    # 300 clones with alternating decisions: 22500 gray pairs, a JSON
+    # report of several MB that the reader abandons after its first 4 kB
+    path = write_csv(tmp_path / "clones.csv", ["x", "y", "d"],
+                     [[1, 2, i % 2] for i in range(300)])
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "scalereduce.cli", "audit", path,
+         "--decision", "d", "--format", "json"],
+        env=_child_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    head = proc.stdout.read(4096)
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert head.startswith(b'{\n  "tool": "scalereduce",')
+    assert len(head) == 4096
+    assert proc.returncode == 0, err
+    assert err == b"", err
+
+
+json_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(-2**80, 2**80),
+    st.floats(), st.floats().map(np.float64),
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), 0.0, -0.0,
+                     1e300, 5e-324]),
+    st.text(),
+)
+
+
+@st.composite
+def json_trees(draw):
+    """Nested dicts, lists and tuples of scalars in which one list (or
+    tuple) of scalars can recur, as the same object, at any depth."""
+    shared = draw(st.lists(json_scalars, max_size=4))
+    if draw(st.booleans()):
+        shared = tuple(shared)
+    return draw(st.recursive(
+        st.one_of(json_scalars, st.just(shared)),
+        lambda kids: st.one_of(
+            st.lists(kids, max_size=4),
+            st.lists(kids, max_size=4).map(tuple),
+            st.dictionaries(st.text(), kids, max_size=4),
+        ),
+        max_leaves=30,
+    ))
+
+
+ROW = [1.0, -0.0, 2.5]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(json_trees())
+@example({"a": ROW, "b": [ROW, {"c": ROW}], "d": []})
+@example([{"row": i, "values": ROW} for i in range(3000)])
+def test_json_writer_matches_json_dumps(tree):
+    pieces = []
+    _write_json(tree, pieces.append)
+    assert "".join(pieces) == json.dumps(tree, indent=2) + "\n"
 
 
 @st.composite

@@ -8,6 +8,8 @@ SOURCE_DATE_EPOCH=0, exactly as the generator ran it.
 
 import json
 import shutil
+import subprocess
+import sys
 
 import pytest
 
@@ -17,7 +19,8 @@ from conftest import DATA_DIR
 
 GOLDEN = DATA_DIR / "cli_golden"
 CASES = json.loads((GOLDEN / "cases.json").read_text(encoding="utf-8"))
-INPUTS = ("scale21.csv", "cli_mixed.csv")
+INPUTS = ("scale21.csv", "cli_mixed.csv", "cli_gray.csv")
+GENERATOR = DATA_DIR.parents[1] / "tools" / "gen_cli_golden.py"
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -35,8 +38,9 @@ def test_cli_output_matches_golden(case, capsys, monkeypatch, tmp_path):
 
 
 def test_golden_cases_cover_the_interface():
-    """Every command and format, a gray pair, the below-0.5 advisory and
-    flipped items all appear in the recorded outputs."""
+    """Every command and format, a gray pair, a row in two gray pairs, the
+    below-0.5 advisory and flipped items all appear in the recorded
+    outputs."""
     argvs = [c["argv"] for c in CASES.values()]
     assert {a[0] for a in argvs} == {"audit", "rank", "reduce", "test-inclusion"}
     assert {a[a.index("--format") + 1] for a in argvs} == {"json", "csv", "table"}
@@ -44,3 +48,15 @@ def test_golden_cases_cover_the_interface():
     assert "  rows " in outs
     assert "flipped items: " in outs
     assert any(c["stderr"].startswith("advisory:") for c in CASES.values())
+    shared = json.loads((GOLDEN / "cli_gray-audit-json.out").read_bytes())
+    rows = [p["row_a"] for p in shared["results"]["gray_pairs"]]
+    assert len(set(rows)) < len(rows)
+
+
+def test_goldens_are_current():
+    """Regenerating the fixtures and goldens would change no file."""
+    result = subprocess.run(
+        [sys.executable, str(GENERATOR), "--check"],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert result.returncode == 0, result.stdout + result.stderr

@@ -2,18 +2,26 @@
 
 Writes tests/data/cli_mixed.csv, a small seeded rating-scale fixture with a
 gray pair, one reverse-keyed item (single-item AUC below 0.5) and one
-incomplete row. Then runs every case in cases() through scalereduce.cli.main
-and writes tests/data/cli_golden/: one <case>.out file per case with its
-stdout, and cases.json with each case's argv, exit code and stderr.
+incomplete row, and tests/data/cli_gray.csv, a hand-written audit fixture
+whose gray groups put one row in two pairs and a -0 cell in another. Then
+runs every case in cases() through scalereduce.cli.main and writes
+tests/data/cli_golden/: one <case>.out file per case with its stdout, and
+cases.json with each case's argv, exit code and stderr.
 
 Each case runs under SOURCE_DATE_EPOCH=0 in a fresh temporary directory
-that holds copies of the two input files, so the input path and the plot
+that holds copies of the input files, so the input path and the plot
 paths in the reports are relative and the same on every machine.
 
 Run from the repository root: python3 tools/gen_cli_golden.py
+
+With --check it regenerates everything into a temporary directory instead,
+writes nothing into the repository, lists the files under tests/data/ that
+would change and exits 1 if there are any.
 """
 
+import argparse
 import contextlib
+import filecmp
 import io
 import json
 import os
@@ -32,8 +40,6 @@ from scalereduce.cli import main  # noqa: E402
 
 SEED = 20261018
 N_ROWS = 48
-# input file -> decision column
-INPUTS = {"scale21.csv": "verdict", "cli_mixed.csv": "d"}
 FORMATS = ("json", "csv", "table")
 BOOT = ["--n-boot", "200", "--seed", "7"]
 FLAGS = {
@@ -46,6 +52,26 @@ FLAGS = {
     },
     "test-inclusion": {"": BOOT, "-auto-orient": BOOT + ["--auto-orient"]},
 }
+# input file -> (decision column, the commands run on it)
+INPUTS = {
+    "scale21.csv": ("verdict", FLAGS),
+    "cli_mixed.csv": ("d", FLAGS),
+    "cli_gray.csv": ("d", {"audit": FLAGS["audit"]}),
+}
+# rows 0, 2 and 4 are one gray group, so row 0 is row_a of two pairs; rows
+# 1 and 5 are another, told apart only by the sign of a zero; rows 3 and 6
+# are duplicates with the same decision
+GRAY_ROWS = [
+    "p,q,r,d",
+    "1,2,3,1",
+    "0,-0,2.5,1",
+    "1,2,3,0",
+    "4,1,0,0",
+    "1,2,3,0",
+    "0,0,2.5,0",
+    "4,1,0,0",
+    "2,2,2,1",
+]
 
 
 def mixed_rows(rng: random.Random) -> list[list[str]]:
@@ -65,16 +91,18 @@ def mixed_rows(rng: random.Random) -> list[list[str]]:
     return rows
 
 
-def write_mixed_fixture() -> None:
+def write_fixtures(data: Path) -> None:
     rows = [["a", "b", "c", "e", "f", "d"]] + mixed_rows(random.Random(SEED))
     text = "".join(",".join(row) + "\n" for row in rows)
-    (DATA / "cli_mixed.csv").write_text(text, encoding="utf-8")
+    (data / "cli_mixed.csv").write_text(text, encoding="utf-8")
+    text = "".join(row + "\n" for row in GRAY_ROWS)
+    (data / "cli_gray.csv").write_text(text, encoding="utf-8")
 
 
 def cases() -> dict[str, list[str]]:
     out = {}
-    for name, decision in INPUTS.items():
-        for command, variants in FLAGS.items():
+    for name, (decision, commands) in INPUTS.items():
+        for command, variants in commands.items():
             for suffix, flags in variants.items():
                 for fmt in FORMATS:
                     case = f"{Path(name).stem}-{command}{suffix}-{fmt}"
@@ -83,14 +111,14 @@ def cases() -> dict[str, list[str]]:
     return out
 
 
-def run_case(argv: list[str]) -> tuple[int, str, str]:
+def run_case(argv: list[str], data: Path) -> tuple[int, str, str]:
     """Run one CLI call in a fresh directory holding the input files."""
     cwd = os.getcwd()
     saved = os.environ.get("SOURCE_DATE_EPOCH")
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         for name in INPUTS:
-            shutil.copy(DATA / name, Path(tmp) / name)
+            shutil.copy(data / name, Path(tmp) / name)
         os.environ["SOURCE_DATE_EPOCH"] = "0"
         os.chdir(tmp)
         try:
@@ -105,20 +133,55 @@ def run_case(argv: list[str]) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
-def main_() -> None:
-    write_mixed_fixture()
-    if GOLDEN.exists():
-        shutil.rmtree(GOLDEN)
-    GOLDEN.mkdir()
+def generate(data: Path) -> int:
+    """Write the fixtures and data/cli_golden/ into data; scale21.csv,
+    which tools/gen_scale21_fixture.py writes, must already be there."""
+    write_fixtures(data)
+    golden = data / "cli_golden"
+    if golden.exists():
+        shutil.rmtree(golden)
+    golden.mkdir()
     manifest = {}
     for case, argv in cases().items():
-        code, out, err = run_case(argv)
-        (GOLDEN / f"{case}.out").write_bytes(out.encode("utf-8"))
+        code, out, err = run_case(argv, data)
+        (golden / f"{case}.out").write_bytes(out.encode("utf-8"))
         manifest[case] = {"argv": argv, "exit": code, "stderr": err}
-    (GOLDEN / "cases.json").write_text(
+    (golden / "cases.json").write_text(
         json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
-    print(f"wrote {len(manifest)} cases to {GOLDEN.relative_to(ROOT)}")
+    return len(manifest)
+
+
+def stale_files() -> list[str]:
+    """Regenerate into a temporary directory and name, relative to
+    tests/data/, every written file that differs from the repository's
+    and every recorded output that would no longer be written."""
+    with tempfile.TemporaryDirectory() as tmp:
+        fresh = Path(tmp)
+        shutil.copy(DATA / "scale21.csv", fresh / "scale21.csv")
+        generate(fresh)
+        written = {p.relative_to(fresh) for p in fresh.rglob("*") if p.is_file()}
+        recorded = {p.relative_to(DATA) for p in GOLDEN.glob("*")}
+        return sorted(
+            str(rel) for rel in written | recorded
+            if not ((DATA / rel).is_file() and (fresh / rel).is_file()
+                    and filecmp.cmp(DATA / rel, fresh / rel, shallow=False))
+        )
+
+
+def main_() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--check", action="store_true",
+                        help="list the files that regenerating would change, "
+                             "write nothing, exit 1 if there are any")
+    if parser.parse_args().check:
+        stale = stale_files()
+        for name in stale:
+            print(f"would change: tests/data/{name}")
+        return 1 if stale else 0
+    n = generate(DATA)
+    print(f"wrote {n} cases to {GOLDEN.relative_to(ROOT)}")
+    return 0
 
 
 if __name__ == "__main__":
-    main_()
+    sys.exit(main_())
