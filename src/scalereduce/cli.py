@@ -16,9 +16,10 @@ import argparse
 import os
 import sys
 import time
+from collections.abc import Iterator
 from dataclasses import replace
 from datetime import datetime, timezone
-from itertools import repeat, takewhile
+from itertools import chain, islice, repeat, takewhile
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -242,25 +243,22 @@ def _flipped(results: dict) -> list[str]:
     return [f"flipped items: {', '.join(flipped)}"] if flipped else []
 
 
-def _table_audit(report: dict) -> list[str]:
+def _table_audit(report: dict) -> Iterator[str]:
     r = report["results"]
     dup = r["duplicates"]
-    lines = [
-        f"examples: total {dup['total']}, distinct {dup['distinct']}, "
-        f"duplicates {dup['duplicates']}",
-        f"gray pairs: {r['gray_pair_count']}",
-    ]
+    yield (f"examples: total {dup['total']}, distinct {dup['distinct']}, "
+           f"duplicates {dup['duplicates']}")
+    yield f"gray pairs: {r['gray_pair_count']}"
     shown: dict[int, str] = {}  # each shared values list, formatted once
     for p in r["gray_pairs"]:
         values = p["values"]
         if id(values) not in shown:
             shown[id(values)] = ",".join(f"{v:g}" for v in values)
-        lines.append(
+        yield (
             f"  rows {p['row_a']},{p['row_b']} "
             f"decision {p['decision_a']:g}/{p['decision_b']:g} "
             f"values {shown[id(values)]}"
         )
-    return lines
 
 
 def _table_rank(report: dict) -> list[str]:
@@ -307,7 +305,8 @@ def _table_test_inclusion(report: dict) -> list[str]:
     return lines + _flipped(r)
 
 
-# command -> (table lines, csv header, csv rows from the results)
+# command -> (table lines, csv header, csv rows from the results); a
+# table may yield its lines, as audit's one line per gray pair does
 VIEWS = {
     "audit": (
         _table_audit,
@@ -414,10 +413,12 @@ def _write(report: dict, fmt: str) -> None:
         return
     table, header, rows = VIEWS[report["command"]]
     if fmt == "csv":
-        lines = [header] + [",".join(map(str, row)) for row in rows(report["results"])]
+        lines = chain([header], (",".join(map(str, row)) for row in rows(report["results"])))
     else:
-        lines = table(report)
-    print("\n".join(lines))
+        lines = iter(table(report))
+    # written in chunks as they are formatted, never held whole
+    while chunk := list(islice(lines, 4096)):
+        sys.stdout.write("\n".join(chunk) + "\n")
 
 
 # --- wiring -----------------------------------------------------------

@@ -35,7 +35,7 @@ import numpy as np
 from .dataset import Dataset
 from .errors import DegenerateVariance, NoNextAttribute
 from .reduction import AucRanking, reduce_ranking, total_auc
-from .roc import _level_counts, _split, _twice_u, auc, placements, sum_scores
+from .roc import _level_counts, _levels, _split, _twice_u, auc, placements, sum_scores
 
 ALTERNATIVES = ("two-sided", "less", "greater")
 
@@ -171,9 +171,7 @@ def _bootstrap_sd(s1: np.ndarray, s2: np.ndarray, d: np.ndarray,
     rng = np.random.default_rng(seed)
     classes = []
     for rows in (d, ~d):  # positives first: the draw order fixes the stream
-        cells, cell_of_row = np.unique(
-            level_1[rows] * n_2 + level_2[rows], return_inverse=True
-        )
+        cells, cell_of_row = _levels(level_1[rows] * n_2 + level_2[rows])
         counts = _cell_counts(rng, cell_of_row, cells.size, n_boot)
         classes.append((cells // n_2, cells % n_2, counts))
     (pos_1, pos_2, pos_counts), (neg_1, neg_2, neg_counts) = classes

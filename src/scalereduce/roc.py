@@ -74,14 +74,38 @@ def _split(scores, decision) -> tuple[np.ndarray, np.ndarray]:
     return s, d
 
 
+def _levels(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct values of the nonempty 1-d array s (ascending) and each
+    entry's index into them, as np.unique(s, return_inverse=True) gives them.
+
+    Integer-coded s is grouped by counting instead of sorting, in
+    O(m + range): with lo = s.min(), the counting path is taken when lo is
+    finite, s.max() <= lo + 4*m (checked before any cast, so NaN and inf
+    never reach it), and the integer codes c = int(s - lo) round-trip,
+    lo + c == s for every entry. The round trip makes the grouping exact:
+    equal codes then mean equal values, and since float addition is
+    monotone, distinct values have distinct codes in the same order. A
+    bare "s - lo is integral" test would not do, as the subtraction
+    rounds: with lo = -0.1, both 1.9 and the next float above it lie 2.0
+    above lo. Levels equal np.unique's, except that a zero level may
+    differ in sign. Any other s is sorted by np.unique.
+    """
+    lo = s.min()
+    if np.isfinite(lo) and s.max() <= lo + 4 * s.size:
+        codes = (s - lo).astype(np.intp)
+        if np.array_equal(lo + codes, s):
+            occupied = np.bincount(codes) > 0
+            return lo + np.flatnonzero(occupied), (np.cumsum(occupied) - 1)[codes]
+    return np.unique(s, return_inverse=True)
+
+
 def _level_counts(
     s: np.ndarray, d: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Distinct levels of s (ascending), the positive and negative counts
     at each level, and each row's level index."""
-    levels, index = np.unique(s, return_inverse=True)
-    pos = np.bincount(index[d], minlength=levels.size)
-    neg = np.bincount(index[~d], minlength=levels.size)
+    levels, index = _levels(s)
+    neg, pos = np.bincount(index * 2 + d, minlength=2 * levels.size).reshape(-1, 2).T
     return levels, pos, neg, index
 
 
@@ -94,8 +118,10 @@ def _twice_u(pos, neg):
 def auc(scores, decision) -> float:
     """Tie-aware AUC of scores against the binary decision.
 
-    Counting evaluation, O(m log m): with pos and neg the class counts at
-    each distinct score level and neg_below the negatives at lower levels,
+    Counting evaluation, O(m + range) for integer-coded scores and
+    O(m log m) otherwise (see _levels): with pos and neg the class counts
+    at each distinct score level and neg_below the negatives at lower
+    levels,
 
         auc = sum(pos * (2*neg_below + neg)) / (2*P*N)
     """

@@ -607,3 +607,23 @@ def test_any_input_bytes_keep_the_exit_code_contract(call, data):
                 assert exc.code == 2
                 code = 2
     assert code in (0, 2, 3)
+
+
+def test_integer_items_are_counted_without_a_sort(capsys, monkeypatch, tmp_path):
+    # integer-coded items and their running sums take the counting path in
+    # roc; a non-integer item (and every sum holding it) takes np.unique
+    sorts = []
+
+    def counted(*args, _unique=np.unique, **kwargs):
+        if sys._getframe(1).f_globals["__name__"] == "scalereduce.roc":
+            sorts.append(args[0].size)
+        return _unique(*args, **kwargs)
+
+    monkeypatch.setattr(np, "unique", counted)
+    path = write_csv(tmp_path / "ints.csv", ["a", "b", "c", "d"], DEMO_ROWS)
+    assert run(capsys, ["reduce", path, "--decision", "d"])[0] == 0
+    assert sorts == []
+    path = write_csv(tmp_path / "thirds.csv", ["a", "b", "c", "d"],
+                     [[a, b, c / 3, d] for a, b, c, d in DEMO_ROWS])
+    assert run(capsys, ["reduce", path, "--decision", "d"])[0] == 0
+    assert sorts

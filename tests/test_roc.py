@@ -1,10 +1,13 @@
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scalereduce import auc, load_csv, placements, roc_curve, sum_scores
 from scalereduce.errors import SingleClass, UnknownColumn
+from scalereduce.roc import _level_counts
 
 from conftest import random_scores_decision
 from oracles import auc_pairs, placements_pairs
@@ -152,6 +155,45 @@ def test_counting_kernel_equals_pair_enumeration_exactly(example):
     # 1 - x/P and (P - x)/P can round apart, so compare in that form
     own, _ = placements_pairs(scores, ~decision)
     assert p.v01.tolist() == [1.0 - v for v in own]
+
+
+@st.composite
+def level_inputs(draw):
+    """Scores base + step * code with codes spanning up to about 4*m (the
+    counting path's limit), a decision with both classes, and a few
+    entries overwritten by NaN, inf, signed zeros or a fraction."""
+    m = draw(st.integers(2, 60))
+    base = draw(st.sampled_from([0.0, -0.0, -37.0, 0.5, -2.5, -0.1, 1e17,
+                                 -1e17, 2.0**60, 1e300]))
+    step = draw(st.sampled_from([1.0, 16.0, 0.5, 0.1]))
+    span = draw(st.sampled_from([1, 4 * m - 1, 4 * m, 4 * m + 1]))
+    codes = draw(st.lists(st.integers(0, span), min_size=m - 2, max_size=m - 2))
+    scores = base + step * np.array([0, span, *codes], dtype=float)
+    for i in draw(st.lists(st.integers(0, m - 1), max_size=3)):
+        scores[i] = draw(st.sampled_from([np.nan, np.inf, -np.inf, 0.0, -0.0, 0.3,
+                                          np.nextafter(1.9, 2)]))
+    decision = np.array(draw(st.lists(st.booleans(), min_size=m, max_size=m)))
+    decision[0], decision[1] = True, False
+    return scores, decision
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(level_inputs())
+# 1.9 and the next float up both sit 2.0 above -0.1 in float subtraction:
+# an integral offset alone would merge them, the round trip does not
+@example((np.array([-0.1, 1.9, np.nextafter(1.9, 2)]), np.array([True, False, True])))
+def test_level_counts_equal_np_unique_on_every_path(case):
+    # integer-coded scores are grouped by counting, the rest by np.unique;
+    # both must give np.unique's grouping, without a warning
+    scores, decision = case
+    levels, index = np.unique(scores, return_inverse=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got_levels, pos, neg, got_index = _level_counts(scores, decision)
+    assert np.array_equal(got_levels, levels, equal_nan=True)  # 0.0 == -0.0
+    assert got_index.tolist() == index.tolist()
+    assert pos.tolist() == np.bincount(index[decision], minlength=levels.size).tolist()
+    assert neg.tolist() == np.bincount(index[~decision], minlength=levels.size).tolist()
 
 
 class TestSumScores:
