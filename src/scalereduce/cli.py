@@ -34,7 +34,7 @@ from .errors import (
     ScaleReduceError,
     UnknownColumn,
 )
-from .hygiene import diff_examples, gray_examples
+from .hygiene import _screen
 from .reduction import _ranking, reduce_ranking, reduction_ratio, start_auc
 from .roc import auc, roc_curve, sum_scores
 from .svg import points_csv, roc_chart, running_auc_chart
@@ -110,8 +110,7 @@ def _orient(ds: Dataset, auto_orient: bool) -> tuple[Dataset, list[str], dict]:
 def cmd_audit(args) -> tuple[Dataset, dict]:
     ds = _load(args)
     raw_decision = np.where(ds.decision, ds.positive_value, ds.negative_value)
-    dup = diff_examples(ds.attributes)
-    pairs = gray_examples(ds.attributes, raw_decision)
+    dup, pairs = _screen(ds.attributes, raw_decision)
     # one values list per row, shared by every pair that row is in;
     # + 0.0 prints a -0 cell as 0.0, as the grouping compares it
     rows = np.unique(pairs[:, 0])

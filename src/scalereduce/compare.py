@@ -16,9 +16,12 @@ must account for the correlation. Two methods:
 * bootstrap_test: stratified resampling. Each replicate redraws P positives
   and N negatives with replacement, keeping scores_1/scores_2 paired within
   each drawn row; z = (auc_1 - auc_2) / sd of the replicate AUC differences.
-  Fully determined by the seed. A replicate is held as how often it drew
-  each distinct (scores_1, scores_2) cell of each class, so memory grows
-  with n_boot times the number of cells, not n_boot times the rows.
+  Fully determined by the seed. Replicates are evaluated one block at a
+  time, each held as how often it drew each distinct (scores_1, scores_2)
+  cell of each class, so memory grows with the rows and cells, not with
+  n_boot. The stream draws every positive before any negative; to pair
+  them block by block, the positives are drawn twice (once only to reach
+  the negatives, then replayed from the seed).
 
 Zero-difference convention: when auc_1 equals auc_2 exactly the result is
 z = 0, p = 1, whatever the variance would be; this avoids 0/0 on identical
@@ -39,8 +42,9 @@ from .roc import _level_counts, _levels, _split, _twice_u, auc, placements, sum_
 
 ALTERNATIVES = ("two-sided", "less", "greater")
 
-# Bootstrap replicates drawn and evaluated together; bounds the transient
-# memory to one block of draws.
+# Bootstrap replicates drawn and evaluated together; the bootstrap holds
+# one block's draws and counts at a time, so its memory does not grow
+# with n_boot.
 _BLOCK = 64
 
 
@@ -126,25 +130,30 @@ def delong_test(
     )
 
 
-def _cell_counts(
-    rng, cell_of_row: np.ndarray, n_cells: int, n_boot: int
-) -> np.ndarray:
-    """(n_boot, n_cells) counts of how often each replicate drew each cell.
+def _draws(rng, n: int, rows: int) -> np.ndarray:
+    """rows replicates of n row indices drawn with replacement.
 
-    Draws rng.integers(0, n, size=(n_boot, n)) over this class's n rows,
-    block by block, which leaves the random stream exactly as one call
-    would. A count is at most n, so int32 holds it.
+    For n below 2**31, dtype int32 draws the same numbers as the default
+    int64 in half the memory.
     """
-    n = cell_of_row.size
-    counts = np.empty((n_boot, n_cells), dtype=np.int32)
-    for start in range(0, n_boot, _BLOCK):
-        rows = min(_BLOCK, n_boot - start)
-        cells = cell_of_row[rng.integers(0, n, size=(rows, n))]
-        cells += n_cells * np.arange(rows)[:, None]
-        counts[start:start + rows] = np.bincount(
-            cells.ravel(), minlength=rows * n_cells
-        ).reshape(rows, n_cells)
-    return counts
+    return rng.integers(0, n, size=(rows, n), dtype=np.int32)
+
+
+def _cell_counts(
+    rng, cell_of_row: np.ndarray, n_cells: int, rows: int
+) -> np.ndarray:
+    """(rows, n_cells) counts of how often each of `rows` replicates drew
+    each cell, from one block of draws over this class's rows.
+
+    Consecutive blocks leave the random stream exactly as one draw for all
+    replicates would. The counts are float64, which holds them exactly
+    and which _on_levels' weighted bincount takes without a cast.
+    """
+    cells = cell_of_row[_draws(rng, cell_of_row.size, rows)]
+    cells += n_cells * np.arange(rows)[:, None]
+    return np.bincount(
+        cells.ravel(), minlength=rows * n_cells
+    ).reshape(rows, n_cells).astype(float)
 
 
 def _on_levels(
@@ -168,22 +177,36 @@ def _bootstrap_sd(s1: np.ndarray, s2: np.ndarray, d: np.ndarray,
     levels_1, _, _, level_1 = _level_counts(s1, d)
     levels_2, _, _, level_2 = _level_counts(s2, d)
     n_1, n_2 = levels_1.size, levels_2.size
-    rng = np.random.default_rng(seed)
-    classes = []
-    for rows in (d, ~d):  # positives first: the draw order fixes the stream
+    n_pos, n_neg = int(d.sum()), int((~d).sum())
+    classes, draws = [], []
+    for rows in (d, ~d):
         cells, cell_of_row = _levels(level_1[rows] * n_2 + level_2[rows])
-        counts = _cell_counts(rng, cell_of_row, cells.size, n_boot)
-        classes.append((cells // n_2, cells % n_2, counts))
-    (pos_1, pos_2, pos_counts), (neg_1, neg_2, neg_counts) = classes
+        classes.append((cells // n_2, cells % n_2))
+        draws.append((cell_of_row, cells.size))
+    (pos_1, pos_2), (neg_1, neg_2) = classes
+    blocks = [
+        (slice(start, start + _BLOCK), min(_BLOCK, n_boot - start))
+        for start in range(0, n_boot, _BLOCK)
+    ]
+    # every positive comes before any negative in the stream: draw the
+    # positives once only to move rng on to the negatives, then replay them
+    # from the seed in step with the negatives, one block at a time
+    rng = np.random.default_rng(seed)
+    for _, rows in blocks:
+        _draws(rng, n_pos, rows)
+    gens = (np.random.default_rng(seed), rng)
 
-    twice_pn = 2 * int(d.sum()) * int((~d).sum())
+    twice_pn = 2 * n_pos * n_neg
     diffs = np.empty(n_boot)
-    for start in range(0, n_boot, _BLOCK):
-        block = slice(start, start + _BLOCK)
+    for block, rows in blocks:
+        pos_counts, neg_counts = [
+            _cell_counts(gen, cell_of_row, n_cells, rows)
+            for gen, (cell_of_row, n_cells) in zip(gens, draws)
+        ]
         aucs = [
             _twice_u(
-                _on_levels(pos_counts[block], pos_level, n_levels),
-                _on_levels(neg_counts[block], neg_level, n_levels),
+                _on_levels(pos_counts, pos_level, n_levels),
+                _on_levels(neg_counts, neg_level, n_levels),
             ) / twice_pn
             for pos_level, neg_level, n_levels in (
                 (pos_1, neg_1, n_1), (pos_2, neg_2, n_2)

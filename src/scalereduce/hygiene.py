@@ -59,30 +59,22 @@ def _row_groups(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order, starts
 
 
-def diff_examples(attrs) -> DuplicateReport:
-    """Count distinct attribute rows and duplicates (total - distinct).
-
-    The decision column is not part of the key; pass attributes only.
-    """
+def _screen(
+    attrs, decision=None
+) -> tuple[DuplicateReport, np.ndarray | None]:
+    """diff_examples' report and, given a decision, gray_examples' pairs,
+    from one grouping of the rows."""
     a = _as_matrix(attrs)
-    total = a.shape[0]
-    distinct = _row_groups(a)[1].size
-    return DuplicateReport(
-        total_examples=total,
-        distinct_examples=distinct,
-        duplicate_examples=total - distinct,
-    )
-
-
-def gray_examples(attrs, decision) -> np.ndarray:
-    """All unordered row pairs with equal attributes and unequal decisions.
-
-    Returns a (k, 2) intp array: each pair appears once as (a, b) with
-    a < b, and the rows are sorted by (a, b), so output is deterministic.
-    """
-    a = _as_matrix(attrs)
-    d = _decision(decision, a)
+    d = None if decision is None else _decision(decision, a)
     order, starts = _row_groups(a)
+    total = a.shape[0]
+    dup = DuplicateReport(
+        total_examples=total,
+        distinct_examples=starts.size,
+        duplicate_examples=total - starts.size,
+    )
+    if d is None:
+        return dup, None
     sizes = np.diff(np.append(starts, order.size))
     found = [np.empty((0, 2), dtype=np.intp)]
     for start, size in zip(starts[sizes > 1].tolist(), sizes[sizes > 1].tolist()):
@@ -91,7 +83,24 @@ def gray_examples(attrs, decision) -> np.ndarray:
         within = np.column_stack((rows[i], rows[j]))
         found.append(within[d[within[:, 0]] != d[within[:, 1]]])
     pairs = np.concatenate(found)
-    return pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+    return dup, pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+
+
+def diff_examples(attrs) -> DuplicateReport:
+    """Count distinct attribute rows and duplicates (total - distinct).
+
+    The decision column is not part of the key; pass attributes only.
+    """
+    return _screen(attrs)[0]
+
+
+def gray_examples(attrs, decision) -> np.ndarray:
+    """All unordered row pairs with equal attributes and unequal decisions.
+
+    Returns a (k, 2) intp array: each pair appears once as (a, b) with
+    a < b, and the rows are sorted by (a, b), so output is deterministic.
+    """
+    return _screen(attrs, decision)[1]
 
 
 def gray_examples_for(attrs, decision, n: int) -> list[int]:

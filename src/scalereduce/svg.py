@@ -8,10 +8,17 @@ curve with the chance diagonal.
 
 from __future__ import annotations
 
-from xml.sax.saxutils import escape
-
 WIDTH, HEIGHT = 640, 480
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 70, 20, 40, 50
+
+
+def _escape(text: str) -> str:
+    """Escape &, < and > for XML character data.
+
+    Local so that importing the CLI does not pull in xml.sax, which loads
+    urllib, http, email and ssl.
+    """
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def _fmt(v: float) -> str:
@@ -40,16 +47,16 @@ class _Canvas:
         )
         self.parts.append(
             f'<text x="{WIDTH / 2}" y="24" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="16">{escape(title)}</text>'
+            f'font-family="sans-serif" font-size="16">{_escape(title)}</text>'
         )
         self.parts.append(
             f'<text x="{WIDTH / 2}" y="{HEIGHT - 10}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="13">{escape(x_label)}</text>'
+            f'font-family="sans-serif" font-size="13">{_escape(x_label)}</text>'
         )
         self.parts.append(
             f'<text x="18" y="{HEIGHT / 2}" text-anchor="middle" '
             f'font-family="sans-serif" font-size="13" '
-            f'transform="rotate(-90 18 {HEIGHT / 2})">{escape(y_label)}</text>'
+            f'transform="rotate(-90 18 {HEIGHT / 2})">{_escape(y_label)}</text>'
         )
         # frame
         self.parts.append(

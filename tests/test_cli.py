@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import scalereduce
-from scalereduce import reduction
+from scalereduce import hygiene, reduction
 from scalereduce.cli import _write_json, main
 
 from conftest import csv_texts, write_csv
@@ -91,6 +91,21 @@ class TestAudit:
         assert code == 2
         assert err.startswith("scalereduce: input error:")
         assert "Traceback" not in err
+
+    def test_rows_grouped_once(self, capsys, monkeypatch, gray_csv):
+        # the duplicate counts and the gray pairs come from one grouping
+        calls = []
+
+        def counted(a, _row_groups=hygiene._row_groups):
+            calls.append(a.shape)
+            return _row_groups(a)
+
+        monkeypatch.setattr(hygiene, "_row_groups", counted)
+        for fmt in ("table", "json", "csv"):
+            calls.clear()
+            argv = ["audit", gray_csv, "--decision", "d", "--format", fmt]
+            assert run(capsys, argv)[0] == 0
+            assert calls == [(4, 2)]
 
     def test_missing_decision_exits_2(self, capsys, demo_csv):
         code, _, err = run(capsys, ["audit", demo_csv, "--decision", "zzz"])
@@ -435,17 +450,33 @@ def _child_env():
     return env
 
 
-def test_cli_import_leaves_scipy_out():
+def _loaded_by_cli_import(*names):
+    """The modules among names, and their submodules, that a fresh
+    interpreter holds after importing scalereduce.cli."""
     probe = (
         "import sys, scalereduce.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        f"names = {names!r}; "
+        "print(sorted(m for m in sys.modules "
+        "if m in names or m.startswith(tuple(n + '.' for n in names))))"
     )
     result = subprocess.run(
         [sys.executable, "-c", probe], env=_child_env(), capture_output=True,
         text=True, timeout=60,
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "[]"
+    return result.stdout.strip()
+
+
+def test_cli_import_leaves_scipy_out():
+    assert _loaded_by_cli_import("scipy") == "[]"
+
+
+def test_cli_import_leaves_xml_and_network_modules_out():
+    # xml.sax.saxutils.escape would load all of these on every CLI start;
+    # urllib.parse is exempt because pathlib, which numpy imports, loads it
+    assert _loaded_by_cli_import(
+        "xml", "urllib.request", "http", "email", "ssl"
+    ) == "[]"
 
 
 def test_reader_closing_stdout_early_exits_0(tmp_path):

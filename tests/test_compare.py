@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -173,6 +174,24 @@ class TestBootstrap:
                 assert t.z == reference
                 checked += 1
         assert checked >= 5
+
+    def test_memory_does_not_grow_with_n_boot(self):
+        # 3-decimal scores on 20k rows: about as many cells as rows, so a
+        # (n_boot, cells) matrix would grow tenfold from 200 to 2000
+        rng = np.random.default_rng(149)
+        m = 20_000
+        decision = np.arange(m) < m // 2
+        s1 = np.round(rng.normal(size=m) + 0.5 * decision, 3)
+        s2 = np.round(s1 + rng.normal(size=m), 3)
+        peaks = []
+        for n_boot in (200, 2000):
+            tracemalloc.start()
+            try:
+                bootstrap_test(s1, s2, decision, n_boot=n_boot, seed=1)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.5 * peaks[0]
 
     def test_single_replicate_degenerate(self):
         with pytest.raises(DegenerateVariance):
