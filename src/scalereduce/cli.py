@@ -115,6 +115,9 @@ def cmd_audit(args) -> tuple[Dataset, dict]:
     # + 0.0 prints a -0 cell as 0.0, as the grouping compares it
     rows = np.unique(pairs[:, 0])
     values = dict(zip(rows.tolist(), (ds.attributes[rows] + 0.0).tolist()))
+    # one Python list per column, not a 2-list per pair
+    row_a, row_b = pairs.T.tolist()
+    decision_a, decision_b = raw_decision[pairs].T.tolist()
     return ds, {
         "duplicates": {
             "total": dup.total_examples,
@@ -130,8 +133,7 @@ def cmd_audit(args) -> tuple[Dataset, dict]:
                 "decision_b": db,
                 "values": values[a],
             }
-            for (a, b), (da, db) in zip(pairs.tolist(),
-                                        raw_decision[pairs].tolist())
+            for a, b, da, db in zip(row_a, row_b, decision_a, decision_b)
         ],
     }
 
@@ -338,8 +340,9 @@ VIEWS = {
 
 
 _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-# the JSON text of each scalar type, as json.dumps writes it; _scalar tries
-# them in this order, so bool comes before int, its base
+# the JSON text of each scalar type, as json.dumps writes it; _scalar looks
+# up the exact type, then tries them in this order for a subclass, so bool
+# comes before int, its base
 _SCALARS = {
     float: lambda v: _NONFINITE.get(text := float.__repr__(v), text),
     bool: {True: "true", False: "false"}.__getitem__,
@@ -352,6 +355,9 @@ _SCALARS = {
 def _scalar(v) -> str | None:
     """JSON text of a scalar, None for a dict, list or tuple. A subclass,
     such as np.float64, is written as its base type, as json does."""
+    encode = _SCALARS.get(type(v))
+    if encode:
+        return encode(v)
     if isinstance(v, (dict, list, tuple)):
         return None
     base = next((t for t in _SCALARS if isinstance(v, t)), None)
@@ -360,24 +366,57 @@ def _scalar(v) -> str | None:
     return _SCALARS[base](v)
 
 
+def _dict_template(keys: tuple[str, ...], depth: int) -> str:
+    """str.format template of a dict with these keys at this depth: the
+    indented key heads are fixed, and each value is a {} field."""
+    if not keys:
+        return "{{}}"
+    pad = "\n" + "  " * (depth + 1)
+    heads = (encode_basestring_ascii(k).replace("{", "{{").replace("}", "}}")
+             for k in keys)
+    return "{{" + ",".join(f"{pad}{head}: {{}}" for head in heads) + f"\n{'  ' * depth}}}}}"
+
+
 def _write_json(obj, write) -> None:
     """Write json.dumps(obj, indent=2) and a newline through write, in
-    pieces as the text is encoded. A list of scalars is encoded once per
-    depth however often the same list object recurs: cmd_audit shares one
-    values list among all the gray pairs of a row. Dict keys must be str."""
+    pieces as the text is encoded. A leaf, a scalar or a list of scalars,
+    is encoded once per depth however often the same list object recurs:
+    cmd_audit shares one values list among all the gray pairs of a row. A
+    dict of scalars and such lists is written as one piece, from a template
+    built once per (keys, depth) shape that holds the keys' text, so each
+    gray pair only fills in its values. Any other dict or list is written
+    item by item. Dict keys must be str."""
     out: list[str] = []
     lists: dict[tuple[int, int], str | None] = {}
+    templates: dict[tuple[tuple[str, ...], int], str] = {}
 
     def leaf(v, depth: int) -> str | None:
-        """JSON text of a scalar or a nonempty list of scalars, else None."""
+        """JSON text of a scalar or a list of scalars, else None."""
         if not isinstance(v, (list, tuple)):
             return _scalar(v)
         if (id(v), depth) not in lists:
             texts = list(takewhile(lambda t: t is not None, map(_scalar, v)))
             pad = "\n" + "  " * (depth + 1)
-            lists[id(v), depth] = (f"[{pad}{(',' + pad).join(texts)}\n{'  ' * depth}]"
-                                   if 0 < len(texts) == len(v) else None)
+            lists[id(v), depth] = (
+                None if len(texts) < len(v)
+                else f"[{pad}{(',' + pad).join(texts)}\n{'  ' * depth}]" if v
+                else "[]")
         return lists[id(v), depth]
+
+    def piece(v, depth: int) -> str | None:
+        """JSON text of a leaf or of a dict of leaves, else None."""
+        if not isinstance(v, dict):
+            return leaf(v, depth)
+        # _scalar's exact-type lookup, inline: this runs for every value of
+        # every gray pair
+        texts = [encode(x) if (encode := _SCALARS.get(type(x))) else leaf(x, depth + 1)
+                 for x in v.values()]
+        if None in texts:
+            return None
+        shape = (tuple(v), depth)
+        if shape not in templates:
+            templates[shape] = _dict_template(*shape)
+        return templates[shape].format(*texts)
 
     def container(v, depth: int) -> None:
         is_dict = isinstance(v, dict)
@@ -387,8 +426,7 @@ def _write_json(obj, write) -> None:
         pad = "\n" + "  " * (depth + 1)
         sep, comma = brackets[0] + pad, "," + pad
         for head, item in zip(heads, v.values() if is_dict else v):
-            encode = _SCALARS.get(type(item))
-            text = encode(item) if encode else leaf(item, depth + 1)
+            text = piece(item, depth + 1)
             out.append(sep + head if text is None else f"{sep}{head}{text}")
             if text is None:
                 container(item, depth + 1)
@@ -396,9 +434,9 @@ def _write_json(obj, write) -> None:
             if len(out) > 4096:
                 write("".join(out))
                 out.clear()
-        out.append("\n" + "  " * depth + brackets[1] if v else brackets)
+        out.append("\n" + "  " * depth + brackets[1])
 
-    text = leaf(obj, 0)
+    text = piece(obj, 0)
     if text is None:
         container(obj, 0)
         text = "".join(out)

@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import scalereduce
-from scalereduce import hygiene, reduction
+from scalereduce import cli, hygiene, reduction
 from scalereduce.cli import _write_json, main
 
 from conftest import csv_texts, write_csv
@@ -106,6 +106,28 @@ class TestAudit:
             argv = ["audit", gray_csv, "--decision", "d", "--format", fmt]
             assert run(capsys, argv)[0] == 0
             assert calls == [(4, 2)]
+
+    def test_json_keys_encoded_once_per_shape(self, capsys, monkeypatch, tmp_path):
+        # every gray pair has one dict shape, so the key text is built once
+        # per shape, not once per pair: 225 and 22500 pairs, same count
+        calls = []
+
+        def counted(s, _encode=cli.encode_basestring_ascii):
+            calls.append(s)
+            return _encode(s)
+
+        monkeypatch.setattr(cli, "encode_basestring_ascii", counted)
+        counts = []
+        for n in (30, 300):
+            path = write_csv(tmp_path / f"clones{n}.csv", ["x", "y", "d"],
+                             [[1, 2, i % 2] for i in range(n)])
+            calls.clear()
+            argv = ["audit", path, "--decision", "d", "--format", "json"]
+            code, out, _ = run(capsys, argv)
+            assert code == 0
+            assert json.loads(out)["results"]["gray_pair_count"] == (n // 2) ** 2
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0
 
     def test_missing_decision_exits_2(self, capsys, demo_csv):
         code, _, err = run(capsys, ["audit", demo_csv, "--decision", "zzz"])
@@ -549,6 +571,13 @@ ROW = [1.0, -0.0, 2.5]
 @given(json_trees())
 @example({"a": ROW, "b": [ROW, {"c": ROW}], "d": []})
 @example([{"row": i, "values": ROW} for i in range(3000)])
+@example([{"{": 1, "}": ROW, "{0}": "{}", "{}": None, "é": 2, "€😀": [3]}] * 2)
+@example([{"a": 1, "b": ROW}, {"b": 2, "a": ROW}, {"a": 3, "b": ROW}])
+@example([{"k": 1, "v": ROW}, {"k": 2, "v": {"n": ROW}},
+          {"k": 3, "v": [ROW, 4]}, {"k": 5, "v": ROW}])
+@example([{"a": 1}, {}, {"a": 2}, {}])
+@example({"nan": float("nan"), "inf": float("inf"), "-inf": float("-inf"),
+          "-0": -0.0, "np": np.float64(0.1), "true": True, "one": 1})
 def test_json_writer_matches_json_dumps(tree):
     pieces = []
     _write_json(tree, pieces.append)
