@@ -19,7 +19,7 @@ import time
 from collections.abc import Iterator
 from dataclasses import replace
 from datetime import datetime, timezone
-from itertools import chain, islice, repeat, takewhile
+from itertools import chain, islice, repeat
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -340,9 +340,7 @@ VIEWS = {
 
 
 _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-# the JSON text of each scalar type, as json.dumps writes it; _scalar looks
-# up the exact type, then tries them in this order for a subclass, so bool
-# comes before int, its base
+# the JSON text of each scalar type a report holds, as json.dumps writes it
 _SCALARS = {
     float: lambda v: _NONFINITE.get(text := float.__repr__(v), text),
     bool: {True: "true", False: "false"}.__getitem__,
@@ -352,110 +350,78 @@ _SCALARS = {
 }
 
 
-def _scalar(v) -> str | None:
-    """JSON text of a scalar, None for a dict, list or tuple. A subclass,
-    such as np.float64, is written as its base type, as json does."""
-    encode = _SCALARS.get(type(v))
-    if encode:
-        return encode(v)
-    if isinstance(v, (dict, list, tuple)):
-        return None
-    base = next((t for t in _SCALARS if isinstance(v, t)), None)
-    if base is None:
-        raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
-    return _SCALARS[base](v)
-
-
-def _dict_template(keys: tuple[str, ...], depth: int) -> str:
-    """str.format template of a dict with these keys at this depth: the
-    indented key heads are fixed, and each value is a {} field."""
-    if not keys:
-        return "{{}}"
-    pad = "\n" + "  " * (depth + 1)
-    heads = (encode_basestring_ascii(k).replace("{", "{{").replace("}", "}}")
-             for k in keys)
-    return "{{" + ",".join(f"{pad}{head}: {{}}" for head in heads) + f"\n{'  ' * depth}}}}}"
-
-
-def _write_json(obj, write) -> None:
-    """Write json.dumps(obj, indent=2) and a newline through write, in
-    pieces as the text is encoded. A leaf, a scalar or a list of scalars,
-    is encoded once per depth however often the same list object recurs:
-    cmd_audit shares one values list among all the gray pairs of a row. A
-    dict of scalars and such lists is written as one piece, from a template
-    built once per (keys, depth) shape that holds the keys' text, so each
-    gray pair only fills in its values. Any other dict or list is written
-    item by item. Dict keys must be str."""
-    out: list[str] = []
+def _json_pieces(report: dict) -> Iterator[str]:
+    """Yield json.dumps(report, indent=2) and a newline, in pieces. A report
+    holds str-keyed dicts, lists, float, bool, int, str and None, looked up
+    by exact type; any other type raises TypeError. A list of scalars is
+    encoded once per (id, depth), as a row's gray pairs share one values
+    list; a dict of such leaves is one piece from a per-(keys, depth)
+    template, so each gray pair only fills in its values."""
     lists: dict[tuple[int, int], str | None] = {}
     templates: dict[tuple[tuple[str, ...], int], str] = {}
 
     def leaf(v, depth: int) -> str | None:
         """JSON text of a scalar or a list of scalars, else None."""
-        if not isinstance(v, (list, tuple)):
-            return _scalar(v)
-        if (id(v), depth) not in lists:
-            texts = list(takewhile(lambda t: t is not None, map(_scalar, v)))
-            pad = "\n" + "  " * (depth + 1)
-            lists[id(v), depth] = (
-                None if len(texts) < len(v)
-                else f"[{pad}{(',' + pad).join(texts)}\n{'  ' * depth}]" if v
-                else "[]")
-        return lists[id(v), depth]
+        if type(v) is list:
+            if (id(v), depth) not in lists:
+                texts = [_SCALARS[type(x)](x) for x in v if type(x) in _SCALARS]
+                pad = "\n" + "  " * (depth + 1)
+                lists[id(v), depth] = None if len(texts) < len(v) else (
+                    f"[{pad}{(',' + pad).join(texts)}\n{'  ' * depth}]" if v else "[]")
+            return lists[id(v), depth]
+        if type(v) is dict:
+            return None
+        if type(v) not in _SCALARS:
+            raise TypeError(f"a report holds no {type(v).__name__}")
+        return _SCALARS[type(v)](v)
 
     def piece(v, depth: int) -> str | None:
-        """JSON text of a leaf or of a dict of leaves, else None."""
-        if not isinstance(v, dict):
+        """JSON text of a leaf or a dict of leaves, else None."""
+        if type(v) is not dict:
             return leaf(v, depth)
-        # _scalar's exact-type lookup, inline: this runs for every value of
-        # every gray pair
         texts = [encode(x) if (encode := _SCALARS.get(type(x))) else leaf(x, depth + 1)
                  for x in v.values()]
         if None in texts:
             return None
         shape = (tuple(v), depth)
         if shape not in templates:
-            templates[shape] = _dict_template(*shape)
+            pad = "\n" + "  " * (depth + 1)
+            heads = (encode_basestring_ascii(k).replace("{", "{{").replace("}", "}}")
+                     for k in v)
+            fields = ",".join(f"{pad}{head}: {{}}" for head in heads)
+            templates[shape] = "{{" + fields + (f"\n{'  ' * depth}}}}}" if v else "}}")
         return templates[shape].format(*texts)
 
-    def container(v, depth: int) -> None:
-        is_dict = isinstance(v, dict)
-        brackets = "{}" if is_dict else "[]"
-        heads = (map("{}: ".format, map(encode_basestring_ascii, v))
-                 if is_dict else repeat(""))
+    def container(v, depth: int) -> Iterator[str]:
+        is_dict = type(v) is dict
+        heads = (map("{}: ".format, map(encode_basestring_ascii, v)) if is_dict
+                 else repeat(""))
         pad = "\n" + "  " * (depth + 1)
-        sep, comma = brackets[0] + pad, "," + pad
+        sep = ("{" if is_dict else "[") + pad
         for head, item in zip(heads, v.values() if is_dict else v):
             text = piece(item, depth + 1)
-            out.append(sep + head if text is None else f"{sep}{head}{text}")
+            yield f"{sep}{head}{text or ''}"
             if text is None:
-                container(item, depth + 1)
-            sep = comma
-            if len(out) > 4096:
-                write("".join(out))
-                out.clear()
-        out.append("\n" + "  " * depth + brackets[1])
+                yield from container(item, depth + 1)
+            sep = "," + pad
+        yield "\n" + "  " * depth + ("}" if is_dict else "]")
 
-    text = piece(obj, 0)
-    if text is None:
-        container(obj, 0)
-        text = "".join(out)
-    write(text + "\n")
+    yield from container(report, 0)
+    yield "\n"
 
 
 def _write(report: dict, fmt: str) -> None:
-    """Print the report in one format; table and csv are views of it."""
+    """Print the report in one format, in chunks as it is formatted and
+    never held whole; table and csv are views of it."""
     if fmt == "json":
-        _write_json(report, sys.stdout.write)
-        return
-    table, header, rows = VIEWS[report["command"]]
-    if fmt == "csv":
-        lines = chain([header], (",".join(map(str, row)) for row in rows(report["results"])))
+        pieces = _json_pieces(report)
     else:
-        lines = iter(table(report))
-    # written in chunks as they are formatted, never held whole
-    while chunk := list(islice(lines, 4096)):
-        sys.stdout.write("\n".join(chunk) + "\n")
+        table, header, rows = VIEWS[report["command"]]
+        lines = table(report) if fmt == "table" else chain(
+            [header], (",".join(map(str, row)) for row in rows(report["results"])))
+        pieces = map("{}\n".format, lines)
+    while chunk := list(islice(pieces, 4096)):
+        sys.stdout.write("".join(chunk))
 
 
 # --- wiring -----------------------------------------------------------

@@ -256,8 +256,7 @@ def _inclusion_scores(
             "item, so there is no next attribute whose inclusion could be "
             "tested"
         )
-    scores_1 = sum_scores(ds, scale.items)
-    return scores_1, scores_1 + ds.column(ranking.order[kept])
+    return sum_scores(ds, scale.items), sum_scores(ds, ranking.order[:kept + 1])
 
 
 def _inclusion_test(

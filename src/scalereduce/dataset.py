@@ -221,7 +221,8 @@ def load_csv(
     decision_column: str,
     positive_value: float | str = "auto",
 ) -> Dataset:
-    """Load an RFC-4180-style CSV (header row, comma separated, UTF-8).
+    """Load an RFC-4180-style CSV (header row, comma separated, UTF-8,
+    with or without a byte-order mark).
 
     Every cell is read as a double; rows containing any missing or
     non-numeric cell are dropped and counted in dropped_rows. The decision
@@ -234,7 +235,7 @@ def load_csv(
     which alone decides what is dropped. Both give the same Dataset.
     """
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             text = fh.read()
     except OSError as exc:
         raise LoadError(f"cannot open {path}: {exc}") from exc

@@ -39,6 +39,10 @@ class DuplicateColumn(ScaleReduceError):
     """A column appears more than once where uniqueness is required."""
 
 
+class ScoreOverflow(ScaleReduceError):
+    """Finite item scores sum past the float64 range in some row."""
+
+
 class IndexOutOfRange(ScaleReduceError, IndexError):
     """A row index is outside the dataset."""
 

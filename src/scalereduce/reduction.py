@@ -15,11 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .dataset import Dataset
 from .errors import InvalidCount
-from .roc import auc
+from .roc import _running_sums, auc
 
 
 @dataclass(frozen=True)
@@ -69,16 +67,11 @@ def _ranking(ds: Dataset, singles: dict[str, float]) -> AucRanking:
     # stable sort, descending by AUC; ties keep original column order
     order_idx = sorted(range(ds.n_items), key=lambda i: -values[i])
 
-    running: list[float] = []
-    total = np.zeros(ds.n_rows)
-    for i in order_idx:
-        total = total + ds.attributes[:, i]
-        running.append(auc(total, ds.decision))
-
     return AucRanking(
         order=tuple(ds.labels[i] for i in order_idx),
         single_auc=tuple(values[i] for i in order_idx),
-        running_auc=tuple(running),
+        running_auc=tuple(auc(total, ds.decision)
+                          for total in _running_sums(ds, order_idx)),
     )
 
 

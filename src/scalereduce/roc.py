@@ -18,12 +18,13 @@ are safe.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dataset import ColumnSelection, Dataset, resolve_columns
-from .errors import SingleClass
+from .errors import ScoreOverflow, SingleClass
 
 
 @dataclass(frozen=True)
@@ -170,10 +171,28 @@ def placements(scores, decision) -> PlacementValues:
     return PlacementValues(v10=v10, v01=v01)
 
 
-def sum_scores(ds: Dataset, cols: ColumnSelection) -> np.ndarray:
-    """Row-wise unweighted sum of the selected columns."""
-    idx = resolve_columns(ds, cols)
+def _running_sums(ds: Dataset, idx: list[int]) -> Iterator[np.ndarray]:
+    """Row sums of the columns idx[:1], idx[:2], ..., in one array updated
+    in place. Raises ScoreOverflow, naming the items summed, where finite
+    cells sum past the float64 range."""
     total = np.zeros(ds.n_rows)
-    for i in idx:
-        total += ds.attributes[:, i]
+    for k, i in enumerate(idx, 1):
+        try:
+            # scoped to the add: the caller's code between yields keeps
+            # its own floating-point error settings
+            with np.errstate(over="raise"):
+                total += ds.attributes[:, i]
+        except FloatingPointError:
+            items = ", ".join(ds.labels[j] for j in idx[:k])
+            raise ScoreOverflow(
+                f"the row sum of items {items} overflows the float64 range"
+            ) from None
+        yield total
+
+
+def sum_scores(ds: Dataset, cols: ColumnSelection) -> np.ndarray:
+    """Row-wise unweighted sum of the selected columns; raises
+    ScoreOverflow if it leaves the float64 range."""
+    for total in _running_sums(ds, resolve_columns(ds, cols)):
+        pass
     return total

@@ -176,7 +176,7 @@ def load_csv_cells(path, decision_column, positive_value="auto"):
             raise LoadError(f"{path}: not a readable UTF-8 CSV file: {exc}") from exc
 
     try:
-        fh = open(path, newline="", encoding="utf-8")
+        fh = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise LoadError(f"cannot open {path}: {exc}") from exc
     with fh:

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import scalereduce
 from scalereduce import cli, hygiene, reduction
-from scalereduce.cli import _write_json, main
+from scalereduce.cli import _json_pieces, main
 
 from conftest import csv_texts, write_csv
 
@@ -539,7 +539,7 @@ def test_reader_closing_stdout_mid_report_exits_0(tmp_path):
 
 json_scalars = st.one_of(
     st.none(), st.booleans(), st.integers(), st.integers(-2**80, 2**80),
-    st.floats(), st.floats().map(np.float64),
+    st.floats(),
     st.sampled_from([float("nan"), float("inf"), float("-inf"), 0.0, -0.0,
                      1e300, 5e-324]),
     st.text(),
@@ -548,16 +548,14 @@ json_scalars = st.one_of(
 
 @st.composite
 def json_trees(draw):
-    """Nested dicts, lists and tuples of scalars in which one list (or
-    tuple) of scalars can recur, as the same object, at any depth."""
+    """Nested dicts and lists of scalars, the types a report holds, in
+    which one list of scalars can recur, as the same object, at any
+    depth."""
     shared = draw(st.lists(json_scalars, max_size=4))
-    if draw(st.booleans()):
-        shared = tuple(shared)
     return draw(st.recursive(
         st.one_of(json_scalars, st.just(shared)),
         lambda kids: st.one_of(
             st.lists(kids, max_size=4),
-            st.lists(kids, max_size=4).map(tuple),
             st.dictionaries(st.text(), kids, max_size=4),
         ),
         max_leaves=30,
@@ -577,11 +575,28 @@ ROW = [1.0, -0.0, 2.5]
           {"k": 3, "v": [ROW, 4]}, {"k": 5, "v": ROW}])
 @example([{"a": 1}, {}, {"a": 2}, {}])
 @example({"nan": float("nan"), "inf": float("inf"), "-inf": float("-inf"),
-          "-0": -0.0, "np": np.float64(0.1), "true": True, "one": 1})
+          "-0": -0.0, "true": True, "one": 1})
 def test_json_writer_matches_json_dumps(tree):
-    pieces = []
-    _write_json(tree, pieces.append)
-    assert "".join(pieces) == json.dumps(tree, indent=2) + "\n"
+    # a report is a dict; the tree sits one level down in it
+    report = {"tree": tree}
+    got = "".join(_json_pieces(report))
+    want = json.dumps(report, indent=2) + "\n"
+    if got != want:
+        # name the first difference, not a diff of two long texts
+        at = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b),
+                  min(len(got), len(want)))
+        window = slice(max(at - 40, 0), at + 40)
+        pytest.fail(f"differs at offset {at} of {len(want)}: got "
+                    f"{got[window]!r}, want {want[window]!r}")
+
+
+@pytest.mark.parametrize("bad", [(1, 2), np.float64(0.5)], ids=["tuple", "float64"])
+@pytest.mark.parametrize("where", ["value", "list", "nested"])
+def test_json_writer_rejects_types_a_report_does_not_hold(bad, where):
+    report = {"value": {"x": bad}, "list": {"x": [1.0, bad]},
+              "nested": {"x": [{"y": bad}]}}[where]
+    with pytest.raises(TypeError, match=type(bad).__name__):
+        "".join(_json_pieces({"results": report}))
 
 
 @st.composite
@@ -645,8 +660,18 @@ demo_bytes = st.lists(st.sampled_from(DEMO_ROWS), max_size=24).map(
 )
 
 
+# finite cells whose row sums pass the float64 range
+OVERFLOW_CSV = ("a,b,d\n" + "".join(
+    f"{(1e308, 1.5e308)[i % 3 == 0]!r},{(1e308, 1.2e308)[i % 5 == 0]!r},{i % 2}\n"
+    for i in range(40)
+)).encode()
+
+
 @settings(max_examples=900, deadline=None, derandomize=True)
 @given(cli_calls(), st.one_of(demo_bytes, csv_bytes()))
+@example((["reduce", "--decision", "d", "--format", "json"], None), OVERFLOW_CSV)
+@example((["test-inclusion", "--decision", "d", "--format", "json",
+           "--method", "both", "--n-boot=20", "--seed=0"], None), OVERFLOW_CSV)
 def test_any_input_bytes_keep_the_exit_code_contract(call, data):
     argv, epoch = call
     with tempfile.TemporaryDirectory() as tmp:

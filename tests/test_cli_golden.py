@@ -19,7 +19,7 @@ from conftest import DATA_DIR
 
 GOLDEN = DATA_DIR / "cli_golden"
 CASES = json.loads((GOLDEN / "cases.json").read_text(encoding="utf-8"))
-INPUTS = ("scale21.csv", "cli_mixed.csv", "cli_gray.csv")
+INPUTS = ("scale21.csv", "cli_mixed.csv", "cli_gray.csv", "cli_mixed_bom.csv")
 GENERATOR = DATA_DIR.parents[1] / "tools" / "gen_cli_golden.py"
 
 
@@ -39,8 +39,8 @@ def test_cli_output_matches_golden(case, capsys, monkeypatch, tmp_path):
 
 def test_golden_cases_cover_the_interface():
     """Every command and format, a gray pair, a row in two gray pairs, the
-    below-0.5 advisory and flipped items all appear in the recorded
-    outputs."""
+    below-0.5 advisory, flipped items and a byte-order-marked input all
+    appear in the recorded outputs."""
     argvs = [c["argv"] for c in CASES.values()]
     assert {a[0] for a in argvs} == {"audit", "rank", "reduce", "test-inclusion"}
     assert {a[a.index("--format") + 1] for a in argvs} == {"json", "csv", "table"}
@@ -51,6 +51,9 @@ def test_golden_cases_cover_the_interface():
     shared = json.loads((GOLDEN / "cli_gray-audit-json.out").read_bytes())
     rows = [p["row_a"] for p in shared["results"]["gray_pairs"]]
     assert len(set(rows)) < len(rows)
+    # a byte-order mark before the header changes nothing csv prints
+    bom = (GOLDEN / "cli_mixed_bom-rank-csv.out").read_bytes()
+    assert bom == (GOLDEN / "cli_mixed-rank-csv.out").read_bytes()
 
 
 def test_goldens_are_current():

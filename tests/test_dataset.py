@@ -127,6 +127,17 @@ class TestLoadCsv:
         with pytest.raises(LoadError, match="bad.csv"):
             load_csv(str(path), "d")
 
+    def test_utf8_bom_is_not_part_of_the_first_label(self, tmp_path):
+        # Excel writes "UTF-8 CSV" with a byte-order mark before the header
+        plain = tmp_path / "plain.csv"
+        plain.write_bytes(b"d,a,b\n1,2,0\n0,1,1\n1,3,0\n")
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        got, want = load_csv(str(bom), "d"), load_csv(str(plain), "d")
+        assert got.labels == want.labels == ("a", "b")
+        assert got.decision.tolist() == want.decision.tolist()
+        assert np.array_equal(got.attributes, want.attributes)
+
     def test_duplicate_header(self, tmp_path):
         path = write_csv(tmp_path / "dup.csv", ["a", "a", "d"], [[1, 2, 0], [3, 4, 1]])
         with pytest.raises(DuplicateColumn):
@@ -203,6 +214,7 @@ def _outcome(load, path):
 @example('q0,d\r"1"2,0\r-0,1\r')
 @example("q0,d\r\n")
 @example("q0,q1,d\n1,0\n2,1\n")
+@example("\ufeffq0,d\n1,0\n2,1\n")
 def test_load_csv_matches_cell_by_cell_reference(text):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "fuzz.csv")

@@ -5,11 +5,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from scalereduce import auc, load_csv, placements, roc_curve, sum_scores
-from scalereduce.errors import SingleClass, UnknownColumn
+from scalereduce import auc, load_csv, placements, roc_curve, sum_scores, total_auc
+from scalereduce.errors import ScoreOverflow, SingleClass, UnknownColumn
 from scalereduce.roc import _level_counts
 
-from conftest import random_scores_decision
+from conftest import random_scores_decision, write_csv
 from oracles import auc_pairs, placements_pairs
 
 
@@ -226,3 +226,13 @@ class TestSumScores:
         ds = load_csv(tiny_csv, "d")
         with pytest.raises(ValueError):
             sum_scores(ds, [])
+
+    def test_sum_past_float64_range_raises_naming_items(self, tmp_path):
+        path = write_csv(tmp_path / "huge.csv", ["a", "b", "c", "d"],
+                         [[1e308, 0, 1.5e308, 0], [1e308, 1, 1e308, 1]])
+        ds = load_csv(path, "d")
+        assert sum_scores(ds, ["a", "b"]).tolist() == [1e308, 1e308]
+        with pytest.raises(ScoreOverflow, match="items b, a, c overflows"):
+            sum_scores(ds, ["b", "a", "c"])
+        with pytest.raises(ScoreOverflow):
+            total_auc(ds)

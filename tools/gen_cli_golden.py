@@ -3,7 +3,10 @@
 Writes tests/data/cli_mixed.csv, a small seeded rating-scale fixture with a
 gray pair, one reverse-keyed item (single-item AUC below 0.5) and one
 incomplete row, and tests/data/cli_gray.csv, a hand-written audit fixture
-whose gray groups put one row in two pairs and a -0 cell in another. Then
+whose gray groups put one row in two pairs and a -0 cell in another, and
+tests/data/cli_mixed_bom.csv, cli_mixed.csv behind a UTF-8 byte-order
+mark, as Excel writes it; its one case prints the same csv as the plain
+file's (json would differ, as it holds the input path). Then
 runs every case in cases() through scalereduce.cli.main and writes
 tests/data/cli_golden/: one <case>.out file per case with its stdout, and
 cases.json with each case's argv, exit code and stderr.
@@ -52,11 +55,12 @@ FLAGS = {
     },
     "test-inclusion": {"": BOOT, "-auto-orient": BOOT + ["--auto-orient"]},
 }
-# input file -> (decision column, the commands run on it)
+# input file -> (decision column, the commands run on it, the formats)
 INPUTS = {
-    "scale21.csv": ("verdict", FLAGS),
-    "cli_mixed.csv": ("d", FLAGS),
-    "cli_gray.csv": ("d", {"audit": FLAGS["audit"]}),
+    "scale21.csv": ("verdict", FLAGS, FORMATS),
+    "cli_mixed.csv": ("d", FLAGS, FORMATS),
+    "cli_gray.csv": ("d", {"audit": FLAGS["audit"]}, FORMATS),
+    "cli_mixed_bom.csv": ("d", {"rank": {"": []}}, ("csv",)),
 }
 # rows 0, 2 and 4 are one gray group, so row 0 is row_a of two pairs; rows
 # 1 and 5 are another, told apart only by the sign of a zero; rows 3 and 6
@@ -95,16 +99,17 @@ def write_fixtures(data: Path) -> None:
     rows = [["a", "b", "c", "e", "f", "d"]] + mixed_rows(random.Random(SEED))
     text = "".join(",".join(row) + "\n" for row in rows)
     (data / "cli_mixed.csv").write_text(text, encoding="utf-8")
+    (data / "cli_mixed_bom.csv").write_text(text, encoding="utf-8-sig")
     text = "".join(row + "\n" for row in GRAY_ROWS)
     (data / "cli_gray.csv").write_text(text, encoding="utf-8")
 
 
 def cases() -> dict[str, list[str]]:
     out = {}
-    for name, (decision, commands) in INPUTS.items():
+    for name, (decision, commands, formats) in INPUTS.items():
         for command, variants in commands.items():
             for suffix, flags in variants.items():
-                for fmt in FORMATS:
+                for fmt in formats:
                     case = f"{Path(name).stem}-{command}{suffix}-{fmt}"
                     out[case] = [command, name, "--decision", decision,
                                  *flags, "--format", fmt]
