@@ -2,9 +2,10 @@
 
 A dataset is a real-valued attribute matrix (one column per rating scale
 item) plus one binary decision vector. Loading is complete-case: any row
-with a missing or unparseable cell is dropped and counted. A complete
-numeric file is read in one np.loadtxt pass; any other file goes through
-the cell-by-cell parser, with the same result.
+with a missing or unparseable cell is dropped and counted. A body of
+one-digit fields is read straight from the file's bytes, any other
+complete numeric body in one np.loadtxt pass, and every other file by the
+cell-by-cell parser; all three give the same result.
 """
 
 from __future__ import annotations
@@ -216,6 +217,60 @@ def _finite_matrix(body: io.StringIO, n_cols: int) -> np.ndarray | None:
     return table
 
 
+def _one_digit_table(raw: bytes) -> tuple[list[str], np.ndarray] | None:
+    """The header fields and the body as a (rows, fields) uint8 matrix of
+    values when every body field is one ASCII digit, fields are separated
+    by "," and every row ends in "\n"; None for any other file.
+
+    Such a body is pure ASCII, has no blank line and drops no row, so
+    csv.reader and float() would read it the same way.
+    """
+    end = raw.find(b"\n")
+    if not 0 <= end < csv.field_size_limit():
+        return None
+    first = raw[:end]
+    if b'"' in first or b"\r" in first:
+        return None
+    try:
+        text = first.decode("utf-8-sig")
+    except UnicodeDecodeError:
+        return None  # the text path reports it
+    if not text:
+        return None  # csv.reader reads a blank header line as no fields
+    fields = text.split(",")
+    width = 2 * len(fields)
+    body = np.frombuffer(raw, dtype=np.uint8, offset=end + 1)
+    if body.size == 0 or body.size % width:
+        return None
+    body = body.reshape(-1, width)
+    ends = np.full(len(fields), ord(","), dtype=np.uint8)
+    ends[-1] = ord("\n")
+    values = body[:, 0::2] - np.uint8(ord("0"))  # wraps below "0"
+    if (values > 9).any() or (body[:, 1::2] != ends).any():
+        return None
+    return fields, values
+
+
+def _checked_header(
+    row: list[str] | None, decision_column: str, path: str
+) -> tuple[list[str], int]:
+    """The stripped header labels and the decision column's index."""
+    if row is None:
+        raise LoadError(f"{path}: file is empty")
+    header = [h.strip() for h in row]
+    if decision_column not in header:
+        raise MissingDecisionColumn(
+            f"{path}: no column named {decision_column!r} in header"
+        )
+    if any(not h for h in header):
+        raise LoadError(f"{path}: header contains an empty label")
+    if len(set(header)) != len(header):
+        raise DuplicateColumn(f"{path}: header contains duplicate labels")
+    if len(header) < 2:
+        raise LoadError(f"{path}: no attribute columns besides the decision")
+    return header, header.index(decision_column)
+
+
 def load_csv(
     path: str,
     decision_column: str,
@@ -230,49 +285,49 @@ def load_csv(
     positive_value="auto" the numerically larger one is positive, otherwise
     the given value is positive.
 
-    A body that np.loadtxt reads whole as finite numbers is taken as read;
-    any other body goes through the cell-by-cell complete-case parser,
-    which alone decides what is dropped. Both give the same Dataset.
+    A body of one-digit fields, each row ending in "\n", is read straight
+    from the bytes. Any other body that np.loadtxt reads whole as finite
+    numbers is taken as read; every other body goes through the
+    cell-by-cell complete-case parser, which alone decides what is
+    dropped. All three give the same Dataset.
     """
     try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            raw = fh.read()
     except OSError as exc:
         raise LoadError(f"cannot open {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise LoadError(f"{path}: not a readable UTF-8 CSV file: {exc}") from exc
-    # np.loadtxt has no field size limit, so csv.reader must judge those
-    vectorised = not _may_exceed_field_limit(text)
-    body = io.StringIO(text, newline="")
-    del text  # body holds its own copy
-
-    header_row = next(_records(body, path), None)
-    if header_row is None:
-        raise LoadError(f"{path}: file is empty")
-    header = [h.strip() for h in header_row]
-    if decision_column not in header:
-        raise MissingDecisionColumn(
-            f"{path}: no column named {decision_column!r} in header"
-        )
-    if any(not h for h in header):
-        raise LoadError(f"{path}: header contains an empty label")
-    if len(set(header)) != len(header):
-        raise DuplicateColumn(f"{path}: header contains duplicate labels")
-    if len(header) < 2:
-        raise LoadError(f"{path}: no attribute columns besides the decision")
-    d_idx = header.index(decision_column)
-
-    start = body.tell()
-    table = _finite_matrix(body, len(header)) if vectorised else None
+    one_digit = _one_digit_table(raw)
     dropped = 0
-    if table is None:
-        body.seek(start)
-        table, dropped = _complete_cases(_records(body, path), len(header), path)
-    body.close()  # free the text before the table is split and copied
+    if one_digit is not None:
+        del raw  # the table holds its own copy
+        header_row, table = one_digit
+        header, d_idx = _checked_header(header_row, decision_column, path)
+    else:
+        try:
+            text = raw.decode("utf-8-sig")
+        except UnicodeDecodeError as exc:
+            raise LoadError(
+                f"{path}: not a readable UTF-8 CSV file: {exc}") from exc
+        del raw
+        # np.loadtxt has no field size limit, so csv.reader must judge those
+        vectorised = not _may_exceed_field_limit(text)
+        body = io.StringIO(text, newline="")
+        del text  # body holds its own copy
+
+        header, d_idx = _checked_header(
+            next(_records(body, path), None), decision_column, path)
+        start = body.tell()
+        table = _finite_matrix(body, len(header)) if vectorised else None
+        if table is None:
+            body.seek(start)
+            table, dropped = _complete_cases(
+                _records(body, path), len(header), path)
+        body.close()  # free the text before the table is split and copied
 
     raw_decision = table[:, d_idx]
-    attrs = np.delete(table, d_idx, axis=1)
-    labels = tuple(h for i, h in enumerate(header) if i != d_idx)
+    keep = [i for i in range(len(header)) if i != d_idx]
+    attrs = table[:, keep].astype(float, copy=False)
+    labels = tuple(header[i] for i in keep)
 
     distinct = np.unique(raw_decision)
     if distinct.size != 2:

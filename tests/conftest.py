@@ -63,14 +63,15 @@ def tiny_csv(tmp_path):
     )
 
 
-# Cells that the two loader paths could read differently: padding, quotes,
-# non-finite spellings, underscores, signed zeros, embedded line ends, and
-# one field just past csv.field_size_limit() that still parses as finite.
+# Cells that the loader paths could read differently: padding, quotes,
+# non-finite spellings, underscores, signed zeros, embedded line ends,
+# numbers of more than one digit, and one field just past
+# csv.field_size_limit() that still parses as finite.
 ODD_CELLS = [
     "", " ", "  2 ", "\t1", "\xa03", '"1"', '"1"2', '1"2"', ' "1"', '"1" ',
     '""', '"1,2"', '"1""2"', '"\n1"', '"2\r\n"', "nan", "-inf", "inf",
     "1e999", "-1e999", "1_0", "-0", "+0", "-0.0", ".5", "2.", "1e-320",
-    "0x1", "x", "1 2", "\x1c1", "\x00",
+    "0x1", "x", "1 2", "\x1c1", "\x00", "10", "007",
     "0" * csv.field_size_limit() + "1",
 ]
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 
 from scalereduce import Dataset, load_csv, select_columns
+from scalereduce.dataset import _one_digit_table
 from scalereduce.errors import (
     DuplicateColumn,
     EmptyDataset,
@@ -200,6 +201,67 @@ class TestDatasetValidation:
             ds.attributes[0, 0] = 99.0
 
 
+# Files at the edges of the one-digit byte path, each with whether that
+# path reads it. Several are sized to a whole number of rows, so that the
+# digit or the separator check, not the length check, turns them away.
+ONE_DIGIT_EDGES = {
+    "bom": (b"\xef\xbb\xbfq0,d\n1,0\n2,1\n", True),
+    "quoted-label": (b'"q0",d\n1,0\n2,1\n', False),
+    "crlf-header": (b"q0,d\r\n1,0\n2,1\n", False),
+    "long-header-field": (
+        b"q" * (csv.field_size_limit() + 1) + b",d\n1,0\n2,1\n", False),
+    "undecodable-header": (b"q\xff,d\n1,0\n2,1\n", False),
+    "decision-first": (b"d,q0,q1\n1,0,2\n0,3,1\n", True),
+    "two-digits": (b"q0,d\n10,\n2,1\n3,0\n", False),
+    "leading-sign": (b"q0,d\n+1,0\n2,1\n", False),
+    "lone-sign": (b"q0,d\n+,0\n2,1\n3,0\n", False),
+    "padded": (b"q0,d\n 1,0\n2,1\n", False),
+    "semicolon": (b"q0,d\n1;0\n2,1\n3,0\n", False),
+    "comma-for-newline": (b"q0,d\n1,0,2,1\n3,0\n", False),
+    "no-final-newline": (b"q0,d\n1,0\n2,1", False),
+    "trailing-blank-line": (b"q0,d\n1,0\n2,1\n\n", False),
+    "short-row": (b"q0,q1,d\n1,2,0\n1,1\n2,3,1\n", False),
+    "empty-cell": (b"q0,d\n1,0\n,1\n2,1\n", False),
+    "one-cell-per-row": (b"d\n1\n0\n", True),
+    "blank-header": (b"\n1\n0\n", False),  # csv.reader reads no fields
+}
+
+
+def _with_one_digit_edges(test):
+    for data, _ in ONE_DIGIT_EDGES.values():
+        test = example(data)(test)
+    return test
+
+
+@pytest.mark.parametrize("data,byte_path", ONE_DIGIT_EDGES.values(),
+                         ids=list(ONE_DIGIT_EDGES))
+def test_one_digit_path_takes_exactly_the_one_digit_files(data, byte_path):
+    assert (_one_digit_table(data) is not None) == byte_path
+
+
+def test_one_digit_file_needs_neither_loadtxt_nor_the_cell_parser(
+        tmp_path, monkeypatch):
+    rng = np.random.default_rng(12)
+    rows = rng.integers(0, 5, size=(200, 6)).astype(str)
+    rows[:, 2] = rng.integers(0, 2, size=200).astype(str)
+    path = write_csv(tmp_path / "digits.csv",
+                     ["q0", "q1", "d", "q3", "q4", "q5"], rows.tolist())
+    expected = load_csv_cells(path, "d")
+
+    def fail(*args, **kwargs):
+        raise AssertionError("a one-digit file took the text path")
+
+    monkeypatch.setattr("scalereduce.dataset.np.loadtxt", fail)
+    monkeypatch.setattr("scalereduce.dataset._complete_cases", fail)
+    got = load_csv(path, "d")
+    assert got.labels == expected.labels
+    assert got.dropped_rows == expected.dropped_rows == 0
+    assert got.positive_value == expected.positive_value
+    assert got.negative_value == expected.negative_value
+    assert got.decision.tolist() == expected.decision.tolist()
+    assert got.attributes.tobytes() == expected.attributes.tobytes()
+
+
 def _outcome(load, path):
     try:
         return load(path, "d")
@@ -215,11 +277,12 @@ def _outcome(load, path):
 @example("q0,d\r\n")
 @example("q0,q1,d\n1,0\n2,1\n")
 @example("\ufeffq0,d\n1,0\n2,1\n")
+@_with_one_digit_edges
 def test_load_csv_matches_cell_by_cell_reference(text):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "fuzz.csv")
         with open(path, "wb") as fh:
-            fh.write(text.encode("utf-8"))
+            fh.write(text if isinstance(text, bytes) else text.encode("utf-8"))
         expected = _outcome(load_csv_cells, path)
         got = _outcome(load_csv, path)
     if isinstance(expected, type):
