@@ -3,9 +3,8 @@
 A dataset is a real-valued attribute matrix (one column per rating scale
 item) plus one binary decision vector. Loading is complete-case: any row
 with a missing or unparseable cell is dropped and counted. A body of
-one-digit fields is read straight from the file's bytes, any other
-complete numeric body in one np.loadtxt pass, and every other file by the
-cell-by-cell parser; all three give the same result.
+one-digit fields is read straight from the file's bytes and every other
+file by the cell-by-cell parser; both give the same result.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-import warnings
 from dataclasses import dataclass, replace
 from typing import Sequence, Union
 
@@ -188,35 +186,6 @@ def _complete_cases(records, n_cols: int, path: str) -> tuple[np.ndarray, int]:
     return np.asarray(rows, dtype=float), dropped
 
 
-def _may_exceed_field_limit(text: str) -> bool:
-    """True if text may hold a field longer than csv.field_size_limit().
-
-    csv.reader rejects such a field and np.loadtxt does not. A comma-free
-    run longer than the limit covers a whole aligned block of half the
-    limit, so finding a comma in every block rules the run out.
-    """
-    block = (csv.field_size_limit() + 1) // 2
-    return any(
-        text.find(",", i, i + block) < 0
-        for i in range(0, len(text) - block + 1, block)
-    )
-
-
-def _finite_matrix(body: io.StringIO, n_cols: int) -> np.ndarray | None:
-    """The rest of body as a float matrix, or None unless np.loadtxt reads
-    it whole into n_cols columns of finite values."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # "input contained no data"
-        try:
-            table = np.loadtxt(body, delimiter=",", comments=None,
-                               quotechar='"', ndmin=2, dtype=float)
-        except ValueError:
-            return None
-    if table.shape[1] != n_cols or not np.isfinite(table).all():
-        return None
-    return table
-
-
 def _one_digit_table(raw: bytes) -> tuple[list[str], np.ndarray] | None:
     """The header fields and the body as a (rows, fields) uint8 matrix of
     values when every body field is one ASCII digit, fields are separated
@@ -229,8 +198,8 @@ def _one_digit_table(raw: bytes) -> tuple[list[str], np.ndarray] | None:
     if not 0 <= end < csv.field_size_limit():
         return None
     first = raw[:end]
-    if b'"' in first or b"\r" in first:
-        return None
+    if b'"' in first or b"\r" in first or b"\x00" in first:
+        return None  # csv.reader may read these otherwise; NUL fails before 3.11
     try:
         text = first.decode("utf-8-sig")
     except UnicodeDecodeError:
@@ -286,10 +255,9 @@ def load_csv(
     the given value is positive.
 
     A body of one-digit fields, each row ending in "\n", is read straight
-    from the bytes. Any other body that np.loadtxt reads whole as finite
-    numbers is taken as read; every other body goes through the
-    cell-by-cell complete-case parser, which alone decides what is
-    dropped. All three give the same Dataset.
+    from the bytes. Every other body goes through the cell-by-cell
+    complete-case parser, which alone decides what is dropped. Both give
+    the same Dataset.
     """
     try:
         with open(path, "rb") as fh:
@@ -309,20 +277,11 @@ def load_csv(
             raise LoadError(
                 f"{path}: not a readable UTF-8 CSV file: {exc}") from exc
         del raw
-        # np.loadtxt has no field size limit, so csv.reader must judge those
-        vectorised = not _may_exceed_field_limit(text)
-        body = io.StringIO(text, newline="")
-        del text  # body holds its own copy
-
+        records = _records(io.StringIO(text, newline=""), path)
+        del text  # the StringIO holds its own copy
         header, d_idx = _checked_header(
-            next(_records(body, path), None), decision_column, path)
-        start = body.tell()
-        table = _finite_matrix(body, len(header)) if vectorised else None
-        if table is None:
-            body.seek(start)
-            table, dropped = _complete_cases(
-                _records(body, path), len(header), path)
-        body.close()  # free the text before the table is split and copied
+            next(records, None), decision_column, path)
+        table, dropped = _complete_cases(records, len(header), path)
 
     raw_decision = table[:, d_idx]
     keep = [i for i in range(len(header)) if i != d_idx]
@@ -343,7 +302,7 @@ def load_csv(
     if not decision.any():
         raise SingleClass(
             f"{path}: positive value {pos_val!r} matches no row; decision "
-            f"values are {distinct.tolist()}"
+            f"values are {distinct.astype(float).tolist()}"
         )
     neg_val = float(distinct[0] if pos_val == distinct[1] else distinct[1])
 

@@ -211,6 +211,7 @@ ONE_DIGIT_EDGES = {
     "long-header-field": (
         b"q" * (csv.field_size_limit() + 1) + b",d\n1,0\n2,1\n", False),
     "undecodable-header": (b"q\xff,d\n1,0\n2,1\n", False),
+    "nul-header": (b"q\x000,d\n1,0\n2,1\n", False),
     "decision-first": (b"d,q0,q1\n1,0,2\n0,3,1\n", True),
     "two-digits": (b"q0,d\n10,\n2,1\n3,0\n", False),
     "leading-sign": (b"q0,d\n+1,0\n2,1\n", False),
@@ -260,6 +261,18 @@ def test_one_digit_file_needs_neither_loadtxt_nor_the_cell_parser(
     assert got.negative_value == expected.negative_value
     assert got.decision.tolist() == expected.decision.tolist()
     assert got.attributes.tobytes() == expected.attributes.tobytes()
+
+
+def test_single_class_message_is_the_same_on_both_paths(tmp_path):
+    path = tmp_path / "scale.csv"
+    messages = []
+    for body in (b"1,0\n2,1\n", b"1.5,0\n2,1\n"):  # byte, then text path
+        path.write_bytes(b"q0,d\n" + body)
+        with pytest.raises(SingleClass) as info:
+            load_csv(str(path), "d", positive_value=5)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+    assert messages[0].endswith("decision values are [0.0, 1.0]")
 
 
 def _outcome(load, path):
