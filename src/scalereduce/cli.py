@@ -13,14 +13,14 @@ that closes stdout early (| head) still gets 0.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 import time
 from collections.abc import Iterator
 from dataclasses import replace
 from datetime import datetime, timezone
-from itertools import chain, islice, repeat
-from json.encoder import encode_basestring_ascii
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -111,10 +111,12 @@ def cmd_audit(args) -> tuple[Dataset, dict]:
     ds = _load(args)
     raw_decision = np.where(ds.decision, ds.positive_value, ds.negative_value)
     dup, pairs = _screen(ds.attributes, raw_decision)
-    # one values list per row, shared by every pair that row is in;
+    # one values list per group of equal rows, shared by every pair in it;
     # + 0.0 prints a -0 cell as 0.0, as the grouping compares it
     rows = np.unique(pairs[:, 0])
-    values = dict(zip(rows.tolist(), (ds.attributes[rows] + 0.0).tolist()))
+    shared: dict[tuple, list] = {}
+    values = {row: shared.setdefault(tuple(v), v) for row, v in
+              zip(rows.tolist(), (ds.attributes[rows] + 0.0).tolist())}
     # one Python list per column, not a 2-list per pair
     row_a, row_b = pairs.T.tolist()
     decision_a, decision_b = raw_decision[pairs].T.tolist()
@@ -339,80 +341,48 @@ VIEWS = {
 }
 
 
-_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-# the JSON text of each scalar type a report holds, as json.dumps writes it
-_SCALARS = {
-    float: lambda v: _NONFINITE.get(text := float.__repr__(v), text),
-    bool: {True: "true", False: "false"}.__getitem__,
-    int: int.__repr__,
-    str: encode_basestring_ascii,
-    type(None): lambda v: "null",
-}
+# the text before a gray pair, then the pair as json.dumps(indent=2) lays it
+# out in a report; ints and finite floats format as json writes them
+_PAIR = """{}
+      {{
+        "row_a": {},
+        "row_b": {},
+        "decision_a": {},
+        "decision_b": {},
+        "values": {}
+      }}"""
 
 
 def _json_pieces(report: dict) -> Iterator[str]:
-    """Yield json.dumps(report, indent=2) and a newline, in pieces. A report
-    holds str-keyed dicts, lists, float, bool, int, str and None, looked up
-    by exact type; any other type raises TypeError. A list of scalars is
-    encoded once per (id, depth), as a row's gray pairs share one values
-    list; a dict of such leaves is one piece from a per-(keys, depth)
-    template, so each gray pair only fills in its values."""
-    lists: dict[tuple[int, int], str | None] = {}
-    templates: dict[tuple[tuple[str, ...], int], str] = {}
-
-    def leaf(v, depth: int) -> str | None:
-        """JSON text of a scalar or a list of scalars, else None."""
-        if type(v) is list:
-            if (id(v), depth) not in lists:
-                texts = [_SCALARS[type(x)](x) for x in v if type(x) in _SCALARS]
-                pad = "\n" + "  " * (depth + 1)
-                lists[id(v), depth] = None if len(texts) < len(v) else (
-                    f"[{pad}{(',' + pad).join(texts)}\n{'  ' * depth}]" if v else "[]")
-            return lists[id(v), depth]
-        if type(v) is dict:
-            return None
-        if type(v) not in _SCALARS:
-            raise TypeError(f"a report holds no {type(v).__name__}")
-        return _SCALARS[type(v)](v)
-
-    def piece(v, depth: int) -> str | None:
-        """JSON text of a leaf or a dict of leaves, else None."""
-        if type(v) is not dict:
-            return leaf(v, depth)
-        texts = [encode(x) if (encode := _SCALARS.get(type(x))) else leaf(x, depth + 1)
-                 for x in v.values()]
-        if None in texts:
-            return None
-        shape = (tuple(v), depth)
-        if shape not in templates:
-            pad = "\n" + "  " * (depth + 1)
-            heads = (encode_basestring_ascii(k).replace("{", "{{").replace("}", "}}")
-                     for k in v)
-            fields = ",".join(f"{pad}{head}: {{}}" for head in heads)
-            templates[shape] = "{{" + fields + (f"\n{'  ' * depth}}}}}" if v else "}}")
-        return templates[shape].format(*texts)
-
-    def container(v, depth: int) -> Iterator[str]:
-        is_dict = type(v) is dict
-        heads = (map("{}: ".format, map(encode_basestring_ascii, v)) if is_dict
-                 else repeat(""))
-        pad = "\n" + "  " * (depth + 1)
-        sep = ("{" if is_dict else "[") + pad
-        for head, item in zip(heads, v.values() if is_dict else v):
-            text = piece(item, depth + 1)
-            yield f"{sep}{head}{text or ''}"
-            if text is None:
-                yield from container(item, depth + 1)
-            sep = "," + pad
-        yield "\n" + "  " * depth + ("}" if is_dict else "]")
-
-    yield from container(report, 0)
-    yield "\n"
+    """Yield json.dumps(report, indent=2) and a newline, in pieces. The rest
+    of an audit report is dumped with no gray pairs and split at its empty
+    list, which can only be the key, as json escapes '"' in a string; each
+    pair then fills _PAIR, and each shared values list is encoded once."""
+    results = report["results"]
+    pairs = results.get("gray_pairs")
+    if not pairs:
+        yield json.dumps(report, indent=2) + "\n"
+        return
+    text = json.dumps({**report, "results": {**results, "gray_pairs": []}},
+                      indent=2)
+    head, _, tail = text.partition('"gray_pairs": []')
+    before = head + '"gray_pairs": ['
+    shown: dict[int, str] = {}
+    for p in pairs:
+        values = p["values"]
+        if id(values) not in shown:
+            shown[id(values)] = json.dumps(values, indent=2).replace(
+                "\n", "\n        ")
+        yield _PAIR.format(before, p["row_a"], p["row_b"], p["decision_a"],
+                           p["decision_b"], shown[id(values)])
+        before = ","
+    yield "\n    ]" + tail + "\n"
 
 
 def _write(report: dict, fmt: str) -> None:
-    """Print the report in one format, in chunks as it is formatted and
-    never held whole; table and csv are views of it."""
+    """Print the report in one format, in chunks as it is formatted, so an
+    audit's gray pairs are never held whole as text; table and csv are
+    views of it."""
     if fmt == "json":
         pieces = _json_pieces(report)
     else:

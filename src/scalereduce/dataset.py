@@ -285,7 +285,7 @@ def load_csv(
 
     raw_decision = table[:, d_idx]
     keep = [i for i in range(len(header)) if i != d_idx]
-    attrs = table[:, keep].astype(float, copy=False)
+    attrs = table[:, keep]  # Dataset makes the one float64 copy
     labels = tuple(header[i] for i in keep)
 
     distinct = np.unique(raw_decision)

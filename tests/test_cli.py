@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import scalereduce
 from scalereduce import cli, hygiene, reduction
-from scalereduce.cli import _json_pieces, main
+from scalereduce.cli import main
 
 from conftest import csv_texts, write_csv
 
@@ -108,26 +108,42 @@ class TestAudit:
             assert calls == [(4, 2)]
 
     def test_json_keys_encoded_once_per_shape(self, capsys, monkeypatch, tmp_path):
-        # every gray pair has one dict shape, so the key text is built once
-        # per shape, not once per pair: 225 and 22500 pairs, same count
+        # every gray pair fills one template and a clone's values list is
+        # encoded once, so json.dumps runs as often for 225 pairs as for
+        # 22500
         calls = []
 
-        def counted(s, _encode=cli.encode_basestring_ascii):
-            calls.append(s)
-            return _encode(s)
+        def counted(obj, _dumps=json.dumps, **kwargs):
+            calls.append(type(obj))
+            return _dumps(obj, **kwargs)
 
-        monkeypatch.setattr(cli, "encode_basestring_ascii", counted)
         counts = []
         for n in (30, 300):
             path = write_csv(tmp_path / f"clones{n}.csv", ["x", "y", "d"],
                              [[1, 2, i % 2] for i in range(n)])
             calls.clear()
             argv = ["audit", path, "--decision", "d", "--format", "json"]
-            code, out, _ = run(capsys, argv)
+            with monkeypatch.context() as patched:
+                patched.setattr(cli.json, "dumps", counted)
+                code, out, _ = run(capsys, argv)
             assert code == 0
             assert json.loads(out)["results"]["gray_pair_count"] == (n // 2) ** 2
             counts.append(len(calls))
         assert counts[0] == counts[1] > 0
+
+    def test_path_holding_the_split_marker(self, capsys, tmp_path):
+        # the report is split at the text of its empty pair list; the same
+        # text inside the input path is escaped and cannot be taken for it
+        path = write_csv(tmp_path / 'x "gray_pairs": [] y.csv', ["x", "y", "d"],
+                         [[1, 2, 0], [1, 2, 1], [1, 2, 0], [3, 4, 1]])
+        code, out, _ = run(capsys, ["audit", path, "--decision", "d",
+                                    "--format", "json"])
+        assert code == 0
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+        report = json.loads(out)
+        assert report["input_path"] == path
+        assert report["results"]["gray_pair_count"] == 2
+        assert len(report["results"]["gray_pairs"]) == 2
 
     def test_missing_decision_exits_2(self, capsys, demo_csv):
         code, _, err = run(capsys, ["audit", demo_csv, "--decision", "zzz"])
@@ -537,68 +553,6 @@ def test_reader_closing_stdout_mid_report_exits_0(tmp_path):
     assert err == b"", err
 
 
-json_scalars = st.one_of(
-    st.none(), st.booleans(), st.integers(), st.integers(-2**80, 2**80),
-    st.floats(),
-    st.sampled_from([float("nan"), float("inf"), float("-inf"), 0.0, -0.0,
-                     1e300, 5e-324]),
-    st.text(),
-)
-
-
-@st.composite
-def json_trees(draw):
-    """Nested dicts and lists of scalars, the types a report holds, in
-    which one list of scalars can recur, as the same object, at any
-    depth."""
-    shared = draw(st.lists(json_scalars, max_size=4))
-    return draw(st.recursive(
-        st.one_of(json_scalars, st.just(shared)),
-        lambda kids: st.one_of(
-            st.lists(kids, max_size=4),
-            st.dictionaries(st.text(), kids, max_size=4),
-        ),
-        max_leaves=30,
-    ))
-
-
-ROW = [1.0, -0.0, 2.5]
-
-
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(json_trees())
-@example({"a": ROW, "b": [ROW, {"c": ROW}], "d": []})
-@example([{"row": i, "values": ROW} for i in range(3000)])
-@example([{"{": 1, "}": ROW, "{0}": "{}", "{}": None, "é": 2, "€😀": [3]}] * 2)
-@example([{"a": 1, "b": ROW}, {"b": 2, "a": ROW}, {"a": 3, "b": ROW}])
-@example([{"k": 1, "v": ROW}, {"k": 2, "v": {"n": ROW}},
-          {"k": 3, "v": [ROW, 4]}, {"k": 5, "v": ROW}])
-@example([{"a": 1}, {}, {"a": 2}, {}])
-@example({"nan": float("nan"), "inf": float("inf"), "-inf": float("-inf"),
-          "-0": -0.0, "true": True, "one": 1})
-def test_json_writer_matches_json_dumps(tree):
-    # a report is a dict; the tree sits one level down in it
-    report = {"tree": tree}
-    got = "".join(_json_pieces(report))
-    want = json.dumps(report, indent=2) + "\n"
-    if got != want:
-        # name the first difference, not a diff of two long texts
-        at = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b),
-                  min(len(got), len(want)))
-        window = slice(max(at - 40, 0), at + 40)
-        pytest.fail(f"differs at offset {at} of {len(want)}: got "
-                    f"{got[window]!r}, want {want[window]!r}")
-
-
-@pytest.mark.parametrize("bad", [(1, 2), np.float64(0.5)], ids=["tuple", "float64"])
-@pytest.mark.parametrize("where", ["value", "list", "nested"])
-def test_json_writer_rejects_types_a_report_does_not_hold(bad, where):
-    report = {"value": {"x": bad}, "list": {"x": [1.0, bad]},
-              "nested": {"x": [{"y": bad}]}}[where]
-    with pytest.raises(TypeError, match=type(bad).__name__):
-        "".join(_json_pieces({"results": report}))
-
-
 @st.composite
 def csv_bytes(draw):
     """Arbitrary bytes, or fuzzed CSV text with a few arbitrary bytes
@@ -672,8 +626,11 @@ OVERFLOW_CSV = ("a,b,d\n" + "".join(
 @example((["reduce", "--decision", "d", "--format", "json"], None), OVERFLOW_CSV)
 @example((["test-inclusion", "--decision", "d", "--format", "json",
            "--method", "both", "--n-boot=20", "--seed=0"], None), OVERFLOW_CSV)
+@example((["audit", "--decision", "d", "--format", "json"], None),
+         b"q0,q1,d\n1,2,0\n1,2,1\n1,2,0\n1,2,1\n3,0,1\n3,0,0\n2,2,0\n")
 def test_any_input_bytes_keep_the_exit_code_contract(call, data):
     argv, epoch = call
+    stdout = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "fuzz.csv")
         with open(path, "wb") as fh:
@@ -681,7 +638,7 @@ def test_any_input_bytes_keep_the_exit_code_contract(call, data):
         env = {} if epoch is None else {"SOURCE_DATE_EPOCH": epoch}
         with warnings.catch_warnings(), \
                 mock.patch.dict(os.environ, env), \
-                contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stdout(stdout), \
                 contextlib.redirect_stderr(io.StringIO()):
             warnings.simplefilter("error")
             if epoch is None:
@@ -692,6 +649,10 @@ def test_any_input_bytes_keep_the_exit_code_contract(call, data):
                 assert exc.code == 2
                 code = 2
     assert code in (0, 2, 3)
+    if code == 0 and argv[argv.index("--format") + 1] == "json":
+        # every report, gray pairs included, in the layout of the stdlib
+        out = stdout.getvalue()
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
 
 def test_integer_items_are_counted_without_a_sort(capsys, monkeypatch, tmp_path):

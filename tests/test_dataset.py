@@ -1,7 +1,9 @@
 import csv
 import os
 import tempfile
+import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -261,6 +263,25 @@ def test_one_digit_file_needs_neither_loadtxt_nor_the_cell_parser(
     assert got.negative_value == expected.negative_value
     assert got.decision.tolist() == expected.decision.tolist()
     assert got.attributes.tobytes() == expected.attributes.tobytes()
+
+
+def test_one_digit_load_makes_one_float_copy(tmp_path):
+    # the byte path's uint8 table becomes float64 once, in Dataset, so the
+    # peak stays well under two float copies of the attribute matrix
+    rng = np.random.default_rng(5)
+    rows = rng.integers(0, 5, size=(5000, 21))
+    rows[:, -1] = np.arange(5000) % 2
+    path = write_csv(tmp_path / "digits.csv",
+                     [f"q{i}" for i in range(20)] + ["d"], rows.tolist())
+    load_csv(path, "d")  # leave first-call allocations out of the peak
+    tracemalloc.start()
+    try:
+        ds = load_csv(path, "d")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert _one_digit_table(Path(path).read_bytes()) is not None
+    assert peak < 1.75 * ds.attributes.nbytes
 
 
 def test_single_class_message_is_the_same_on_both_paths(tmp_path):

@@ -20,6 +20,10 @@ Run from the repository root: python3 tools/gen_cli_golden.py
 With --check it regenerates everything into a temporary directory instead,
 writes nothing into the repository, lists the files under tests/data/ that
 would change and exits 1 if there are any.
+
+Either way it refuses, exits 1 and writes no golden if any json case's
+stdout is not json.dumps(report, indent=2) and a newline, so the goldens
+cannot drift from the standard library's layout.
 """
 
 import argparse
@@ -138,17 +142,30 @@ def run_case(argv: list[str], data: Path) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
+def in_stdlib_layout(out: str) -> bool:
+    """Whether out is json.dumps(report, indent=2) and a newline."""
+    try:
+        return out == json.dumps(json.loads(out), indent=2) + "\n"
+    except ValueError:
+        return False
+
+
 def generate(data: Path) -> int:
     """Write the fixtures and data/cli_golden/ into data; scale21.csv,
-    which tools/gen_scale21_fixture.py writes, must already be there."""
+    which tools/gen_scale21_fixture.py writes, must already be there.
+    Writes no golden, and exits, if a json case's stdout is not in the
+    layout of json.dumps(report, indent=2)."""
     write_fixtures(data)
+    runs = {case: (argv, *run_case(argv, data)) for case, argv in cases().items()}
+    for case, (argv, _, out, _) in runs.items():
+        if argv[-1] == "json" and not in_stdlib_layout(out):
+            sys.exit(f"{case}: stdout is not json.dumps(report, indent=2)")
     golden = data / "cli_golden"
     if golden.exists():
         shutil.rmtree(golden)
     golden.mkdir()
     manifest = {}
-    for case, argv in cases().items():
-        code, out, err = run_case(argv, data)
+    for case, (argv, code, out, err) in runs.items():
         (golden / f"{case}.out").write_bytes(out.encode("utf-8"))
         manifest[case] = {"argv": argv, "exit": code, "stderr": err}
     (golden / "cases.json").write_text(
