@@ -19,7 +19,8 @@ from conftest import DATA_DIR
 
 GOLDEN = DATA_DIR / "cli_golden"
 CASES = json.loads((GOLDEN / "cases.json").read_text(encoding="utf-8"))
-INPUTS = ("scale21.csv", "cli_mixed.csv", "cli_gray.csv", "cli_mixed_bom.csv")
+INPUTS = ("scale21.csv", "cli_mixed.csv", "cli_gray.csv", "cli_gray_order.csv",
+          "cli_mixed_bom.csv")
 GENERATOR = DATA_DIR.parents[1] / "tools" / "gen_cli_golden.py"
 
 

@@ -3,7 +3,11 @@
 Writes tests/data/cli_mixed.csv, a small seeded rating-scale fixture with a
 gray pair, one reverse-keyed item (single-item AUC below 0.5) and one
 incomplete row, and tests/data/cli_gray.csv, a hand-written audit fixture
-whose gray groups put one row in two pairs and a -0 cell in another, and
+whose gray groups put one row in two pairs and a -0 cell in another,
+tests/data/cli_gray_order.csv, an audit fixture with decisions coded 1/2
+whose interleaved gray groups pin the order of the pair listing (a pair
+led by a negative row, alternating decisions, three positives against one
+negative, and clones of a single decision that are not gray), and
 tests/data/cli_mixed_bom.csv, cli_mixed.csv behind a UTF-8 byte-order
 mark, as Excel writes it; its one case prints the same csv as the plain
 file's (json would differ, as it holds the input path). Then
@@ -64,6 +68,7 @@ INPUTS = {
     "scale21.csv": ("verdict", FLAGS, FORMATS),
     "cli_mixed.csv": ("d", FLAGS, FORMATS),
     "cli_gray.csv": ("d", {"audit": FLAGS["audit"]}, FORMATS),
+    "cli_gray_order.csv": ("d", {"audit": FLAGS["audit"]}, FORMATS),
     "cli_mixed_bom.csv": ("d", {"rank": {"": []}}, ("csv",)),
 }
 # rows 0, 2 and 4 are one gray group, so row 0 is row_a of two pairs; rows
@@ -79,6 +84,25 @@ GRAY_ROWS = [
     "0,0,2.5,0",
     "4,1,0,0",
     "2,2,2,1",
+]
+# decisions 1 (negative) and 2 (positive). Rows 0, 2, 5, 7 and 9 alternate
+# 1, 2, 1, 2, 1, so the first pair, (0, 2), is led by a negative row; rows
+# 1, 3, 6 and 10 are three positives and one negative; rows 4 and 8 are
+# clones with one decision, not gray; the groups interleave by row index
+GRAY_ORDER_ROWS = [
+    "u,v,d",
+    "3,1,1",
+    "0,0,2",
+    "3,1,2",
+    "0,0,2",
+    "2.5,2,1",
+    "3,1,1",
+    "0,0,1",
+    "3,1,2",
+    "2.5,2,1",
+    "3,1,1",
+    "0,0,2",
+    "1,4,2",
 ]
 
 
@@ -104,8 +128,10 @@ def write_fixtures(data: Path) -> None:
     text = "".join(",".join(row) + "\n" for row in rows)
     (data / "cli_mixed.csv").write_text(text, encoding="utf-8")
     (data / "cli_mixed_bom.csv").write_text(text, encoding="utf-8-sig")
-    text = "".join(row + "\n" for row in GRAY_ROWS)
-    (data / "cli_gray.csv").write_text(text, encoding="utf-8")
+    for name, lines in (("cli_gray.csv", GRAY_ROWS),
+                        ("cli_gray_order.csv", GRAY_ORDER_ROWS)):
+        text = "".join(line + "\n" for line in lines)
+        (data / name).write_text(text, encoding="utf-8")
 
 
 def cases() -> dict[str, list[str]]:
