@@ -18,9 +18,9 @@ import os
 import sys
 import time
 from collections.abc import Iterator
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from datetime import datetime, timezone
-from itertools import chain, islice
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +34,7 @@ from .errors import (
     ScaleReduceError,
     UnknownColumn,
 )
-from .hygiene import _screen
+from .hygiene import GrayGroups, _screen
 from .reduction import _ranking, reduce_ranking, reduction_ratio, start_auc
 from .roc import auc, roc_curve, sum_scores
 from .svg import points_csv, roc_chart, running_auc_chart
@@ -107,36 +107,45 @@ def _orient(ds: Dataset, auto_orient: bool) -> tuple[Dataset, list[str], dict]:
 # --- commands: each computes its results and prints nothing -------------
 
 
+@dataclass(frozen=True)
+class _GrayPairs:
+    """An audit's gray pairs, held as their groups with one values list per
+    group; views list the pairs from the groups a chunk at a time."""
+
+    groups: GrayGroups
+    values: list[list[float]]
+
+    def fields(self, decision_text, values_text) -> Iterator[tuple[int, tuple]]:
+        """Per chunk, its pair count and each pair's row_a, row_b, decision_a,
+        decision_b and values, in one flat tuple. decision_text is called
+        once per decision value and values_text once per group."""
+        g = self.groups
+        decision = np.array([decision_text(v) for v in g.levels.tolist()],
+                            dtype=object)[g.level]
+        values = np.array([values_text(v) for v in self.values],
+                          dtype=object)[g.group]
+        for a, b, run_a, run_b in g.pair_chunks():
+            fields = np.empty((a.size, 5), dtype=object)
+            fields[:, 0], fields[:, 1] = a, b
+            fields[:, 2], fields[:, 3] = decision[run_a], decision[run_b]
+            fields[:, 4] = values[run_a]
+            yield a.size, tuple(fields.ravel().tolist())
+
+
 def cmd_audit(args) -> tuple[Dataset, dict]:
     ds = _load(args)
     raw_decision = np.where(ds.decision, ds.positive_value, ds.negative_value)
-    dup, pairs = _screen(ds.attributes, raw_decision)
-    # one values list per group of equal rows, shared by every pair in it;
+    dup, groups = _screen(ds.attributes, raw_decision)
     # + 0.0 prints a -0 cell as 0.0, as the grouping compares it
-    rows = np.unique(pairs[:, 0])
-    shared: dict[tuple, list] = {}
-    values = {row: shared.setdefault(tuple(v), v) for row, v in
-              zip(rows.tolist(), (ds.attributes[rows] + 0.0).tolist())}
-    # one Python list per column, not a 2-list per pair
-    row_a, row_b = pairs.T.tolist()
-    decision_a, decision_b = raw_decision[pairs].T.tolist()
+    values = (ds.attributes[groups.first_rows] + 0.0).tolist()
     return ds, {
         "duplicates": {
             "total": dup.total_examples,
             "distinct": dup.distinct_examples,
             "duplicates": dup.duplicate_examples,
         },
-        "gray_pair_count": len(pairs),
-        "gray_pairs": [
-            {
-                "row_a": a,
-                "row_b": b,
-                "decision_a": da,
-                "decision_b": db,
-                "values": values[a],
-            }
-            for a, b, da, db in zip(row_a, row_b, decision_a, decision_b)
-        ],
+        "gray_pair_count": groups.pair_count,
+        "gray_pairs": _GrayPairs(groups, values),
     }
 
 
@@ -252,16 +261,9 @@ def _table_audit(report: dict) -> Iterator[str]:
     yield (f"examples: total {dup['total']}, distinct {dup['distinct']}, "
            f"duplicates {dup['duplicates']}")
     yield f"gray pairs: {r['gray_pair_count']}"
-    shown: dict[int, str] = {}  # each shared values list, formatted once
-    for p in r["gray_pairs"]:
-        values = p["values"]
-        if id(values) not in shown:
-            shown[id(values)] = ",".join(f"{v:g}" for v in values)
-        yield (
-            f"  rows {p['row_a']},{p['row_b']} "
-            f"decision {p['decision_a']:g}/{p['decision_b']:g} "
-            f"values {shown[id(values)]}"
-        )
+    for n, fields in r["gray_pairs"].fields(
+            "{:g}".format, lambda v: ",".join(f"{x:g}" for x in v)):
+        yield "\n".join(["  rows %d,%d decision %s/%s values %s"] * n) % fields
 
 
 def _table_rank(report: dict) -> list[str]:
@@ -341,48 +343,47 @@ VIEWS = {
 }
 
 
-# the text before a gray pair, then the pair as json.dumps(indent=2) lays it
-# out in a report; ints and finite floats format as json writes them
-_PAIR = """{}
-      {{
-        "row_a": {},
-        "row_b": {},
-        "decision_a": {},
-        "decision_b": {},
-        "values": {}
-      }}"""
+# a gray pair as json.dumps(indent=2) lays it out in a report; ints and
+# the encoded decisions and values fill it as json writes them
+_PAIR = """
+      {
+        "row_a": %d,
+        "row_b": %d,
+        "decision_a": %s,
+        "decision_b": %s,
+        "values": %s
+      }"""
 
 
 def _json_pieces(report: dict) -> Iterator[str]:
-    """Yield json.dumps(report, indent=2) and a newline, in pieces. The rest
-    of an audit report is dumped with no gray pairs and split at its empty
-    list, which can only be the key, as json escapes '"' in a string; each
-    pair then fills _PAIR, and each shared values list is encoded once."""
+    """Yield json.dumps(report, indent=2) and a newline, in pieces. An audit
+    report is dumped with an empty gray-pair list and split at that list,
+    which can only be the key, as json escapes '"' in a string; the pairs
+    are then expanded from the gray groups a chunk at a time, and each
+    chunk fills _PAIR with one %-format, each decision value and each
+    group's values list encoded once."""
     results = report["results"]
     pairs = results.get("gray_pairs")
-    if not pairs:
+    if pairs is None:
         yield json.dumps(report, indent=2) + "\n"
         return
     text = json.dumps({**report, "results": {**results, "gray_pairs": []}},
                       indent=2)
     head, _, tail = text.partition('"gray_pairs": []')
-    before = head + '"gray_pairs": ['
-    shown: dict[int, str] = {}
-    for p in pairs:
-        values = p["values"]
-        if id(values) not in shown:
-            shown[id(values)] = json.dumps(values, indent=2).replace(
-                "\n", "\n        ")
-        yield _PAIR.format(before, p["row_a"], p["row_b"], p["decision_a"],
-                           p["decision_b"], shown[id(values)])
-        before = ","
-    yield "\n    ]" + tail + "\n"
+    yield head + '"gray_pairs": ['
+    sep = ""
+    for n, fields in pairs.fields(json.dumps, lambda v: json.dumps(
+            v, indent=2).replace("\n", "\n        ")):
+        yield sep + ",".join([_PAIR] * n) % fields
+        sep = ","
+    yield ("\n    ]" if sep else "]") + tail + "\n"
 
 
 def _write(report: dict, fmt: str) -> None:
-    """Print the report in one format, in chunks as it is formatted, so an
-    audit's gray pairs are never held whole as text; table and csv are
-    views of it."""
+    """Print the report in one format, a piece at a time as it is
+    formatted: an audit's gray pairs come in chunks expanded from their
+    groups, so their text is never held whole; table and csv are views
+    of it."""
     if fmt == "json":
         pieces = _json_pieces(report)
     else:
@@ -390,8 +391,7 @@ def _write(report: dict, fmt: str) -> None:
         lines = table(report) if fmt == "table" else chain(
             [header], (",".join(map(str, row)) for row in rows(report["results"])))
         pieces = map("{}\n".format, lines)
-    while chunk := list(islice(pieces, 4096)):
-        sys.stdout.write("".join(chunk))
+    sys.stdout.writelines(pieces)
 
 
 # --- wiring -----------------------------------------------------------

@@ -7,6 +7,12 @@ merge distinct responses. Rows are grouped by one stable sort of their raw
 bytes (negative zeros normalized first), which matches an elementwise ==
 scan on finite data.
 
+Gray examples are held as gray groups: the groups of equal rows that hold
+more than one decision value, with each group's rows split by decision.
+A group of g rows can make about g**2 / 4 gray pairs, so pairs are only
+made on demand, expanded from the groups one chunk at a time in
+(row_a, row_b) order; gray_examples concatenates the chunks.
+
 These functions only report; nothing is removed. Whether to screen raw or
 deduplicated rows is the caller's choice: both take plain matrices, so
 feeding np.unique(...) output works the same way.
@@ -14,6 +20,7 @@ feeding np.unique(...) output works the same way.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,13 +36,14 @@ class DuplicateReport:
 
 
 def _as_matrix(attrs) -> np.ndarray:
-    a = np.asarray(attrs, dtype=float)
+    # one C-ordered copy, so the caller's array is never written
+    a = np.array(attrs, dtype=float, order="C")
     if a.ndim == 1:
         a = a.reshape(-1, 1)
     if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
         raise EmptyDataset("attribute matrix must have at least one row and column")
-    # +0.0 maps -0.0 to +0.0 so byte keys agree with == comparison
-    return np.ascontiguousarray(a + 0.0)
+    a += 0.0  # maps -0.0 to +0.0 so byte keys agree with == comparison
+    return a
 
 
 def _decision(decision, a: np.ndarray) -> np.ndarray:
@@ -59,11 +67,107 @@ def _row_groups(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order, starts
 
 
-def _screen(
-    attrs, decision=None
-) -> tuple[DuplicateReport, np.ndarray | None]:
-    """diff_examples' report and, given a decision, gray_examples' pairs,
-    from one grouping of the rows."""
+# gray pairs per chunk, unless one row alone has more partners
+_CHUNK = 1 << 12
+
+
+@dataclass(frozen=True)
+class GrayGroups:
+    """The groups of equal rows that hold more than one decision value.
+
+    Each group is split into runs, one per decision value in ascending
+    order, and each run lists its rows in ascending order. rows holds the
+    runs one after another, group after group: run i is
+    rows[starts[i]:starts[i + 1]], its decision is levels[level[i]] and
+    its group is group[i], numbered from 0.
+    """
+
+    levels: np.ndarray
+    rows: np.ndarray
+    starts: np.ndarray
+    group: np.ndarray
+    level: np.ndarray
+
+    def _group_starts(self) -> np.ndarray:
+        """Where each group starts in rows, then len(rows)."""
+        first_run = np.flatnonzero(np.diff(self.group, prepend=-1))
+        return self.starts[np.append(first_run, self.group.size)]
+
+    @property
+    def first_rows(self) -> np.ndarray:
+        """One row of each group, which holds the group's values."""
+        return self.rows[self._group_starts()[:-1]]
+
+    @property
+    def pair_count(self) -> int:
+        """Summed over the groups: the rows of a group times the rows of it
+        with another decision, halved."""
+        run_size = np.diff(self.starts)
+        group_size = np.diff(self._group_starts())
+        return int(group_size @ group_size - run_size @ run_size) // 2
+
+    def pair_chunks(self) -> Iterator[tuple[np.ndarray, ...]]:
+        """Yield (row_a, row_b, run_a, run_b) for every gray pair, in
+        (row_a, row_b) order, for one block of row_a values at a time
+        (about _CHUNK pairs). The partners of row a are the rows of a's
+        group after a in the other runs: one ascending suffix of each other
+        run, found by a binary search. Cost is O(rows + pairs) when every
+        group holds two decision values; a row with partners in two or more
+        other runs has them merged by a sort within its chunk."""
+        rows, starts = self.rows, self.starts
+        if not rows.size:
+            return
+        run_of = np.repeat(np.arange(self.group.size), np.diff(starts))
+        first = np.searchsorted(self.group, self.group)
+        n_runs = np.searchsorted(self.group, self.group, side="right") - first
+        # every gray row in ascending order, then one segment per other run
+        # of its group
+        entry = np.argsort(rows)
+        run = run_of[entry]
+        k = n_runs[run]
+        seg_entry = np.repeat(entry, k)
+        seg_run = np.repeat(first[run], k) + _ramps(k)
+        other = seg_run != run_of[seg_entry]
+        seg_entry, seg_run = seg_entry[other], seg_run[other]
+        seg_a = rows[seg_entry]
+        # rows is ascending in (run, row), so one search finds, in run r,
+        # the first row after a
+        span = int(rows.max()) + 1
+        lo = np.searchsorted(run_of * span + rows, seg_run * span + seg_a,
+                             side="right")
+        count = starts[seg_run + 1] - lo
+        # chunks end between rows, each gray row owning k - 1 segments, and
+        # each chunk's first row has a partner
+        row_segs = np.concatenate(([0], np.cumsum(k - 1)))
+        through = np.cumsum(np.add.reduceat(count, row_segs[:-1]))
+        cuts = np.unique(np.concatenate((
+            [0], np.searchsorted(through, np.arange(_CHUNK, through[-1], _CHUNK),
+                                 side="right"), [through.size])))
+        for r0, r1 in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
+            s0, s1 = row_segs[r0], row_segs[r1]
+            c = count[s0:s1]
+            at = np.repeat(lo[s0:s1], c) + _ramps(c)
+            a = np.repeat(seg_a[s0:s1], c)
+            b = rows[at]
+            run_a = np.repeat(run_of[seg_entry[s0:s1]], c)
+            run_b = run_of[at]
+            if s1 - s0 > r1 - r0:
+                by_b = np.argsort(a * span + b, kind="stable")
+                a, b, run_a, run_b = a[by_b], b[by_b], run_a[by_b], run_b[by_b]
+            yield a, b, run_a, run_b
+
+
+def _ramps(lengths: np.ndarray) -> np.ndarray:
+    """0, 1, ..., n - 1 for each n in a non-empty lengths, concatenated."""
+    ends = np.cumsum(lengths)
+    return np.arange(ends[-1]) - np.repeat(ends - lengths, lengths)
+
+
+def _screen(attrs, decision=None) -> tuple[DuplicateReport, GrayGroups | None]:
+    """diff_examples' report and, given a decision, the gray groups, from
+    one grouping of the rows. A group of equal rows is gray when its rows
+    hold more than one decision value; decision values compare as !=
+    does, so each NaN is a value of its own."""
     a = _as_matrix(attrs)
     d = None if decision is None else _decision(decision, a)
     order, starts = _row_groups(a)
@@ -75,15 +179,20 @@ def _screen(
     )
     if d is None:
         return dup, None
-    sizes = np.diff(np.append(starts, order.size))
-    found = [np.empty((0, 2), dtype=np.intp)]
-    for start, size in zip(starts[sizes > 1].tolist(), sizes[sizes > 1].tolist()):
-        rows = order[start:start + size]
-        i, j = np.triu_indices(size, 1)
-        within = np.column_stack((rows[i], rows[j]))
-        found.append(within[d[within[:, 0]] != d[within[:, 1]]])
-    pairs = np.concatenate(found)
-    return dup, pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+    levels, code = np.unique(d, return_inverse=True, equal_nan=False)
+    code = code[order]
+    sizes = np.diff(np.append(starts, total))
+    gray = np.minimum.reduceat(code, starts) != np.maximum.reduceat(code, starts)
+    in_gray = np.repeat(gray, sizes)
+    group = np.repeat(np.arange(np.count_nonzero(gray)), sizes[gray])
+    # one key per (group, decision) run; a stable sort keeps each run's
+    # rows ascending, as order has them
+    key = group * levels.size + code[in_gray]
+    by_run = np.argsort(key, kind="stable")
+    rows, key = order[in_gray][by_run], key[by_run]
+    run = np.flatnonzero(np.diff(key, prepend=-1))
+    group, level = np.divmod(key[run], levels.size)
+    return dup, GrayGroups(levels, rows, np.append(run, rows.size), group, level)
 
 
 def diff_examples(attrs) -> DuplicateReport:
@@ -100,7 +209,9 @@ def gray_examples(attrs, decision) -> np.ndarray:
     Returns a (k, 2) intp array: each pair appears once as (a, b) with
     a < b, and the rows are sorted by (a, b), so output is deterministic.
     """
-    return _screen(attrs, decision)[1]
+    chunks = _screen(attrs, decision)[1].pair_chunks()
+    return np.concatenate([np.empty((0, 2), dtype=np.intp),
+                           *(np.column_stack((a, b)) for a, b, _, _ in chunks)])
 
 
 def gray_examples_for(attrs, decision, n: int) -> list[int]:

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -144,6 +145,29 @@ class TestAudit:
         assert report["input_path"] == path
         assert report["results"]["gray_pair_count"] == 2
         assert len(report["results"]["gray_pairs"]) == 2
+
+    @pytest.mark.parametrize("fmt", ["json", "table"])
+    def test_memory_bounded_by_rows_and_one_chunk(self, monkeypatch, tmp_path,
+                                                  fmt):
+        # alternating-decision clones: 4x the rows give 16x the gray pairs
+        # (40 000 and 640 000), but the pairs are listed from their groups a
+        # chunk at a time, so the peak may grow with the rows only
+        peaks = []
+        for n in (400, 1600):
+            path = write_csv(tmp_path / f"clones{n}.csv", ["x", "y", "d"],
+                             [[1, 2, i % 2] for i in range(n)])
+            sink = _ByteCount()
+            monkeypatch.setattr(sys, "stdout", sink)
+            tracemalloc.start()
+            try:
+                code = main(["audit", path, "--decision", "d", "--format", fmt])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+                monkeypatch.undo()
+            assert code == 0
+            assert sink.bytes > 30 * (n // 2) ** 2  # every pair was written
+        assert peaks[1] <= 4 * peaks[0], peaks
 
     def test_missing_decision_exits_2(self, capsys, demo_csv):
         code, _, err = run(capsys, ["audit", demo_csv, "--decision", "zzz"])
@@ -507,6 +531,19 @@ def _loaded_by_cli_import(*names):
 
 def test_cli_import_leaves_scipy_out():
     assert _loaded_by_cli_import("scipy") == "[]"
+
+
+class _ByteCount(io.TextIOBase):
+    """A stdout that only counts what is written to it (ASCII here)."""
+
+    bytes = 0
+
+    def writable(self):
+        return True
+
+    def write(self, text):
+        self.bytes += len(text)
+        return len(text)
 
 
 def test_cli_import_leaves_xml_and_network_modules_out():

@@ -39,9 +39,9 @@ def test_cli_output_matches_golden(case, capsys, monkeypatch, tmp_path):
 
 
 def test_golden_cases_cover_the_interface():
-    """Every command and format, a gray pair, a row in two gray pairs, the
-    below-0.5 advisory, flipped items and a byte-order-marked input all
-    appear in the recorded outputs."""
+    """Every command and format, a gray pair, a row in two gray pairs, a
+    pair led by a negative row, the below-0.5 advisory, flipped items and
+    a byte-order-marked input all appear in the recorded outputs."""
     argvs = [c["argv"] for c in CASES.values()]
     assert {a[0] for a in argvs} == {"audit", "rank", "reduce", "test-inclusion"}
     assert {a[a.index("--format") + 1] for a in argvs} == {"json", "csv", "table"}
@@ -52,6 +52,9 @@ def test_golden_cases_cover_the_interface():
     shared = json.loads((GOLDEN / "cli_gray-audit-json.out").read_bytes())
     rows = [p["row_a"] for p in shared["results"]["gray_pairs"]]
     assert len(set(rows)) < len(rows)
+    order = json.loads((GOLDEN / "cli_gray_order-audit-json.out").read_bytes())
+    assert any(p["decision_a"] < p["decision_b"]
+               for p in order["results"]["gray_pairs"])
     # a byte-order mark before the header changes nothing csv prints
     bom = (GOLDEN / "cli_mixed_bom-rank-csv.out").read_bytes()
     assert bom == (GOLDEN / "cli_mixed-rank-csv.out").read_bytes()

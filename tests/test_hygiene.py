@@ -1,12 +1,13 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from scalereduce import diff_examples, gray_examples, gray_examples_for
+from scalereduce import diff_examples, gray_examples, gray_examples_for, hygiene
 from scalereduce.cli import main
 from scalereduce.errors import EmptyDataset, IndexOutOfRange
 
@@ -138,6 +139,22 @@ class TestGrayExamples:
         assert pair["values"] == [0.0, 2.0]
         assert math.copysign(1.0, pair["values"][0]) == 1.0  # not -0.0
 
+    def test_as_matrix_copies_an_f_ordered_matrix_once(self):
+        # Dataset.attributes is Fortran-ordered; one C-ordered copy, with
+        # -0.0 made +0.0 in place, and the caller's array left as it was
+        attrs = np.asfortranarray(np.arange(2000.0 * 50).reshape(2000, 50))
+        attrs[0, 0] = -0.0
+        tracemalloc.start()
+        try:
+            a = hygiene._as_matrix(attrs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * attrs.nbytes
+        assert a.flags.c_contiguous and np.array_equal(a, attrs)
+        assert math.copysign(1.0, a[0, 0]) == 1.0
+        assert math.copysign(1.0, attrs[0, 0]) == -1.0
+
     def test_works_on_deduplicated_rows(self):
         # screening unique (decision, attrs) rows: clones across decisions
         # survive deduplication and still show up as gray
@@ -187,12 +204,17 @@ def small_matrices(draw):
     else:
         attrs = np.array(draw(st.lists(st.lists(cell, min_size=n, max_size=n),
                                        min_size=m, max_size=m)))
-    decision = np.array(draw(st.lists(st.integers(0, 1), min_size=m, max_size=m)))
+    decision = np.array(draw(st.lists(st.integers(0, 2), min_size=m, max_size=m)))
     return attrs.reshape(m, n), decision
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(small_matrices())
+# twelve equal rows, one of which has another decision
+@example((np.ones((12, 2)), np.array([0] * 7 + [2] + [0] * 4)))
+# two groups whose row indices interleave, each with three decision values
+@example((np.array([[1.0], [0.0], [-0.0], [1.0], [0.0], [1.0], [1.0], [0.0]]),
+          np.array([2, 1, 0, 0, 2, 1, 2, 0])))
 def test_grouping_matches_quadratic_oracles(data):
     attrs, decision = data
     report = diff_examples(attrs)
