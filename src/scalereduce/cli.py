@@ -353,6 +353,10 @@ _PAIR = """
         "decision_b": %s,
         "values": %s
       }"""
+# A pair's nonempty values list as json.dumps(indent=2) lays it out at the
+# pair's depth, filled from json.dumps without indent, which keeps json on
+# its C encoder.
+_VALUES = "[\n          %s\n        ]"
 
 
 def _json_pieces(report: dict) -> Iterator[str]:
@@ -372,8 +376,8 @@ def _json_pieces(report: dict) -> Iterator[str]:
     head, _, tail = text.partition('"gray_pairs": []')
     yield head + '"gray_pairs": ['
     sep = ""
-    for n, fields in pairs.fields(json.dumps, lambda v: json.dumps(
-            v, indent=2).replace("\n", "\n        ")):
+    for n, fields in pairs.fields(json.dumps, lambda v: _VALUES % json.dumps(
+            v)[1:-1].replace(", ", ",\n          ")):
         yield sep + ",".join([_PAIR] * n) % fields
         sep = ","
     yield ("\n    ]" if sep else "]") + tail + "\n"

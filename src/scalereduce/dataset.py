@@ -3,15 +3,16 @@
 A dataset is a real-valued attribute matrix (one column per rating scale
 item) plus one binary decision vector. Loading is complete-case: any row
 with a missing or unparseable cell is dropped and counted. A body of
-one-digit fields is read straight from the file's bytes and every other
-file by the cell-by-cell parser; both give the same result.
+one-digit fields is read straight from the file's bytes. Every other file
+is decoded a chunk at a time as csv.reader asks for lines, and each kept
+row goes into one flat float buffer. Both give the same result.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import math
+from array import array
 from dataclasses import dataclass, replace
 from typing import Sequence, Union
 
@@ -138,52 +139,43 @@ def select_columns(ds: Dataset, cols: ColumnSelection) -> Dataset:
     )
 
 
-def _parse_cell(cell: str) -> float | None:
-    """Numeric value of a CSV cell, or None when missing/unparseable.
-
-    Non-finite parses (nan/inf spelled out in the file) count as missing:
-    attribute values must be finite.
-    """
-    text = cell.strip()
-    if not text:
-        return None
-    try:
-        value = float(text)
-    except ValueError:
-        return None
-    return value if math.isfinite(value) else None
-
-
 def _records(fh, path: str):
-    """csv.reader over fh, with malformed CSV raised as LoadError."""
+    """csv.reader over fh, with malformed CSV and undecodable bytes raised
+    as LoadError."""
     try:
         yield from csv.reader(fh)
-    except csv.Error as exc:
+    except (UnicodeDecodeError, csv.Error) as exc:
         raise LoadError(f"{path}: not a readable UTF-8 CSV file: {exc}") from exc
 
 
 def _complete_cases(records, n_cols: int, path: str) -> tuple[np.ndarray, int]:
-    """The complete rows of records as a float matrix, and the count of
-    rows dropped for a wrong field count or a missing or unparseable cell.
+    """The complete rows of records as a (rows, n_cols) float matrix, and
+    the count of rows dropped for a wrong field count or a missing,
+    unparseable or non-finite cell.
 
-    Blank lines are not data rows and are neither kept nor counted.
+    Each record is converted once, and a kept row goes straight into one
+    flat float buffer, which the matrix is a view of. Blank lines are not
+    data rows and are neither kept nor counted.
     """
-    rows: list[list[float]] = []
+    buf = array("d")
     dropped = 0
     for record in records:
-        if not record or all(not c.strip() for c in record):
-            continue  # blank line, not a data row
-        if len(record) != n_cols:
-            dropped += 1
-            continue
-        values = [_parse_cell(c) for c in record]
-        if any(v is None for v in values):
-            dropped += 1
-            continue
-        rows.append(values)  # type: ignore[arg-type]
-    if not rows:
+        if len(record) == n_cols:
+            try:
+                buf.extend([float(c.strip()) for c in record])
+                continue
+            except ValueError:
+                pass
+        if any(c.strip() for c in record):
+            dropped += 1  # a data row, not a blank line
+    table = np.frombuffer(buf).reshape(-1, n_cols)
+    finite = np.isfinite(table).all(axis=1)
+    if not finite.all():  # nan and inf spelled out in the file are missing
+        dropped += int(finite.size - finite.sum())
+        table = table[finite]
+    if not table.size:
         raise EmptyDataset(f"{path}: no complete rows")
-    return np.asarray(rows, dtype=float), dropped
+    return table, dropped
 
 
 def _one_digit_table(raw: bytes) -> tuple[list[str], np.ndarray] | None:
@@ -255,9 +247,9 @@ def load_csv(
     the given value is positive.
 
     A body of one-digit fields, each row ending in "\n", is read straight
-    from the bytes. Every other body goes through the cell-by-cell
-    complete-case parser, which alone decides what is dropped. Both give
-    the same Dataset.
+    from the bytes. Every other file is decoded as it is read and goes
+    through the complete-case parser, which alone decides what is
+    dropped. Both give the same Dataset.
     """
     try:
         with open(path, "rb") as fh:
@@ -271,21 +263,17 @@ def load_csv(
         header_row, table = one_digit
         header, d_idx = _checked_header(header_row, decision_column, path)
     else:
-        try:
-            text = raw.decode("utf-8-sig")
-        except UnicodeDecodeError as exc:
-            raise LoadError(
-                f"{path}: not a readable UTF-8 CSV file: {exc}") from exc
-        del raw
-        records = _records(io.StringIO(text, newline=""), path)
-        del text  # the StringIO holds its own copy
+        records = _records(io.TextIOWrapper(
+            io.BytesIO(raw), encoding="utf-8-sig", newline=""), path)
+        del raw  # the reader holds it until the last line is read
         header, d_idx = _checked_header(
             next(records, None), decision_column, path)
         table, dropped = _complete_cases(records, len(header), path)
 
-    raw_decision = table[:, d_idx]
+    raw_decision = table[:, d_idx].copy()
     keep = [i for i in range(len(header)) if i != d_idx]
-    attrs = table[:, keep]  # Dataset makes the one float64 copy
+    attrs = table[:, keep]
+    del table  # Dataset makes the one float64 copy of attrs
     labels = tuple(header[i] for i in keep)
 
     distinct = np.unique(raw_decision)

@@ -29,12 +29,14 @@ from .errors import ScoreOverflow, SingleClass
 
 @dataclass(frozen=True)
 class RocCurve:
-    """ROC points in threshold-descending order, with trapezoidal area.
+    """ROC points in threshold-descending order, with their area.
 
     fpr/tpr/thresholds are parallel arrays. The first point is (0, 0) at
     threshold +inf; one point follows per distinct score value, so the last
     point is always (1, 1) at the smallest score. A point's coordinates are
     the false/true positive rates of the classifier "score >= threshold".
+    auc is the trapezoidal area under those points, computed as the
+    tie-aware AUC, so it equals auc(scores, decision) exactly.
     """
 
     fpr: np.ndarray
@@ -128,6 +130,11 @@ def auc(scores, decision) -> float:
     """
     s, d = _split(scores, decision)
     _, pos, neg, _ = _level_counts(s, d)
+    return _area(pos, neg)
+
+
+def _area(pos, neg) -> float:
+    """Tie-aware AUC from per-level class counts, rounded once."""
     return int(_twice_u(pos, neg)) / (2 * int(pos.sum()) * int(neg.sum()))
 
 
@@ -135,7 +142,9 @@ def roc_curve(scores, decision) -> RocCurve:
     """ROC curve with one point per distinct score value.
 
     Tied scores collapse to a single point, which makes the trapezoidal
-    area equal to the tie-aware Mann-Whitney AUC.
+    area equal to the tie-aware Mann-Whitney AUC; it is computed from the
+    same counts as auc(), not by summing trapezoids, so the two agree
+    exactly.
     """
     s, d = _split(scores, decision)
     levels, pos, neg, _ = _level_counts(s, d)
@@ -145,11 +154,9 @@ def roc_curve(scores, decision) -> RocCurve:
     fpr = np.concatenate(([0.0], np.cumsum(neg[::-1]) / n_neg))
     tpr = np.concatenate(([0.0], np.cumsum(pos[::-1]) / n_pos))
     thresholds = np.concatenate(([np.inf], levels[::-1]))
-
-    area = float(np.sum(np.diff(fpr) * (tpr[1:] + tpr[:-1])) / 2.0)
     return RocCurve(
         fpr=fpr, tpr=tpr, thresholds=thresholds,
-        auc=area, n_pos=n_pos, n_neg=n_neg,
+        auc=_area(pos, neg), n_pos=n_pos, n_neg=n_neg,
     )
 
 

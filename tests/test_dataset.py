@@ -123,7 +123,10 @@ class TestLoadCsv:
     @pytest.mark.parametrize("body", [
         b"a,d\n1,0\n\xff,1\n",  # not UTF-8
         b"a,d\n1,0\n" + b"2" * 200_000 + b",1\n",  # over the csv field limit
-    ], ids=["undecodable-byte", "oversized-field"])
+        # decoded a chunk at a time, so the error surfaces mid-read
+        b"a,d\n" + b"1.5,0\n" * 2000 + b"\xff,1\n",
+    ], ids=["undecodable-byte", "oversized-field",
+            "undecodable-byte-after-8-kB"])
     def test_unreadable_file_is_load_error(self, tmp_path, body):
         path = tmp_path / "bad.csv"
         path.write_bytes(body)
@@ -242,7 +245,7 @@ def test_one_digit_path_takes_exactly_the_one_digit_files(data, byte_path):
     assert (_one_digit_table(data) is not None) == byte_path
 
 
-def test_one_digit_file_needs_neither_loadtxt_nor_the_cell_parser(
+def test_one_digit_file_needs_neither_the_decoder_nor_the_cell_parser(
         tmp_path, monkeypatch):
     rng = np.random.default_rng(12)
     rows = rng.integers(0, 5, size=(200, 6)).astype(str)
@@ -254,7 +257,7 @@ def test_one_digit_file_needs_neither_loadtxt_nor_the_cell_parser(
     def fail(*args, **kwargs):
         raise AssertionError("a one-digit file took the text path")
 
-    monkeypatch.setattr("scalereduce.dataset.np.loadtxt", fail)
+    monkeypatch.setattr("scalereduce.dataset._records", fail)
     monkeypatch.setattr("scalereduce.dataset._complete_cases", fail)
     got = load_csv(path, "d")
     assert got.labels == expected.labels
@@ -284,6 +287,28 @@ def test_one_digit_load_makes_one_float_copy(tmp_path):
     assert peak < 1.75 * ds.attributes.nbytes
 
 
+def test_text_path_load_stays_near_two_float_copies(tmp_path):
+    # the text path decodes as it reads and keeps its rows in one flat
+    # float buffer, so the peak is that table plus the attribute columns
+    # taken from it
+    rng = np.random.default_rng(6)
+    cells = np.round(rng.normal(2.0, 1.0, size=(5000, 20)), 1).astype(str)
+    cells[rng.random(cells.shape) < 0.01] = ""
+    rows = np.column_stack([cells, (np.arange(5000) % 2).astype(str)])
+    path = write_csv(tmp_path / "decimals.csv",
+                     [f"q{i}" for i in range(20)] + ["d"], rows.tolist())
+    load_csv(path, "d")  # leave first-call allocations out of the peak
+    tracemalloc.start()
+    try:
+        ds = load_csv(path, "d")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert _one_digit_table(Path(path).read_bytes()) is None
+    assert ds.dropped_rows > 0
+    assert peak < 2.5 * ds.attributes.nbytes
+
+
 def test_single_class_message_is_the_same_on_both_paths(tmp_path):
     path = tmp_path / "scale.csv"
     messages = []
@@ -311,6 +336,12 @@ def _outcome(load, path):
 @example("q0,d\r\n")
 @example("q0,q1,d\n1,0\n2,1\n")
 @example("\ufeffq0,d\n1,0\n2,1\n")
+@example("q0,q1,d\n\x1c1\x1f,2,0\n3,\x1f4\x1c,1\n\x1d5\x1e,6,0\n")
+@example("q0,d\n\xa01\xa0,0\n2,1\n")
+@example("q0,q1,d\n,,\n1,2,0\n \t, ,\n3,4,1\n,\n")
+@example("q0,q1,d\nnan,1,0\n-inf,2,1\n1e999,3,0\n4,5,1\n6,7,0\n")
+@example("q0,d\n1_000,0\n2,1\n")
+@example("q0,q1,d\r\n1.5,2,0\r\n3,4,1\r\n\r\n5,,0\r\n")
 @_with_one_digit_edges
 def test_load_csv_matches_cell_by_cell_reference(text):
     with tempfile.TemporaryDirectory() as tmp:
