@@ -139,6 +139,41 @@ def bootstrap_z_matrices(scores_1, scores_2, decision, n_boot, seed):
     return float((auc_full(s1) - auc_full(s2)) / sd)
 
 
+def bootstrap_variance_exact(scores_1, scores_2, decision) -> float:
+    """Ideal variance of the stratified-bootstrap AUC difference.
+
+    The limit, as n_boot grows, of the variance of auc_1 - auc_2 over
+    replicates that each redraw P positives and N negatives with
+    replacement. By pair enumeration: take h = psi_1 - psi_2 over all P*N
+    positive-negative pairs, with mean hbar, row means r_i (one per
+    positive) and column means c_j (one per negative); then
+
+        Var* = ((N-1)*z10 + (P-1)*z01 + z11) / (P*N)
+
+    with z10 = mean((r_i - hbar)^2), z01 = mean((c_j - hbar)^2) and
+    z11 = mean((h_ij - hbar)^2) (Bandos, Rockette & Gur 2007). Independent
+    of any random stream.
+    """
+    rows = [
+        (float(a), float(b), bool(d))
+        for a, b, d in zip(scores_1, scores_2, decision)
+    ]
+    pos = [(a, b) for a, b, d in rows if d]
+    neg = [(a, b) for a, b, d in rows if not d]
+    n_pos, n_neg = len(pos), len(neg)
+    h = [
+        [psi(p1, n1) - psi(p2, n2) for n1, n2 in neg]
+        for p1, p2 in pos
+    ]
+    mean = sum(x for row in h for x in row) / (n_pos * n_neg)
+    row_means = [sum(row) / n_neg for row in h]
+    col_means = [sum(row[j] for row in h) / n_pos for j in range(n_neg)]
+    z10 = sum((r - mean) ** 2 for r in row_means) / n_pos
+    z01 = sum((c - mean) ** 2 for c in col_means) / n_neg
+    z11 = sum((x - mean) ** 2 for row in h for x in row) / (n_pos * n_neg)
+    return ((n_neg - 1) * z10 + (n_pos - 1) * z01 + z11) / (n_pos * n_neg)
+
+
 def load_csv_cells(path, decision_column, positive_value="auto"):
     """scalereduce.load_csv as it was before its vectorised path.
 

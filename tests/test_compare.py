@@ -15,10 +15,10 @@ from scalereduce import (
     total_auc,
     rsr,
 )
-from scalereduce.compare import _BLOCK
+from scalereduce.compare import _BLOCK, _bootstrap_sd
 from scalereduce.errors import DegenerateVariance, NoNextAttribute
 
-from oracles import bootstrap_z_matrices
+from oracles import bootstrap_variance_exact, bootstrap_z_matrices
 
 # Hand-computed six-example fixture (P = N = 3). All quantities were
 # worked out from the pairwise kernel with fractions:
@@ -174,6 +174,24 @@ class TestBootstrap:
                 assert t.z == reference
                 checked += 1
         assert checked >= 5
+
+    def test_variance_matches_exact_bootstrap_variance(self):
+        # the replicate variance estimates the ideal bootstrap variance,
+        # known in closed form; a sample variance of B near-normal
+        # replicates has relative standard error sqrt(2 / (B - 1)), and
+        # each tie-heavy set must land within five of those
+        n_boot = 40_000
+        bound = 5 * math.sqrt(2 / (n_boot - 1))
+        rng = np.random.default_rng(151)
+        for seed in range(12):
+            m = int(rng.integers(25, 115))
+            decision = np.arange(m) < int(rng.integers(m // 4, 3 * m // 4))
+            rng.shuffle(decision)
+            s1 = rng.integers(0, int(rng.integers(2, 7)), m).astype(float)
+            s2 = s1 + rng.integers(0, 3, m)
+            exact = bootstrap_variance_exact(s1, s2, decision)
+            var = _bootstrap_sd(s1, s2, decision, n_boot, seed) ** 2
+            assert abs(var / exact - 1) < bound, (seed, m, var, exact)
 
     def test_memory_does_not_grow_with_n_boot(self):
         # 3-decimal scores on 20k rows: about as many cells as rows, so a
