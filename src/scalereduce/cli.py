@@ -6,13 +6,18 @@ test-inclusion (paired ROC tests for adding one more item).
 
 Outputs are pure functions of (input bytes, flags, seed). The report
 timestamp honors SOURCE_DATE_EPOCH so JSON output is reproducible too.
-Exit codes: 0 success, 2 input error, 3 analysis-domain error. A reader
-that closes stdout early (| head) still gets 0.
+Exit codes: 0 success, 2 input error (a bad flag value included, such as
+--n-boot above MAX_N_BOOT), 3 analysis-domain error. A reader that closes
+stdout early (| head) still gets 0. Reports are written as UTF-8 whatever
+the locale or PYTHONIOENCODING says, and a path given in bytes that are
+not UTF-8 is written as those bytes, so no text in a report can cost the
+exit code.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import sys
@@ -40,6 +45,9 @@ from .roc import auc, roc_curve, sum_scores
 from .svg import points_csv, roc_chart, running_auc_chart
 
 TOOL = "scalereduce"
+# Largest --n-boot: the replicate differences take 8 MB at this size, and
+# a replicate costs about 0.1 ms on 10k rows and 1.3 ms on 100k rows.
+MAX_N_BOOT = 1_000_000
 
 
 def _timestamp() -> str:
@@ -406,8 +414,9 @@ def _params(args) -> dict:
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
 
 
-def _int_at_least(low: int):
-    """argparse type: an integer no smaller than low."""
+def _int_in(low: int, high: int | None = None):
+    """argparse type: an integer no smaller than low and, if high is
+    given, no larger than high."""
 
     def parse(text: str) -> int:
         try:
@@ -416,6 +425,8 @@ def _int_at_least(low: int):
             raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be at most {high}, got {value}")
         return value
 
     return parse
@@ -478,8 +489,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_test.add_argument("--alternative",
                         choices=("two-sided", "less", "greater"),
                         default="two-sided")
-    p_test.add_argument("--n-boot", type=_int_at_least(1), default=2000)
-    p_test.add_argument("--seed", type=_int_at_least(0), default=1234)
+    p_test.add_argument("--n-boot", type=_int_in(1, MAX_N_BOOT), default=2000,
+                        help=f"bootstrap replicates, at most {MAX_N_BOOT}")
+    p_test.add_argument("--seed", type=_int_in(0), default=1234)
     p_test.set_defaults(func=cmd_test_inclusion)
 
     return parser
@@ -510,6 +522,8 @@ def main(argv=None) -> int:
         "results": results,
         "timestamp": timestamp,
     }
+    if isinstance(sys.stdout, io.TextIOWrapper):
+        sys.stdout.reconfigure(encoding="utf-8", errors="surrogateescape")
     try:
         _write(report, args.format)
         sys.stdout.flush()

@@ -16,12 +16,11 @@ must account for the correlation. Two methods:
 * bootstrap_test: stratified resampling. Each replicate redraws P positives
   and N negatives with replacement, keeping scores_1/scores_2 paired within
   each drawn row; z = (auc_1 - auc_2) / sd of the replicate AUC differences.
-  Fully determined by the seed. Replicates are evaluated one block at a
-  time, each held as how often it drew each distinct (scores_1, scores_2)
-  cell of each class, so memory grows with the rows and cells, not with
-  n_boot. The stream draws every positive before any negative; to pair
-  them block by block, the positives are drawn twice (once only to reach
-  the negatives, then replayed from the seed).
+  Fully determined by the seed: each class draws from its own generator,
+  both spawned from the seed, as the two classes are resampled
+  independently. Replicates are evaluated one block at a time, each held
+  as how often it drew each distinct (scores_1, scores_2) cell of each
+  class, so memory grows with the rows and cells, not with n_boot.
 
 Zero-difference convention: when auc_1 equals auc_2 exactly the result is
 z = 0, p = 1, whatever the variance would be; this avoids 0/0 on identical
@@ -130,26 +129,20 @@ def delong_test(
     )
 
 
-def _draws(rng, n: int, rows: int) -> np.ndarray:
-    """rows replicates of n row indices drawn with replacement.
-
-    For n below 2**31, dtype int32 draws the same numbers as the default
-    int64 in half the memory.
-    """
-    return rng.integers(0, n, size=(rows, n), dtype=np.int32)
-
-
 def _cell_counts(
     rng, cell_of_row: np.ndarray, n_cells: int, rows: int
 ) -> np.ndarray:
     """(rows, n_cells) counts of how often each of `rows` replicates drew
     each cell, from one block of draws over this class's rows.
 
-    Consecutive blocks leave the random stream exactly as one draw for all
-    replicates would. The counts are float64, which holds them exactly
-    and which _on_levels' weighted bincount takes without a cast.
+    For fewer than 2**31 rows, dtype int32 draws the same numbers as the
+    default int64 in half the memory, and consecutive blocks leave the
+    random stream exactly as one draw for all replicates would. The counts
+    are float64, which holds them exactly and which _on_levels' weighted
+    bincount takes without a cast.
     """
-    cells = cell_of_row[_draws(rng, cell_of_row.size, rows)]
+    n = cell_of_row.size
+    cells = cell_of_row[rng.integers(0, n, size=(rows, n), dtype=np.int32)]
     cells += n_cells * np.arange(rows)[:, None]
     return np.bincount(
         cells.ravel(), minlength=rows * n_cells
@@ -171,6 +164,8 @@ def _bootstrap_sd(s1: np.ndarray, s2: np.ndarray, d: np.ndarray,
                   n_boot: int, seed: int) -> float:
     """Sd of the replicate AUC differences, from per-cell draw counts.
 
+    The positives and the negatives each draw from their own generator,
+    spawned from seed, so both classes are drawn one block at a time.
     Every count and every 2U sum is an integer below 2**53, so the float
     arithmetic on them is exact and each replicate AUC is rounded once.
     """
@@ -179,29 +174,19 @@ def _bootstrap_sd(s1: np.ndarray, s2: np.ndarray, d: np.ndarray,
     n_1, n_2 = levels_1.size, levels_2.size
     n_pos, n_neg = int(d.sum()), int((~d).sum())
     classes, draws = [], []
-    for rows in (d, ~d):
+    for rows, seq in zip((d, ~d), np.random.SeedSequence(seed).spawn(2)):
         cells, cell_of_row = _levels(level_1[rows] * n_2 + level_2[rows])
         classes.append((cells // n_2, cells % n_2))
-        draws.append((cell_of_row, cells.size))
+        draws.append((np.random.default_rng(seq), cell_of_row, cells.size))
     (pos_1, pos_2), (neg_1, neg_2) = classes
-    blocks = [
-        (slice(start, start + _BLOCK), min(_BLOCK, n_boot - start))
-        for start in range(0, n_boot, _BLOCK)
-    ]
-    # every positive comes before any negative in the stream: draw the
-    # positives once only to move rng on to the negatives, then replay them
-    # from the seed in step with the negatives, one block at a time
-    rng = np.random.default_rng(seed)
-    for _, rows in blocks:
-        _draws(rng, n_pos, rows)
-    gens = (np.random.default_rng(seed), rng)
 
     twice_pn = 2 * n_pos * n_neg
     diffs = np.empty(n_boot)
-    for block, rows in blocks:
+    for start in range(0, n_boot, _BLOCK):
+        rows = min(_BLOCK, n_boot - start)
         pos_counts, neg_counts = [
-            _cell_counts(gen, cell_of_row, n_cells, rows)
-            for gen, (cell_of_row, n_cells) in zip(gens, draws)
+            _cell_counts(rng, cell_of_row, n_cells, rows)
+            for rng, cell_of_row, n_cells in draws
         ]
         aucs = [
             _twice_u(
@@ -212,7 +197,7 @@ def _bootstrap_sd(s1: np.ndarray, s2: np.ndarray, d: np.ndarray,
                 (pos_1, neg_1, n_1), (pos_2, neg_2, n_2)
             )
         ]
-        diffs[block] = aucs[0] - aucs[1]
+        diffs[start:start + rows] = aucs[0] - aucs[1]
 
     sd = float(diffs.std(ddof=1)) if n_boot > 1 else 0.0
     if not np.isfinite(sd) or sd <= 0.0:

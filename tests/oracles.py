@@ -104,12 +104,13 @@ def best_subset_auc(attrs, decision, auc_fn=auc_pairs):
 def bootstrap_z_matrices(scores_1, scores_2, decision, n_boot, seed):
     """z of the stratified bootstrap with every replicate materialised.
 
-    The straightforward implementation: draw all positive then all negative
-    row indices with one rng.integers call per class, build the two
-    (n_boot, m) resampled score matrices, and take each replicate's AUC
-    from row-wise midranks. Uses the same random stream as
-    scalereduce.bootstrap_test, so the two agree exactly. Returns None when
-    the replicate differences have no spread.
+    The straightforward implementation: draw all positive and all negative
+    row indices with one rng.integers call per class, each class from its
+    own generator spawned from the seed, build the two (n_boot, m)
+    resampled score matrices, and take each replicate's AUC from row-wise
+    midranks. Uses the same random streams as scalereduce.bootstrap_test,
+    so the two agree exactly. Returns None when the replicate differences
+    have no spread.
     """
     from scipy.stats import rankdata
 
@@ -119,9 +120,11 @@ def bootstrap_z_matrices(scores_1, scores_2, decision, n_boot, seed):
     pos = np.nonzero(d)[0]
     neg = np.nonzero(~d)[0]
     n_pos, n_neg = pos.size, neg.size
-    rng = np.random.default_rng(seed)
-    pos_draw = rng.integers(0, n_pos, size=(n_boot, n_pos))
-    neg_draw = rng.integers(0, n_neg, size=(n_boot, n_neg))
+    pos_rng, neg_rng = (
+        np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2)
+    )
+    pos_draw = pos_rng.integers(0, n_pos, size=(n_boot, n_pos))
+    neg_draw = neg_rng.integers(0, n_neg, size=(n_boot, n_neg))
 
     def auc_by_row(s):
         rep = np.concatenate((s[pos][pos_draw], s[neg][neg_draw]), axis=1)

@@ -402,7 +402,8 @@ class TestTestInclusion:
         _, second, _ = run(capsys, argv)
         assert first == second
 
-    @pytest.mark.parametrize("n_boot", ["0", "-3", "many"])
+    @pytest.mark.parametrize("n_boot", ["0", "-3", "many",
+                                        str(cli.MAX_N_BOOT + 1)])
     def test_bad_n_boot_is_usage_error(self, capsys, demo_csv, n_boot):
         with pytest.raises(SystemExit) as exc:
             main(["test-inclusion", demo_csv, "--decision", "d",
@@ -590,6 +591,24 @@ def test_reader_closing_stdout_mid_report_exits_0(tmp_path):
     assert err == b"", err
 
 
+@pytest.mark.parametrize("encoding", ["ascii", "latin-1", "utf-8"])
+def test_reports_are_utf8_whatever_the_stdout_encoding(encoding, monkeypatch,
+                                                       tmp_path):
+    # a label the stdout encoding may not hold, and a plot directory named
+    # in bytes that are not UTF-8, which is written back as those bytes
+    path = write_csv(tmp_path / "e.csv", ["é1", "q1", "d"],
+                     [[1, 2, 1], [0, 1, 0], [2, 2, 1], [1, 0, 0]])
+    out = os.fsdecode(os.fsencode(tmp_path) + b"/pl\xff")
+    stdout = io.TextIOWrapper(io.BytesIO(), encoding=encoding)
+    monkeypatch.setattr(sys, "stdout", stdout)
+    code = main(["reduce", path, "--decision", "d", "--plot", "--out", out])
+    stdout.flush()
+    text = stdout.buffer.getvalue()
+    assert code == 0
+    assert "\né1 ".encode() in text
+    assert b"/pl\xff/running_auc.svg\n" in text
+
+
 @st.composite
 def csv_bytes(draw):
     """Arbitrary bytes, or fuzzed CSV text with a few arbitrary bytes
@@ -633,10 +652,14 @@ def cli_calls(draw):
         argv.append("--auto-orient")
     if command == "test-inclusion":
         junk = st.one_of(st.integers(-3, 0).map(str), user_text)
+        # a count above the maximum is only ever rejected, never run
+        too_many = st.integers(cli.MAX_N_BOOT + 1, 10**30).map(str)
+        seeds = st.one_of(st.integers(0, 50), st.integers(2**63 - 2, 2**64 + 2))
         argv += [
             "--method", draw(st.sampled_from(["delong", "bootstrap", "both"])),
-            "--n-boot=" + draw(usually(st.integers(1, 50).map(str), junk)),
-            "--seed=" + draw(usually(st.integers(0, 50).map(str), junk)),
+            "--n-boot=" + draw(usually(st.integers(1, 50).map(str),
+                                       st.one_of(junk, too_many))),
+            "--seed=" + draw(usually(seeds.map(str), junk)),
         ]
     epoch = draw(st.one_of(
         st.none(), usually(st.integers(-10**12, 10**12).map(str))))
@@ -659,15 +682,27 @@ OVERFLOW_CSV = ("a,b,d\n" + "".join(
 
 
 @settings(max_examples=900, deadline=None, derandomize=True)
-@given(cli_calls(), st.one_of(demo_bytes, csv_bytes()))
-@example((["reduce", "--decision", "d", "--format", "json"], None), OVERFLOW_CSV)
+@given(cli_calls(), st.one_of(demo_bytes, csv_bytes()),
+       st.sampled_from(["utf-8", "ascii", "latin-1"]))
+@example((["reduce", "--decision", "d", "--format", "json"], None), OVERFLOW_CSV,
+         "utf-8")
 @example((["test-inclusion", "--decision", "d", "--format", "json",
-           "--method", "both", "--n-boot=20", "--seed=0"], None), OVERFLOW_CSV)
+           "--method", "both", "--n-boot=20", "--seed=0"], None), OVERFLOW_CSV,
+         "utf-8")
 @example((["audit", "--decision", "d", "--format", "json"], None),
-         b"q0,q1,d\n1,2,0\n1,2,1\n1,2,0\n1,2,1\n3,0,1\n3,0,0\n2,2,0\n")
-def test_any_input_bytes_keep_the_exit_code_contract(call, data):
+         b"q0,q1,d\n1,2,0\n1,2,1\n1,2,0\n1,2,1\n3,0,1\n3,0,0\n2,2,0\n",
+         "utf-8")
+# a label that an ascii stdout cannot encode
+@example((["rank", "--decision", "d", "--format", "table"], None),
+         "\u00e91,q1,d\n1,2,1\n0,1,0\n2,2,1\n1,0,0\n".encode(), "ascii")
+# a replicate count whose differences alone would not fit in memory
+@example((["test-inclusion", "--decision", "d", "--format", "json",
+           "--method", "bootstrap", "--n-boot=100000000000", "--seed=0"], None),
+         "q0,q1,d\n1,2,1\n0,1,0\n2,2,1\n1,0,0\n".encode(), "utf-8")
+def test_any_input_bytes_keep_the_exit_code_contract(call, data, encoding):
     argv, epoch = call
-    stdout = io.StringIO()
+    # a real text stdout in the drawn encoding, as PYTHONIOENCODING sets it
+    stdout = io.TextIOWrapper(io.BytesIO(), encoding=encoding)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "fuzz.csv")
         with open(path, "wb") as fh:
@@ -686,9 +721,10 @@ def test_any_input_bytes_keep_the_exit_code_contract(call, data):
                 assert exc.code == 2
                 code = 2
     assert code in (0, 2, 3)
+    stdout.flush()
+    out = stdout.buffer.getvalue().decode("utf-8")  # every report is UTF-8
     if code == 0 and argv[argv.index("--format") + 1] == "json":
         # every report, gray pairs included, in the layout of the stdlib
-        out = stdout.getvalue()
         assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
 
