@@ -39,12 +39,16 @@ def test_cli_output_matches_golden(case, capsys, monkeypatch, tmp_path):
 
 
 def test_golden_cases_cover_the_interface():
-    """Every command and format, a gray pair, a row in two gray pairs, a
-    pair led by a negative row, the below-0.5 advisory, flipped items and
-    a byte-order-marked input all appear in the recorded outputs."""
+    """Every command and format, each test-inclusion method alone and
+    both, a gray pair, a row in two gray pairs, a pair led by a negative
+    row, the below-0.5 advisory, flipped items and a byte-order-marked
+    input all appear in the recorded outputs."""
     argvs = [c["argv"] for c in CASES.values()]
     assert {a[0] for a in argvs} == {"audit", "rank", "reduce", "test-inclusion"}
     assert {a[a.index("--format") + 1] for a in argvs} == {"json", "csv", "table"}
+    assert {a[a.index("--method") + 1] if "--method" in a else "both"
+            for a in argvs if a[0] == "test-inclusion"} == {
+        "delong", "bootstrap", "both"}
     outs = "".join(p.read_text(encoding="utf-8") for p in GOLDEN.glob("*.out"))
     assert "  rows " in outs
     assert "flipped items: " in outs

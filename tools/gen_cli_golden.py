@@ -61,7 +61,12 @@ FLAGS = {
         "-auto-orient": ["--auto-orient"],
         "-plot": ["--plot", "--out", "plots"],
     },
-    "test-inclusion": {"": BOOT, "-auto-orient": BOOT + ["--auto-orient"]},
+    "test-inclusion": {
+        "": BOOT,
+        "-auto-orient": BOOT + ["--auto-orient"],
+        "-delong": ["--method", "delong"],
+        "-bootstrap": BOOT + ["--method", "bootstrap"],
+    },
 }
 # input file -> (decision column, the commands run on it, the formats)
 INPUTS = {
