@@ -31,14 +31,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .compare import _inclusion_scores, _inclusion_test
+from .compare import ALTERNATIVES, _inclusion_scores, bootstrap_test, delong_test
 from .dataset import Dataset, load_csv, select_columns
-from .errors import (
-    DuplicateColumn,
-    LoadError,
-    ScaleReduceError,
-    UnknownColumn,
-)
+from .errors import LoadError, ScaleReduceError, UnknownColumn
 from .hygiene import GrayGroups, _screen
 from .reduction import _ranking, reduce_ranking, reduction_ratio, start_auc
 from .roc import auc, roc_curve, sum_scores
@@ -167,11 +162,16 @@ def cmd_rank(args) -> tuple[Dataset, dict]:
     }
 
 
-def cmd_reduce(args) -> tuple[Dataset, dict]:
+def _reduced(args):
+    """The oriented dataset, its flipped items, ranking and reduced scale."""
     ds = _load(args)
     ds, flipped, singles = _orient(ds, args.auto_orient)
     ranking = _ranking(ds, singles)
-    scale = reduce_ranking(ranking)
+    return ds, flipped, ranking, reduce_ranking(ranking)
+
+
+def cmd_reduce(args) -> tuple[Dataset, dict]:
+    ds, flipped, ranking, scale = _reduced(args)
     kept = set(scale.items)
 
     plots: list[str] = []
@@ -218,19 +218,14 @@ def cmd_reduce(args) -> tuple[Dataset, dict]:
 
 
 def cmd_test_inclusion(args) -> tuple[Dataset, dict]:
-    ds = _load(args)
-    ds, flipped, singles = _orient(ds, args.auto_orient)
-    ranking = _ranking(ds, singles)
-    scale = reduce_ranking(ranking)
+    ds, flipped, ranking, scale = _reduced(args)
     scores_1, scores_2 = _inclusion_scores(ds, ranking)
-    methods = ["delong", "bootstrap"] if args.method == "both" else [args.method]
-    tests = [
-        _inclusion_test(
-            scores_1, scores_2, ds.decision, m,
-            args.alternative, args.n_boot, args.seed,
-        )
-        for m in methods
-    ]
+    tests = []
+    if args.method in ("delong", "both"):
+        tests.append(delong_test(scores_1, scores_2, ds.decision, args.alternative))
+    if args.method in ("bootstrap", "both"):
+        tests.append(bootstrap_test(scores_1, scores_2, ds.decision, args.alternative,
+                                    n_boot=args.n_boot, seed=args.seed))
     return ds, {
         "reduced_items": list(scale.items),
         "next_item": ranking.order[len(scale.items)],
@@ -444,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
                         version=f"{TOOL} {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, formats=("table", "json", "csv")):
+    def common(p: argparse.ArgumentParser):
         p.add_argument("input", help="CSV file with a header row")
         p.add_argument("--decision", required=True,
                        help="label of the binary decision column")
@@ -453,7 +448,13 @@ def build_parser() -> argparse.ArgumentParser:
                             "(default: the larger of the two values)")
         p.add_argument("--exclude", default="",
                        help="comma-separated attribute labels to drop")
-        p.add_argument("--format", choices=formats, default="table")
+        p.add_argument("--format", choices=("table", "json", "csv"), default="table")
+
+    def ranked(p: argparse.ArgumentParser):
+        """common() and --auto-orient, for the commands that rank items."""
+        common(p)
+        p.add_argument("--auto-orient", action="store_true",
+                       help="flip items with AUC < 0.5 before ranking")
 
     p_audit = sub.add_parser(
         "audit", help="report duplicate examples and gray example pairs")
@@ -461,17 +462,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_audit.set_defaults(func=cmd_audit)
 
     p_rank = sub.add_parser("rank", help="per-item AUC, largest first")
-    common(p_rank)
-    p_rank.add_argument("--auto-orient", action="store_true",
-                        help="flip items with AUC < 0.5 before ranking")
+    ranked(p_rank)
     p_rank.set_defaults(func=cmd_rank)
 
     p_reduce = sub.add_parser(
         "reduce", help="rank items, build running totals, truncate at the "
                        "first maximum")
-    common(p_reduce)
-    p_reduce.add_argument("--auto-orient", action="store_true",
-                          help="flip items with AUC < 0.5 before ranking")
+    ranked(p_reduce)
     p_reduce.add_argument("--plot", action="store_true",
                           help="write SVG charts and point CSVs")
     p_reduce.add_argument("--out", default=".",
@@ -481,13 +478,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_test = sub.add_parser(
         "test-inclusion",
         help="test whether the next ranked item should join the reduced scale")
-    common(p_test)
-    p_test.add_argument("--auto-orient", action="store_true",
-                        help="flip items with AUC < 0.5 before ranking")
+    ranked(p_test)
     p_test.add_argument("--method", choices=("delong", "bootstrap", "both"),
                         default="both")
-    p_test.add_argument("--alternative",
-                        choices=("two-sided", "less", "greater"),
+    p_test.add_argument("--alternative", choices=ALTERNATIVES,
                         default="two-sided")
     p_test.add_argument("--n-boot", type=_int_in(1, MAX_N_BOOT), default=2000,
                         help=f"bootstrap replicates, at most {MAX_N_BOOT}")
@@ -502,7 +496,7 @@ def main(argv=None) -> int:
     try:
         timestamp = _timestamp()  # rejects a bad SOURCE_DATE_EPOCH before any work
         ds, results = args.func(args)
-    except (LoadError, UnknownColumn, DuplicateColumn) as exc:
+    except LoadError as exc:
         print(f"{TOOL}: input error: {exc}", file=sys.stderr)
         return 2
     except ScaleReduceError as exc:

@@ -25,6 +25,10 @@ must account for the correlation. Two methods:
 Zero-difference convention: when auc_1 equals auc_2 exactly the result is
 z = 0, p = 1, whatever the variance would be; this avoids 0/0 on identical
 curves.
+
+Arguments are checked once, before any work: a bad method, alternative,
+n_boot or seed raises ValueError before any item is ranked, any AUC
+computed or any replicate drawn.
 """
 
 from __future__ import annotations
@@ -66,12 +70,25 @@ class PairedRocTest:
     seed: int | None = None
 
 
-def _p_value(z: float, alternative: str) -> float:
-    """Normal-tail p-value of z; z == 0 (equal AUCs) gives p = 1."""
+def _check(method, alternative, n_boot=None, seed=None) -> None:
+    """Raise ValueError for a bad argument; n_boot and seed are bootstrap's."""
+    if method not in ("delong", "bootstrap"):
+        raise ValueError(f"method must be 'delong' or 'bootstrap', got {method!r}")
     if alternative not in ALTERNATIVES:
         raise ValueError(
             f"alternative must be one of {ALTERNATIVES}, got {alternative!r}"
         )
+    if method == "bootstrap":
+        if n_boot < 1:
+            raise ValueError(f"n_boot must be >= 1, got {n_boot}")
+        if seed is None:
+            raise ValueError("bootstrap_test requires an explicit seed")
+        if seed < 0:
+            raise ValueError(f"seed must be >= 0, got {seed}")
+
+
+def _p_value(z: float, alternative: str) -> float:
+    """Normal-tail p-value of z; z == 0 (equal AUCs) gives p = 1."""
     if z == 0.0:
         return 1.0
     if alternative == "two-sided":
@@ -82,8 +99,9 @@ def _p_value(z: float, alternative: str) -> float:
 
 def _paired_test(method, scores_1, scores_2, decision, alternative, sd_of_diff,
                  **params) -> PairedRocTest:
-    """Split, shape check, both AUCs and the zero-difference shortcut shared
-    by both tests; sd_of_diff(s1, s2, d) is called only for unequal AUCs."""
+    """Checks, split, both AUCs and the zero-difference shortcut shared by
+    both tests; sd_of_diff(s1, s2, d) is called only for unequal AUCs."""
+    _check(method, alternative, **params)
     s1, d = _split(scores_1, decision)
     s2, _ = _split(scores_2, decision)
     if s1.shape != s2.shape:
@@ -216,10 +234,6 @@ def bootstrap_test(
     seed: int | None = None,
 ) -> PairedRocTest:
     """Stratified-bootstrap test for a difference of two correlated AUCs."""
-    if n_boot < 1:
-        raise ValueError(f"n_boot must be >= 1, got {n_boot}")
-    if seed is None:
-        raise ValueError("bootstrap_test requires an explicit seed")
     return _paired_test(
         "bootstrap", scores_1, scores_2, decision, alternative,
         lambda s1, s2, d: _bootstrap_sd(s1, s2, d, n_boot, seed),
@@ -244,19 +258,6 @@ def _inclusion_scores(
     return sum_scores(ds, scale.items), sum_scores(ds, ranking.order[:kept + 1])
 
 
-def _inclusion_test(
-    scores_1, scores_2, decision, method: str, alternative: str,
-    n_boot: int, seed: int | None,
-) -> PairedRocTest:
-    if method == "delong":
-        return delong_test(scores_1, scores_2, decision, alternative)
-    if method == "bootstrap":
-        return bootstrap_test(
-            scores_1, scores_2, decision, alternative, n_boot=n_boot, seed=seed
-        )
-    raise ValueError(f"method must be 'delong' or 'bootstrap', got {method!r}")
-
-
 def check_attr_for_inclusion(
     ds: Dataset,
     method: str = "delong",
@@ -271,7 +272,10 @@ def check_attr_for_inclusion(
     chosen method. The next item is exactly the one whose addition first
     failed to improve the running AUC.
     """
+    _check(method, alternative, n_boot, seed)
     scores_1, scores_2 = _inclusion_scores(ds, total_auc(ds))
-    return _inclusion_test(
-        scores_1, scores_2, ds.decision, method, alternative, n_boot, seed
+    if method == "delong":
+        return delong_test(scores_1, scores_2, ds.decision, alternative)
+    return bootstrap_test(
+        scores_1, scores_2, ds.decision, alternative, n_boot=n_boot, seed=seed
     )

@@ -1,8 +1,11 @@
 """Exception hierarchy for scalereduce.
 
-Input/parsing problems derive from LoadError (CLI exit code 2); everything
+Input/parsing problems derive from LoadError (CLI exit code 2), a column
+selection that names an unknown or repeated column included; everything
 that goes wrong during analysis of a well-formed dataset derives directly
-from ScaleReduceError (CLI exit code 3).
+from ScaleReduceError (CLI exit code 3). Invalid arguments to a library
+call (a bad method, alternative, n_boot or seed, or NaN scores) raise the
+built-in ValueError.
 """
 
 
@@ -31,11 +34,11 @@ class SingleClass(ScaleReduceError):
     """All examples fall into one class; AUC is undefined."""
 
 
-class UnknownColumn(ScaleReduceError):
+class UnknownColumn(LoadError):
     """A column selection entry does not resolve to an existing column."""
 
 
-class DuplicateColumn(ScaleReduceError):
+class DuplicateColumn(LoadError):
     """A column appears more than once where uniqueness is required."""
 
 

@@ -10,7 +10,8 @@ random negative, with ties counted half. AUC and placements are both read
 off per-class counts over the sorted distinct score levels (the ordinal
 form of Hanley & McNeil, 1982), so they agree with the O(P*N) pair
 enumeration exactly, not just to rounding: the numerator is an integer
-count of half-pairs and the quotient is rounded once.
+count of half-pairs and the quotient is rounded once. NaN scores, which
+psi cannot order, raise ValueError.
 
 Everything here is a pure function of immutable inputs; concurrent calls
 are safe.
@@ -112,6 +113,17 @@ def _level_counts(
     return levels, pos, neg, index
 
 
+def _class_counts(scores, decision):
+    """The split decision and _level_counts of the split scores. NaN scores
+    raise ValueError: np.unique sorts NaN last, and s.min() keeps NaN off
+    _levels' counting path, so a NaN level can only be the last one."""
+    s, d = _split(scores, decision)
+    levels, pos, neg, index = _level_counts(s, d)
+    if np.isnan(levels[-1]):
+        raise ValueError("scores must not be NaN")
+    return d, levels, pos, neg, index
+
+
 def _twice_u(pos, neg):
     """Twice the Mann-Whitney count, sum of pos * (2*neg_below + neg), over
     the last axis of per-level class counts."""
@@ -128,8 +140,7 @@ def auc(scores, decision) -> float:
 
         auc = sum(pos * (2*neg_below + neg)) / (2*P*N)
     """
-    s, d = _split(scores, decision)
-    _, pos, neg, _ = _level_counts(s, d)
+    _, _, pos, neg, _ = _class_counts(scores, decision)
     return _area(pos, neg)
 
 
@@ -146,8 +157,7 @@ def roc_curve(scores, decision) -> RocCurve:
     same counts as auc(), not by summing trapezoids, so the two agree
     exactly.
     """
-    s, d = _split(scores, decision)
-    levels, pos, neg, _ = _level_counts(s, d)
+    _, levels, pos, neg, _ = _class_counts(scores, decision)
     n_pos = int(pos.sum())
     n_neg = int(neg.sum())
     # descending thresholds: one point per distinct level, highest first
@@ -169,8 +179,7 @@ def placements(scores, decision) -> PlacementValues:
     v01 = 1 - (pos_below + pos/2) / P. Entries are in row order of the
     input within each class.
     """
-    s, d = _split(scores, decision)
-    _, pos, neg, index = _level_counts(s, d)
+    d, _, pos, neg, index = _class_counts(scores, decision)
     below_pos = np.cumsum(pos) - pos
     below_neg = np.cumsum(neg) - neg
     v10 = (below_neg + 0.5 * neg)[index[d]] / int(neg.sum())

@@ -15,6 +15,7 @@ from scalereduce import (
     total_auc,
     rsr,
 )
+from scalereduce import compare
 from scalereduce.compare import _BLOCK, _bootstrap_sd
 from scalereduce.errors import DegenerateVariance, NoNextAttribute
 
@@ -30,6 +31,16 @@ HAND_DECISION = [1, 1, 1, 0, 0, 0]
 HAND_SCORES_1 = [3, 2, 1, 2, 1, 0]
 HAND_SCORES_2 = [2, 0, 1, 1, 0, 1]
 HAND_Z = math.sqrt(30) / 10
+
+
+@pytest.fixture
+def no_work(monkeypatch):
+    """Fail the test on any AUC, variance or ranking the tests compute."""
+    def fail(*args, **kwargs):
+        raise AssertionError("work done before the arguments were checked")
+
+    for name in ("auc", "total_auc", "_delong_sd", "_bootstrap_sd"):
+        monkeypatch.setattr(compare, name, fail)
 
 
 def correlated_scores(rng, m=100):
@@ -100,10 +111,14 @@ class TestDelong:
         with pytest.raises(DegenerateVariance):
             delong_test(s1, s2, decision)
 
-    def test_bad_alternative(self):
-        with pytest.raises(ValueError):
+    def test_bad_alternative(self, no_work):
+        # rejected before either AUC or the variance, for both tests
+        with pytest.raises(ValueError, match="alternative"):
             delong_test(HAND_SCORES_1, HAND_SCORES_2, HAND_DECISION,
                         alternative="sideways")
+        with pytest.raises(ValueError, match="alternative"):
+            bootstrap_test(HAND_SCORES_1, HAND_SCORES_2, HAND_DECISION,
+                           alternative="sideways", n_boot=20_000, seed=1)
 
 
 class TestBootstrap:
@@ -137,9 +152,16 @@ class TestBootstrap:
         z_boot = bootstrap_test(s1, s2, decision, n_boot=4000, seed=5).z
         assert abs(z_boot - z_delong) < 0.2
 
-    def test_seed_required(self):
-        with pytest.raises(ValueError):
+    def test_seed_required(self, no_work):
+        # a missing or negative seed, or n_boot < 1, is rejected before
+        # any draw
+        with pytest.raises(ValueError, match="seed"):
             bootstrap_test(HAND_SCORES_1, HAND_SCORES_2, HAND_DECISION)
+        with pytest.raises(ValueError, match="seed"):
+            bootstrap_test(HAND_SCORES_1, HAND_SCORES_2, HAND_DECISION, seed=-1)
+        with pytest.raises(ValueError, match="n_boot"):
+            bootstrap_test(HAND_SCORES_1, HAND_SCORES_2, HAND_DECISION,
+                           n_boot=0, seed=1)
 
     @pytest.mark.parametrize("kind", ["tie-heavy", "all-distinct", "signed-zeros"])
     def test_matches_materialised_replicates_exactly(self, kind):
@@ -304,7 +326,15 @@ class TestCheckAttrForInclusion:
         with pytest.raises(NoNextAttribute):
             check_attr_for_inclusion(ds, method="delong")
 
-    def test_bad_method(self):
+    def test_bad_method(self, no_work):
+        # every bad argument is rejected before the items are ranked
         ds = self._dataset_reducing_to_two_of_three()
-        with pytest.raises(ValueError):
-            check_attr_for_inclusion(ds, method="wilcoxon")
+        for kwargs, message in [
+            ({"method": "wilcoxon"}, "method"),
+            ({"method": "bootstrap"}, "seed"),
+            ({"method": "bootstrap", "seed": -1}, "seed"),
+            ({"method": "bootstrap", "n_boot": 0, "seed": 1}, "n_boot"),
+            ({"alternative": "sideways"}, "alternative"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                check_attr_for_inclusion(ds, **kwargs)

@@ -176,11 +176,13 @@ class TestSelectColumns:
         ds = load_csv(tiny_csv, "d")
         with pytest.raises(UnknownColumn):
             select_columns(ds, ["a", "zzz"])
+        assert issubclass(UnknownColumn, LoadError)  # exit code 2
 
     def test_duplicate_column(self, tiny_csv):
         ds = load_csv(tiny_csv, "d")
         with pytest.raises(DuplicateColumn):
             select_columns(ds, ["a", "a"])
+        assert issubclass(DuplicateColumn, LoadError)  # exit code 2
 
 
 class TestDatasetValidation:

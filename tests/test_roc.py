@@ -5,7 +5,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from scalereduce import auc, load_csv, placements, roc_curve, sum_scores, total_auc
+from scalereduce import (
+    auc,
+    bootstrap_test,
+    delong_test,
+    load_csv,
+    placements,
+    roc_curve,
+    sum_scores,
+    total_auc,
+)
 from scalereduce.errors import ScoreOverflow, SingleClass, UnknownColumn
 from scalereduce.roc import _level_counts
 
@@ -194,6 +203,23 @@ def test_level_counts_equal_np_unique_on_every_path(case):
     assert got_index.tolist() == index.tolist()
     assert pos.tolist() == np.bincount(index[decision], minlength=levels.size).tolist()
     assert neg.tolist() == np.bincount(index[~decision], minlength=levels.size).tolist()
+
+
+@pytest.mark.parametrize("scores", [[np.nan, 1, 0], [np.nan, np.nan, 0],
+                                    [1, 0, np.nan]])
+@pytest.mark.parametrize("call", [
+    auc,
+    roc_curve,
+    placements,
+    lambda s, d: delong_test(s, [2, 1, 0], d),
+    lambda s, d: bootstrap_test([2, 1, 0], s, d, n_boot=10, seed=0),
+], ids=["auc", "roc_curve", "placements", "delong_test", "bootstrap_test"])
+def test_nan_scores_raise(call, scores):
+    # psi cannot order NaN, so pair enumeration counts no pair with it as
+    # won; np.unique sorts NaN last as one level, which would have ranked
+    # it above every number (auc([nan, 1, 0], [1, 0, 0]) was 1.0)
+    with pytest.raises(ValueError, match="NaN"):
+        call(scores, [1, 0, 0])
 
 
 class TestSumScores:
