@@ -1,8 +1,9 @@
 """Every CLI command, format and flag case against its recorded output.
 
 The cases, exit codes and stderr are in tests/data/cli_golden/cases.json
-and each stdout in <case>.out, written by tools/gen_cli_golden.py. Each
-case runs in a directory holding copies of the inputs, under
+and each stdout in <case>.out, written by tools/gen_cli_golden.py, and
+the files a reduce --plot case writes in <input stem>-plot.<file name>.
+Each case runs in a directory holding copies of the inputs, under
 SOURCE_DATE_EPOCH=0, exactly as the generator ran it.
 """
 
@@ -10,6 +11,7 @@ import json
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +24,8 @@ CASES = json.loads((GOLDEN / "cases.json").read_text(encoding="utf-8"))
 INPUTS = ("scale21.csv", "cli_mixed.csv", "cli_gray.csv", "cli_gray_order.csv",
           "cli_mixed_bom.csv")
 GENERATOR = DATA_DIR.parents[1] / "tools" / "gen_cli_golden.py"
+PLOTS = ("running_auc.svg", "running_auc.csv", "roc_reduced.svg",
+         "roc_reduced.csv")
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -36,13 +40,20 @@ def test_cli_output_matches_golden(case, capsys, monkeypatch, tmp_path):
     assert code == expected["exit"]
     assert captured.out.encode("utf-8") == (GOLDEN / f"{case}.out").read_bytes()
     assert captured.err == expected["stderr"]
+    argv = expected["argv"]
+    if "--plot" in argv:
+        prefix = f"{Path(argv[1]).stem}-plot."
+        out = tmp_path / argv[argv.index("--out") + 1]
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == {
+            p.name[len(prefix):]: p.read_bytes() for p in GOLDEN.glob(prefix + "*")}
 
 
 def test_golden_cases_cover_the_interface():
     """Every command and format, each test-inclusion method alone and
     both, a gray pair, a row in two gray pairs, a pair led by a negative
-    row, the below-0.5 advisory, flipped items and a byte-order-marked
-    input all appear in the recorded outputs."""
+    row, the below-0.5 advisory, flipped items, a byte-order-marked input
+    and the four plot files of each plotted input all appear in the
+    recorded outputs."""
     argvs = [c["argv"] for c in CASES.values()]
     assert {a[0] for a in argvs} == {"audit", "rank", "reduce", "test-inclusion"}
     assert {a[a.index("--format") + 1] for a in argvs} == {"json", "csv", "table"}
@@ -59,6 +70,11 @@ def test_golden_cases_cover_the_interface():
     order = json.loads((GOLDEN / "cli_gray_order-audit-json.out").read_bytes())
     assert any(p["decision_a"] < p["decision_b"]
                for p in order["results"]["gray_pairs"])
+    plotted = {Path(a[1]).stem for a in argvs if "--plot" in a}
+    assert plotted == {"scale21", "cli_mixed"}
+    for stem in plotted:
+        assert {p.name for p in GOLDEN.glob(f"{stem}-plot.*")} == {
+            f"{stem}-plot.{name}" for name in PLOTS}
     # a byte-order mark before the header changes nothing csv prints
     bom = (GOLDEN / "cli_mixed_bom-rank-csv.out").read_bytes()
     assert bom == (GOLDEN / "cli_mixed-rank-csv.out").read_bytes()

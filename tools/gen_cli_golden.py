@@ -12,8 +12,10 @@ tests/data/cli_mixed_bom.csv, cli_mixed.csv behind a UTF-8 byte-order
 mark, as Excel writes it; its one case prints the same csv as the plain
 file's (json would differ, as it holds the input path). Then
 runs every case in cases() through scalereduce.cli.main and writes
-tests/data/cli_golden/: one <case>.out file per case with its stdout, and
-cases.json with each case's argv, exit code and stderr.
+tests/data/cli_golden/: one <case>.out file per case with its stdout,
+cases.json with each case's argv, exit code and stderr, and, once per
+input, the four files that its reduce --plot cases write, each named
+<input stem>-plot.<file name>.
 
 Each case runs under SOURCE_DATE_EPOCH=0 in a fresh temporary directory
 that holds copies of the input files, so the input path and the plot
@@ -151,8 +153,10 @@ def cases() -> dict[str, list[str]]:
     return out
 
 
-def run_case(argv: list[str], data: Path) -> tuple[int, str, str]:
-    """Run one CLI call in a fresh directory holding the input files."""
+def run_case(argv: list[str], data: Path) -> tuple[int, str, str, dict]:
+    """Run one CLI call in a fresh directory holding the input files.
+    Returns its exit code, stdout, stderr and the files it wrote, as
+    {file name: bytes}."""
     cwd = os.getcwd()
     saved = os.environ.get("SOURCE_DATE_EPOCH")
     out, err = io.StringIO(), io.StringIO()
@@ -170,7 +174,9 @@ def run_case(argv: list[str], data: Path) -> tuple[int, str, str]:
                 del os.environ["SOURCE_DATE_EPOCH"]
             else:
                 os.environ["SOURCE_DATE_EPOCH"] = saved
-    return code, out.getvalue(), err.getvalue()
+        files = {p.name: p.read_bytes() for p in Path(tmp).rglob("*")
+                 if p.is_file() and p.name not in INPUTS}
+    return code, out.getvalue(), err.getvalue(), files
 
 
 def in_stdlib_layout(out: str) -> bool:
@@ -188,7 +194,7 @@ def generate(data: Path) -> int:
     layout of json.dumps(report, indent=2)."""
     write_fixtures(data)
     runs = {case: (argv, *run_case(argv, data)) for case, argv in cases().items()}
-    for case, (argv, _, out, _) in runs.items():
+    for case, (argv, _, out, _, _) in runs.items():
         if argv[-1] == "json" and not in_stdlib_layout(out):
             sys.exit(f"{case}: stdout is not json.dumps(report, indent=2)")
     golden = data / "cli_golden"
@@ -196,8 +202,10 @@ def generate(data: Path) -> int:
         shutil.rmtree(golden)
     golden.mkdir()
     manifest = {}
-    for case, (argv, code, out, err) in runs.items():
+    for case, (argv, code, out, err, files) in runs.items():
         (golden / f"{case}.out").write_bytes(out.encode("utf-8"))
+        for name, content in files.items():
+            (golden / f"{Path(argv[1]).stem}-plot.{name}").write_bytes(content)
         manifest[case] = {"argv": argv, "exit": code, "stderr": err}
     (golden / "cases.json").write_text(
         json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
