@@ -23,7 +23,7 @@ import os
 import sys
 import time
 from collections.abc import Iterator
-from dataclasses import dataclass, replace
+from dataclasses import asdict, replace
 from datetime import datetime, timezone
 from itertools import chain
 from pathlib import Path
@@ -110,37 +110,28 @@ def _orient(ds: Dataset, auto_orient: bool) -> tuple[Dataset, list[str], dict]:
 # --- commands: each computes its results and prints nothing -------------
 
 
-@dataclass(frozen=True)
-class _GrayPairs:
-    """An audit's gray pairs, held as their groups with one values list per
-    group; views list the pairs from the groups a chunk at a time."""
-
-    groups: GrayGroups
-    values: list[list[float]]
-
-    def fields(self, decision_text, values_text) -> Iterator[tuple[int, tuple]]:
-        """Per chunk, its pair count and each pair's row_a, row_b, decision_a,
-        decision_b and values, in one flat tuple. decision_text is called
-        once per decision value and values_text once per group."""
-        g = self.groups
-        decision = np.array([decision_text(v) for v in g.levels.tolist()],
-                            dtype=object)[g.level]
-        values = np.array([values_text(v) for v in self.values],
-                          dtype=object)[g.group]
-        for a, b, run_a, run_b in g.pair_chunks():
-            fields = np.empty((a.size, 5), dtype=object)
-            fields[:, 0], fields[:, 1] = a, b
-            fields[:, 2], fields[:, 3] = decision[run_a], decision[run_b]
-            fields[:, 4] = values[run_a]
-            yield a.size, tuple(fields.ravel().tolist())
+def _pair_fields(groups: GrayGroups, decision_text,
+                 values_text) -> Iterator[tuple[int, tuple]]:
+    """Per chunk of an audit's gray pairs, its pair count and each pair's
+    row_a, row_b, decision_a, decision_b and values, in one flat tuple.
+    decision_text is called once per decision value and values_text once
+    per group, on its values list."""
+    decision = np.array([decision_text(v) for v in groups.levels.tolist()],
+                        dtype=object)[groups.level]
+    values = np.array([values_text(v) for v in groups.values.tolist()],
+                      dtype=object)[groups.group]
+    for a, b, run_a, run_b in groups.pair_chunks():
+        fields = np.empty((a.size, 5), dtype=object)
+        fields[:, 0], fields[:, 1] = a, b
+        fields[:, 2], fields[:, 3] = decision[run_a], decision[run_b]
+        fields[:, 4] = values[run_a]
+        yield a.size, tuple(fields.ravel().tolist())
 
 
 def cmd_audit(args) -> tuple[Dataset, dict]:
     ds = _load(args)
     raw_decision = np.where(ds.decision, ds.positive_value, ds.negative_value)
     dup, groups = _screen(ds.attributes, raw_decision)
-    # + 0.0 prints a -0 cell as 0.0, as the grouping compares it
-    values = (ds.attributes[groups.first_rows] + 0.0).tolist()
     return ds, {
         "duplicates": {
             "total": dup.total_examples,
@@ -148,7 +139,7 @@ def cmd_audit(args) -> tuple[Dataset, dict]:
             "duplicates": dup.duplicate_examples,
         },
         "gray_pair_count": groups.pair_count,
-        "gray_pairs": _GrayPairs(groups, values),
+        "gray_pairs": groups,
     }
 
 
@@ -230,19 +221,7 @@ def cmd_test_inclusion(args) -> tuple[Dataset, dict]:
         "reduced_items": list(scale.items),
         "next_item": ranking.order[len(scale.items)],
         "flipped_items": flipped,
-        "tests": [
-            {
-                "method": t.method,
-                "z": t.z,
-                "p_value": t.p_value,
-                "auc_1": t.auc_1,
-                "auc_2": t.auc_2,
-                "alternative": t.alternative,
-                "n_boot": t.n_boot,
-                "seed": t.seed,
-            }
-            for t in tests
-        ],
+        "tests": [asdict(t) for t in tests],
     }
 
 
@@ -264,8 +243,8 @@ def _table_audit(report: dict) -> Iterator[str]:
     yield (f"examples: total {dup['total']}, distinct {dup['distinct']}, "
            f"duplicates {dup['duplicates']}")
     yield f"gray pairs: {r['gray_pair_count']}"
-    for n, fields in r["gray_pairs"].fields(
-            "{:g}".format, lambda v: ",".join(f"{x:g}" for x in v)):
+    for n, fields in _pair_fields(r["gray_pairs"], "{:g}".format,
+                                  lambda v: ",".join(f"{x:g}" for x in v)):
         yield "\n".join(["  rows %d,%d decision %s/%s values %s"] * n) % fields
 
 
@@ -379,8 +358,8 @@ def _json_pieces(report: dict) -> Iterator[str]:
     head, _, tail = text.partition('"gray_pairs": []')
     yield head + '"gray_pairs": ['
     sep = ""
-    for n, fields in pairs.fields(json.dumps, lambda v: _VALUES % json.dumps(
-            v)[1:-1].replace(", ", ",\n          ")):
+    for n, fields in _pair_fields(pairs, json.dumps, lambda v: _VALUES % (
+            json.dumps(v)[1:-1].replace(", ", ",\n          "))):
         yield sep + ",".join([_PAIR] * n) % fields
         sep = ","
     yield ("\n    ]" if sep else "]") + tail + "\n"

@@ -34,6 +34,7 @@ computed or any replicate drawn.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,14 +58,15 @@ class PairedRocTest:
 
     z is signed by auc_1 - auc_2. For alternative "greater" the alternative
     hypothesis is auc_1 > auc_2; "less" the reverse. n_boot and seed are
-    set for bootstrap results only.
+    set for bootstrap results only. The fields are in the order of a test
+    entry in the CLI's report, which is dataclasses.asdict of this record.
     """
 
     method: str
-    auc_1: float
-    auc_2: float
     z: float
     p_value: float
+    auc_1: float
+    auc_2: float
     alternative: str
     n_boot: int | None = None
     seed: int | None = None
@@ -79,10 +81,16 @@ def _check(method, alternative, n_boot=None, seed=None) -> None:
             f"alternative must be one of {ALTERNATIVES}, got {alternative!r}"
         )
     if method == "bootstrap":
-        if n_boot < 1:
-            raise ValueError(f"n_boot must be >= 1, got {n_boot}")
         if seed is None:
             raise ValueError("bootstrap_test requires an explicit seed")
+        for name, value in (("n_boot", n_boot), ("seed", seed)):
+            try:
+                operator.index(value)
+            except TypeError:
+                raise ValueError(
+                    f"{name} must be an integer, got {value!r}") from None
+        if n_boot < 1:
+            raise ValueError(f"n_boot must be >= 1, got {n_boot}")
         if seed < 0:
             raise ValueError(f"seed must be >= 0, got {seed}")
 
@@ -104,8 +112,6 @@ def _paired_test(method, scores_1, scores_2, decision, alternative, sd_of_diff,
     _check(method, alternative, **params)
     s1, d = _split(scores_1, decision)
     s2, _ = _split(scores_2, decision)
-    if s1.shape != s2.shape:
-        raise ValueError("score vectors must have the same length")
     auc_1 = auc(s1, d)
     auc_2 = auc(s2, d)
     z = 0.0 if auc_1 == auc_2 else float((auc_1 - auc_2) / sd_of_diff(s1, s2, d))

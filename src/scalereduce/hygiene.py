@@ -8,8 +8,9 @@ bytes (negative zeros normalized first), which matches an elementwise ==
 scan on finite data.
 
 Gray examples are held as gray groups: the groups of equal rows that hold
-more than one decision value, with each group's rows split by decision.
-A group of g rows can make about g**2 / 4 gray pairs, so pairs are only
+more than one decision value, with each group's rows split by decision,
+each group's attribute row and the number of gray pairs, all set once
+from the one grouping of the rows. A group of g rows can make about g**2 / 4 gray pairs, so pairs are only
 made on demand, expanded from the groups one chunk at a time in
 (row_a, row_b) order; gray_examples concatenates the chunks.
 
@@ -79,7 +80,9 @@ class GrayGroups:
     order, and each run lists its rows in ascending order. rows holds the
     runs one after another, group after group: run i is
     rows[starts[i]:starts[i + 1]], its decision is levels[level[i]] and
-    its group is group[i], numbered from 0.
+    its group is group[i], numbered from 0. values[g] is group g's
+    attribute row, with a -0 cell read as 0, and pair_count is the number
+    of gray pairs in all groups.
     """
 
     levels: np.ndarray
@@ -87,24 +90,8 @@ class GrayGroups:
     starts: np.ndarray
     group: np.ndarray
     level: np.ndarray
-
-    def _group_starts(self) -> np.ndarray:
-        """Where each group starts in rows, then len(rows)."""
-        first_run = np.flatnonzero(np.diff(self.group, prepend=-1))
-        return self.starts[np.append(first_run, self.group.size)]
-
-    @property
-    def first_rows(self) -> np.ndarray:
-        """One row of each group, which holds the group's values."""
-        return self.rows[self._group_starts()[:-1]]
-
-    @property
-    def pair_count(self) -> int:
-        """Summed over the groups: the rows of a group times the rows of it
-        with another decision, halved."""
-        run_size = np.diff(self.starts)
-        group_size = np.diff(self._group_starts())
-        return int(group_size @ group_size - run_size @ run_size) // 2
+    values: np.ndarray
+    pair_count: int
 
     def pair_chunks(self) -> Iterator[tuple[np.ndarray, ...]]:
         """Yield (row_a, row_b, run_a, run_b) for every gray pair, in
@@ -190,9 +177,14 @@ def _screen(attrs, decision=None) -> tuple[DuplicateReport, GrayGroups | None]:
     key = group * levels.size + code[in_gray]
     by_run = np.argsort(key, kind="stable")
     rows, key = order[in_gray][by_run], key[by_run]
-    run = np.flatnonzero(np.diff(key, prepend=-1))
-    group, level = np.divmod(key[run], levels.size)
-    return dup, GrayGroups(levels, rows, np.append(run, rows.size), group, level)
+    run = np.append(np.flatnonzero(np.diff(key, prepend=-1)), rows.size)
+    group, level = np.divmod(key[run[:-1]], levels.size)
+    # a group of g rows pairs each row with the g - r rows outside its
+    # run of r: summed over the rows, g**2 - sum(r**2), each pair twice
+    group_size, run_size = sizes[gray], np.diff(run)
+    pair_count = int(group_size @ group_size - run_size @ run_size) // 2
+    return dup, GrayGroups(levels, rows, run, group, level,
+                           a[order[starts[gray]]], pair_count)
 
 
 def diff_examples(attrs) -> DuplicateReport:

@@ -109,18 +109,18 @@ class _Canvas:
             f'stroke-width="1.5"{dash}/>'
         )
 
-    def markers(self, xs, ys, color: str = "steelblue") -> None:
+    def markers(self, xs, ys) -> None:
         for x, y in zip(xs, ys):
             self.parts.append(
                 f'<circle cx="{_fmt(self.px(x))}" cy="{_fmt(self.py(y))}" '
-                f'r="3" fill="{color}"/>'
+                'r="3" fill="steelblue"/>'
             )
 
-    def hline(self, y: float, color: str = "firebrick") -> None:
+    def hline(self, y: float) -> None:
         cy = _fmt(self.py(y))
         self.parts.append(
             f'<line x1="{MARGIN_L}" y1="{cy}" x2="{WIDTH - MARGIN_R}" '
-            f'y2="{cy}" stroke="{color}" stroke-width="1" '
+            f'y2="{cy}" stroke="firebrick" stroke-width="1" '
             f'stroke-dasharray="4,3"/>'
         )
 
@@ -132,14 +132,14 @@ class _Canvas:
         )
 
 
-def running_auc_chart(running_auc, title: str = "Running total AUC") -> str:
+def running_auc_chart(running_auc) -> str:
     """Line chart of running-total AUC by item count, with a horizontal
     rule marking the maximum reached."""
     ys = [float(v) for v in running_auc]
     xs = [float(k) for k in range(1, len(ys) + 1)]
     lo, hi = min(ys), max(ys)
     pad = max((hi - lo) * 0.1, 0.005)
-    canvas = _Canvas(title, "items in running total", "AUC",
+    canvas = _Canvas("Running total AUC", "items in running total", "AUC",
                      (1.0, float(len(ys))), (lo - pad, hi + pad))
     step = max(1, len(xs) // 10)
     canvas.ticks([float(k) for k in range(1, len(xs) + 1, step)],
@@ -150,9 +150,9 @@ def running_auc_chart(running_auc, title: str = "Running total AUC") -> str:
     return canvas.render()
 
 
-def roc_chart(fpr, tpr, title: str = "ROC curve") -> str:
+def roc_chart(fpr, tpr) -> str:
     """ROC polyline in the unit square with the chance diagonal."""
-    canvas = _Canvas(title, "false positive rate", "true positive rate",
+    canvas = _Canvas("ROC curve", "false positive rate", "true positive rate",
                      (0.0, 1.0), (0.0, 1.0))
     canvas.ticks([0.0, 0.25, 0.5, 0.75, 1.0], [0.0, 0.25, 0.5, 0.75, 1.0])
     canvas.polyline([0.0, 1.0], [0.0, 1.0], color="gray", dashed=True)

@@ -120,6 +120,13 @@ class TestDelong:
             bootstrap_test(HAND_SCORES_1, HAND_SCORES_2, HAND_DECISION,
                            alternative="sideways", n_boot=20_000, seed=1)
 
+    def test_scores_of_unequal_length(self, no_work):
+        # scores_2 one row short is rejected before either AUC
+        with pytest.raises(ValueError, match="length"):
+            delong_test([1, 0, 1], [1, 0], [1, 0, 1])
+        with pytest.raises(ValueError, match="length"):
+            bootstrap_test([1, 0, 1], [1, 0], [1, 0, 1], n_boot=20, seed=1)
+
 
 class TestBootstrap:
     def test_self_comparison(self):
@@ -137,6 +144,9 @@ class TestBootstrap:
         a = bootstrap_test(s1, s2, decision, n_boot=300, seed=99)
         b = bootstrap_test(s1, s2, decision, n_boot=300, seed=99)
         assert a == b
+        # numpy integers are integers
+        assert bootstrap_test(s1, s2, decision, n_boot=np.int64(300),
+                              seed=np.uint32(99)) == a
 
     def test_different_seed_differs(self):
         rng = np.random.default_rng(109)
@@ -153,15 +163,21 @@ class TestBootstrap:
         assert abs(z_boot - z_delong) < 0.2
 
     def test_seed_required(self, no_work):
-        # a missing or negative seed, or n_boot < 1, is rejected before
-        # any draw
+        # a missing, negative or non-integer seed, or an n_boot below 1 or
+        # not an integer, is rejected before either AUC or any draw
         with pytest.raises(ValueError, match="seed"):
             bootstrap_test(HAND_SCORES_1, HAND_SCORES_2, HAND_DECISION)
-        with pytest.raises(ValueError, match="seed"):
-            bootstrap_test(HAND_SCORES_1, HAND_SCORES_2, HAND_DECISION, seed=-1)
-        with pytest.raises(ValueError, match="n_boot"):
-            bootstrap_test(HAND_SCORES_1, HAND_SCORES_2, HAND_DECISION,
-                           n_boot=0, seed=1)
+        for kwargs, message in [
+            ({"seed": -1}, "seed"),
+            ({"seed": 1.5}, "seed"),
+            ({"seed": "3"}, "seed"),
+            ({"n_boot": 0, "seed": 1}, "n_boot"),
+            ({"n_boot": 2.5, "seed": 1}, "n_boot"),
+            ({"n_boot": "5", "seed": 1}, "n_boot"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                bootstrap_test(HAND_SCORES_1, HAND_SCORES_2, HAND_DECISION,
+                               **kwargs)
 
     @pytest.mark.parametrize("kind", ["tie-heavy", "all-distinct", "signed-zeros"])
     def test_matches_materialised_replicates_exactly(self, kind):
@@ -333,7 +349,11 @@ class TestCheckAttrForInclusion:
             ({"method": "wilcoxon"}, "method"),
             ({"method": "bootstrap"}, "seed"),
             ({"method": "bootstrap", "seed": -1}, "seed"),
+            ({"method": "bootstrap", "seed": 1.5}, "seed"),
+            ({"method": "bootstrap", "seed": "3"}, "seed"),
             ({"method": "bootstrap", "n_boot": 0, "seed": 1}, "n_boot"),
+            ({"method": "bootstrap", "n_boot": 2.5, "seed": 1}, "n_boot"),
+            ({"method": "bootstrap", "n_boot": "5", "seed": 1}, "n_boot"),
             ({"alternative": "sideways"}, "alternative"),
         ]:
             with pytest.raises(ValueError, match=message):

@@ -221,10 +221,17 @@ def test_grouping_matches_quadratic_oracles(data):
     assert (report.total_examples, report.distinct_examples,
             report.duplicate_examples) == duplicates_quadratic(attrs)
     pairs = gray_examples(attrs, decision)
+    oracle = gray_pairs_quadratic(attrs, decision)
     assert pairs.dtype == np.intp and pairs.ndim == 2 and pairs.shape[1] == 2
-    assert [tuple(p) for p in pairs.tolist()] == (
-        gray_pairs_quadratic(attrs, decision)
-    )
+    assert [tuple(p) for p in pairs.tolist()] == oracle
+    groups = hygiene._screen(attrs, decision)[1]
+    assert groups.pair_count == len(oracle)
+    group_of = dict(zip(groups.rows.tolist(), np.repeat(
+        groups.group, np.diff(groups.starts)).tolist()))
+    for a, _ in oracle:
+        values = groups.values[group_of[a]]
+        assert (values == attrs[a]).all()
+        assert not np.signbit(values[values == 0]).any()
     for n in range(attrs.shape[0]):
         assert gray_examples_for(attrs, decision, n) == (
             clones_of_quadratic(attrs, n)
