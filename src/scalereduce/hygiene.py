@@ -10,9 +10,10 @@ scan on finite data.
 Gray examples are held as gray groups: the groups of equal rows that hold
 more than one decision value, with each group's rows split by decision,
 each group's attribute row and the number of gray pairs, all set once
-from the one grouping of the rows. A group of g rows can make about g**2 / 4 gray pairs, so pairs are only
-made on demand, expanded from the groups one chunk at a time in
-(row_a, row_b) order; gray_examples concatenates the chunks.
+from the one grouping of the rows. A group of g rows can make about
+g**2 / 4 gray pairs, so pairs are only made on demand, expanded from the
+groups one chunk at a time in (row_a, row_b) order; gray_examples
+concatenates the chunks.
 
 These functions only report; nothing is removed. Whether to screen raw or
 deduplicated rows is the caller's choice: both take plain matrices, so

@@ -44,8 +44,9 @@ def test_cli_output_matches_golden(case, capsys, monkeypatch, tmp_path):
     if "--plot" in argv:
         prefix = f"{Path(argv[1]).stem}-plot."
         out = tmp_path / argv[argv.index("--out") + 1]
-        assert {p.name: p.read_bytes() for p in out.iterdir()} == {
-            p.name[len(prefix):]: p.read_bytes() for p in GOLDEN.glob(prefix + "*")}
+        recorded = {p.name[len(prefix):]: p.read_bytes()
+                    for p in GOLDEN.glob(prefix + "*")}
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == recorded
 
 
 def test_golden_cases_cover_the_interface():
