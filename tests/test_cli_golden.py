@@ -21,8 +21,7 @@ from conftest import DATA_DIR
 
 GOLDEN = DATA_DIR / "cli_golden"
 CASES = json.loads((GOLDEN / "cases.json").read_text(encoding="utf-8"))
-INPUTS = ("scale21.csv", "cli_mixed.csv", "cli_gray.csv", "cli_gray_order.csv",
-          "cli_mixed_bom.csv")
+INPUTS = {c["argv"][1] for c in CASES.values()}
 GENERATOR = DATA_DIR.parents[1] / "tools" / "gen_cli_golden.py"
 PLOTS = ("running_auc.svg", "running_auc.csv", "roc_reduced.svg",
          "roc_reduced.csv")
@@ -53,8 +52,8 @@ def test_golden_cases_cover_the_interface():
     """Every command and format, each test-inclusion method alone and
     both, a gray pair, a row in two gray pairs, a pair led by a negative
     row, the below-0.5 advisory, flipped items, a byte-order-marked input
-    and the four plot files of each plotted input all appear in the
-    recorded outputs."""
+    and the four plot files of each plotted input, one of them a scale of
+    a single item, all appear in the recorded outputs."""
     argvs = [c["argv"] for c in CASES.values()]
     assert {a[0] for a in argvs} == {"audit", "rank", "reduce", "test-inclusion"}
     assert {a[a.index("--format") + 1] for a in argvs} == {"json", "csv", "table"}
@@ -72,7 +71,7 @@ def test_golden_cases_cover_the_interface():
     assert any(p["decision_a"] < p["decision_b"]
                for p in order["results"]["gray_pairs"])
     plotted = {Path(a[1]).stem for a in argvs if "--plot" in a}
-    assert plotted == {"scale21", "cli_mixed"}
+    assert plotted == {"scale21", "cli_mixed", "cli_one_item"}
     for stem in plotted:
         assert {p.name for p in GOLDEN.glob(f"{stem}-plot.*")} == {
             f"{stem}-plot.{name}" for name in PLOTS}

@@ -10,7 +10,9 @@ led by a negative row, alternating decisions, three positives against one
 negative, and clones of a single decision that are not gray), and
 tests/data/cli_mixed_bom.csv, cli_mixed.csv behind a UTF-8 byte-order
 mark, as Excel writes it; its one case prints the same csv as the plain
-file's (json would differ, as it holds the input path). Then
+file's (json would differ, as it holds the input path), and
+tests/data/cli_one_item.csv, a scale of a single item, whose reduce --plot
+case draws the running-AUC chart over one item count. Then
 runs every case in cases() through scalereduce.cli.main and writes
 tests/data/cli_golden/: one <case>.out file per case with its stdout,
 cases.json with each case's argv, exit code and stderr, and, once per
@@ -77,6 +79,8 @@ INPUTS = {
     "cli_gray.csv": ("d", {"audit": FLAGS["audit"]}, FORMATS),
     "cli_gray_order.csv": ("d", {"audit": FLAGS["audit"]}, FORMATS),
     "cli_mixed_bom.csv": ("d", {"rank": {"": []}}, ("csv",)),
+    "cli_one_item.csv": ("d", {"reduce": {"-plot": FLAGS["reduce"]["-plot"]}},
+                         FORMATS),
 }
 # rows 0, 2 and 4 are one gray group, so row 0 is row_a of two pairs; rows
 # 1 and 5 are another, told apart only by the sign of a zero; rows 3 and 6
@@ -111,6 +115,18 @@ GRAY_ORDER_ROWS = [
     "0,0,2",
     "1,4,2",
 ]
+# one item with tied scores across the classes: the running total has a
+# single value, so the running-AUC chart's x range is one point wide
+ONE_ITEM_ROWS = [
+    "x,d",
+    "0,0",
+    "1,0",
+    "1,1",
+    "2,0",
+    "2,1",
+    "3,1",
+    "1,0",
+]
 
 
 def mixed_rows(rng: random.Random) -> list[list[str]]:
@@ -136,7 +152,8 @@ def write_fixtures(data: Path) -> None:
     (data / "cli_mixed.csv").write_text(text, encoding="utf-8")
     (data / "cli_mixed_bom.csv").write_text(text, encoding="utf-8-sig")
     for name, lines in (("cli_gray.csv", GRAY_ROWS),
-                        ("cli_gray_order.csv", GRAY_ORDER_ROWS)):
+                        ("cli_gray_order.csv", GRAY_ORDER_ROWS),
+                        ("cli_one_item.csv", ONE_ITEM_ROWS)):
         text = "".join(line + "\n" for line in lines)
         (data / name).write_text(text, encoding="utf-8")
 
