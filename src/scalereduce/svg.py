@@ -1,9 +1,10 @@
-"""Minimal static SVG line charts: axes, polyline, reference lines.
+"""Two static SVG line charts: a running-AUC-by-k line with a horizontal
+rule at the maximum, and an ROC curve with the chance diagonal.
 
 Self-contained SVG 1.1 (no external resources, no DTD reference) so files
-validate as plain XML and render anywhere. Two chart shapes are needed:
-a running-AUC-by-k line with a horizontal rule at the maximum, and an ROC
-curve with the chance diagonal.
+validate as plain XML and render anywhere. Both charts are drawn by one
+function, _chart. Every title and axis label is a literal in this module,
+so no text needs escaping.
 """
 
 from __future__ import annotations
@@ -12,124 +13,59 @@ WIDTH, HEIGHT = 640, 480
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 70, 20, 40, 50
 
 
-def _escape(text: str) -> str:
-    """Escape &, < and > for XML character data.
-
-    Local so that importing the CLI does not pull in xml.sax, which loads
-    urllib, http, email and ssl.
-    """
-    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+def _polyline(px, py, xs, ys, color="steelblue", dashed=False) -> str:
+    pts = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(xs, ys))
+    dash = ' stroke-dasharray="6,4"' if dashed else ""
+    return (f'<polyline points="{pts}" fill="none" stroke="{color}" '
+            f'stroke-width="1.5"{dash}/>')
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.2f}"
+def _chart(labels, x_range, y_range, x_ticks, y_ticks, draw) -> str:
+    """One chart page. labels is (title, x label, y label); the page,
+    labels, plot frame and ticks come first, then the elements that
+    draw(px, py) returns, where px and py map data to pixels."""
+    title, x_label, y_label = labels
+    (x0, x1), (y0, y1) = x_range, y_range
+    if x1 == x0:
+        x1 = x0 + 1.0
+    if y1 == y0:
+        y1 = y0 + 1.0
+    plot_w = WIDTH - MARGIN_L - MARGIN_R
+    plot_h = HEIGHT - MARGIN_T - MARGIN_B
+    bottom = HEIGHT - MARGIN_B
 
+    def px(x: float) -> float:
+        return MARGIN_L + (x - x0) / (x1 - x0) * plot_w
 
-class _Canvas:
-    """Collects SVG elements inside a fixed plot frame."""
+    def py(y: float) -> float:
+        return bottom - (y - y0) / (y1 - y0) * plot_h
 
-    def __init__(self, title: str, x_label: str, y_label: str,
-                 x_range: tuple[float, float], y_range: tuple[float, float]):
-        self.parts: list[str] = []
-        self.x0, self.x1 = x_range
-        self.y0, self.y1 = y_range
-        if self.x1 == self.x0:
-            self.x1 = self.x0 + 1.0
-        if self.y1 == self.y0:
-            self.y1 = self.y0 + 1.0
-        self.parts.append(
-            f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-            f'width="{WIDTH}" height="{HEIGHT}" '
-            f'viewBox="0 0 {WIDTH} {HEIGHT}">'
-        )
-        self.parts.append(
-            f'<rect x="0" y="0" width="{WIDTH}" height="{HEIGHT}" fill="white"/>'
-        )
-        self.parts.append(
-            f'<text x="{WIDTH / 2}" y="24" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="16">{_escape(title)}</text>'
-        )
-        self.parts.append(
-            f'<text x="{WIDTH / 2}" y="{HEIGHT - 10}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="13">{_escape(x_label)}</text>'
-        )
-        self.parts.append(
-            f'<text x="18" y="{HEIGHT / 2}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="13" '
-            f'transform="rotate(-90 18 {HEIGHT / 2})">{_escape(y_label)}</text>'
-        )
-        # frame
-        self.parts.append(
-            f'<rect x="{MARGIN_L}" y="{MARGIN_T}" '
-            f'width="{WIDTH - MARGIN_L - MARGIN_R}" '
-            f'height="{HEIGHT - MARGIN_T - MARGIN_B}" '
-            f'fill="none" stroke="black" stroke-width="1"/>'
-        )
-
-    def px(self, x: float) -> float:
-        frac = (x - self.x0) / (self.x1 - self.x0)
-        return MARGIN_L + frac * (WIDTH - MARGIN_L - MARGIN_R)
-
-    def py(self, y: float) -> float:
-        frac = (y - self.y0) / (self.y1 - self.y0)
-        return HEIGHT - MARGIN_B - frac * (HEIGHT - MARGIN_T - MARGIN_B)
-
-    def ticks(self, xs: list[float], ys: list[float]) -> None:
-        for x in xs:
-            cx = self.px(x)
-            self.parts.append(
-                f'<line x1="{_fmt(cx)}" y1="{HEIGHT - MARGIN_B}" '
-                f'x2="{_fmt(cx)}" y2="{HEIGHT - MARGIN_B + 5}" stroke="black"/>'
-            )
-            self.parts.append(
-                f'<text x="{_fmt(cx)}" y="{HEIGHT - MARGIN_B + 18}" '
-                f'text-anchor="middle" font-family="sans-serif" '
-                f'font-size="11">{x:g}</text>'
-            )
-        for y in ys:
-            cy = self.py(y)
-            self.parts.append(
-                f'<line x1="{MARGIN_L - 5}" y1="{_fmt(cy)}" '
-                f'x2="{MARGIN_L}" y2="{_fmt(cy)}" stroke="black"/>'
-            )
-            self.parts.append(
-                f'<text x="{MARGIN_L - 8}" y="{_fmt(cy + 4)}" '
-                f'text-anchor="end" font-family="sans-serif" '
-                f'font-size="11">{y:g}</text>'
-            )
-
-    def polyline(self, xs, ys, color: str = "steelblue",
-                 dashed: bool = False) -> None:
-        pts = " ".join(
-            f"{_fmt(self.px(x))},{_fmt(self.py(y))}" for x, y in zip(xs, ys)
-        )
-        dash = ' stroke-dasharray="6,4"' if dashed else ""
-        self.parts.append(
-            f'<polyline points="{pts}" fill="none" stroke="{color}" '
-            f'stroke-width="1.5"{dash}/>'
-        )
-
-    def markers(self, xs, ys) -> None:
-        for x, y in zip(xs, ys):
-            self.parts.append(
-                f'<circle cx="{_fmt(self.px(x))}" cy="{_fmt(self.py(y))}" '
-                'r="3" fill="steelblue"/>'
-            )
-
-    def hline(self, y: float) -> None:
-        cy = _fmt(self.py(y))
-        self.parts.append(
-            f'<line x1="{MARGIN_L}" y1="{cy}" x2="{WIDTH - MARGIN_R}" '
-            f'y2="{cy}" stroke="firebrick" stroke-width="1" '
-            f'stroke-dasharray="4,3"/>'
-        )
-
-    def render(self) -> str:
-        return (
-            '<?xml version="1.0" encoding="UTF-8"?>\n'
-            + "\n".join(self.parts)
-            + "\n</svg>\n"
-        )
+    font = 'font-family="sans-serif" font-size='
+    parts = [f"""<?xml version="1.0" encoding="UTF-8"?>
+<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="{WIDTH}" \
+height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">
+<rect x="0" y="0" width="{WIDTH}" height="{HEIGHT}" fill="white"/>
+<text x="{WIDTH / 2}" y="24" text-anchor="middle" {font}"16">{title}</text>
+<text x="{WIDTH / 2}" y="{HEIGHT - 10}" text-anchor="middle" {font}"13">\
+{x_label}</text>
+<text x="18" y="{HEIGHT / 2}" text-anchor="middle" {font}"13" \
+transform="rotate(-90 18 {HEIGHT / 2})">{y_label}</text>
+<rect x="{MARGIN_L}" y="{MARGIN_T}" width="{plot_w}" height="{plot_h}" \
+fill="none" stroke="black" stroke-width="1"/>"""]
+    for x in x_ticks:
+        cx = f"{px(x):.2f}"
+        parts.append(f'<line x1="{cx}" y1="{bottom}" x2="{cx}" '
+                     f'y2="{bottom + 5}" stroke="black"/>')
+        parts.append(f'<text x="{cx}" y="{bottom + 18}" text-anchor="middle" '
+                     f'{font}"11">{x:g}</text>')
+    for y in y_ticks:
+        cy = py(y)
+        parts.append(f'<line x1="{MARGIN_L - 5}" y1="{cy:.2f}" '
+                     f'x2="{MARGIN_L}" y2="{cy:.2f}" stroke="black"/>')
+        parts.append(f'<text x="{MARGIN_L - 8}" y="{cy + 4:.2f}" '
+                     f'text-anchor="end" {font}"11">{y:g}</text>')
+    parts += draw(px, py)
+    return "\n".join(parts) + "\n</svg>\n"
 
 
 def running_auc_chart(running_auc) -> str:
@@ -139,25 +75,32 @@ def running_auc_chart(running_auc) -> str:
     xs = [float(k) for k in range(1, len(ys) + 1)]
     lo, hi = min(ys), max(ys)
     pad = max((hi - lo) * 0.1, 0.005)
-    canvas = _Canvas("Running total AUC", "items in running total", "AUC",
-                     (1.0, float(len(ys))), (lo - pad, hi + pad))
-    step = max(1, len(xs) // 10)
-    canvas.ticks([float(k) for k in range(1, len(xs) + 1, step)],
-                 [round(lo, 3), round((lo + hi) / 2, 3), round(hi, 3)])
-    canvas.hline(hi)
-    canvas.polyline(xs, ys)
-    canvas.markers(xs, ys)
-    return canvas.render()
+
+    def draw(px, py):
+        cy = f"{py(hi):.2f}"
+        rule = (f'<line x1="{MARGIN_L}" y1="{cy}" x2="{WIDTH - MARGIN_R}" '
+                f'y2="{cy}" stroke="firebrick" stroke-width="1" '
+                f'stroke-dasharray="4,3"/>')
+        return [rule, _polyline(px, py, xs, ys)] + [
+            f'<circle cx="{px(x):.2f}" cy="{py(y):.2f}" r="3" '
+            'fill="steelblue"/>' for x, y in zip(xs, ys)]
+
+    return _chart(("Running total AUC", "items in running total", "AUC"),
+                  (1.0, float(len(ys))), (lo - pad, hi + pad),
+                  xs[::max(1, len(xs) // 10)],
+                  [round(lo, 3), round((lo + hi) / 2, 3), round(hi, 3)], draw)
 
 
 def roc_chart(fpr, tpr) -> str:
     """ROC polyline in the unit square with the chance diagonal."""
-    canvas = _Canvas("ROC curve", "false positive rate", "true positive rate",
-                     (0.0, 1.0), (0.0, 1.0))
-    canvas.ticks([0.0, 0.25, 0.5, 0.75, 1.0], [0.0, 0.25, 0.5, 0.75, 1.0])
-    canvas.polyline([0.0, 1.0], [0.0, 1.0], color="gray", dashed=True)
-    canvas.polyline([float(x) for x in fpr], [float(y) for y in tpr])
-    return canvas.render()
+    ticks = [0.0, 0.25, 0.5, 0.75, 1.0]
+    return _chart(
+        ("ROC curve", "false positive rate", "true positive rate"),
+        (0.0, 1.0), (0.0, 1.0), ticks, ticks,
+        lambda px, py: [
+            _polyline(px, py, [0.0, 1.0], [0.0, 1.0], "gray", dashed=True),
+            _polyline(px, py, [float(x) for x in fpr],
+                      [float(y) for y in tpr])])
 
 
 def points_csv(xs, ys) -> str:
