@@ -72,27 +72,33 @@ class PairedRocTest:
     seed: int | None = None
 
 
-def _check(method, alternative, n_boot=None, seed=None) -> None:
-    """Raise ValueError for a bad argument; n_boot and seed are bootstrap's."""
+def _check(method, alternative, n_boot=None, seed=None):
+    """Raise ValueError for a bad argument; n_boot and seed are bootstrap's.
+    Returns the n_boot and seed to record: Python ints for the bootstrap,
+    None for DeLong."""
     if method not in ("delong", "bootstrap"):
         raise ValueError(f"method must be 'delong' or 'bootstrap', got {method!r}")
     if alternative not in ALTERNATIVES:
         raise ValueError(
             f"alternative must be one of {ALTERNATIVES}, got {alternative!r}"
         )
-    if method == "bootstrap":
-        if seed is None:
-            raise ValueError("bootstrap_test requires an explicit seed")
-        for name, value in (("n_boot", n_boot), ("seed", seed)):
-            try:
-                operator.index(value)
-            except TypeError:
-                raise ValueError(
-                    f"{name} must be an integer, got {value!r}") from None
-        if n_boot < 1:
-            raise ValueError(f"n_boot must be >= 1, got {n_boot}")
-        if seed < 0:
-            raise ValueError(f"seed must be >= 0, got {seed}")
+    if method == "delong":
+        return None, None
+    if seed is None:
+        raise ValueError("bootstrap_test requires an explicit seed")
+    ints = []
+    for name, value in (("n_boot", n_boot), ("seed", seed)):
+        try:
+            ints.append(operator.index(value))
+        except TypeError:
+            raise ValueError(
+                f"{name} must be an integer, got {value!r}") from None
+    n_boot, seed = ints
+    if n_boot < 1:
+        raise ValueError(f"n_boot must be >= 1, got {n_boot}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    return n_boot, seed
 
 
 def _p_value(z: float, alternative: str) -> float:
@@ -106,10 +112,10 @@ def _p_value(z: float, alternative: str) -> float:
 
 
 def _paired_test(method, scores_1, scores_2, decision, alternative, sd_of_diff,
-                 **params) -> PairedRocTest:
+                 n_boot=None, seed=None) -> PairedRocTest:
     """Checks, split, both AUCs and the zero-difference shortcut shared by
     both tests; sd_of_diff(s1, s2, d) is called only for unequal AUCs."""
-    _check(method, alternative, **params)
+    n_boot, seed = _check(method, alternative, n_boot, seed)
     s1, d = _split(scores_1, decision)
     s2, _ = _split(scores_2, decision)
     auc_1 = auc(s1, d)
@@ -118,7 +124,7 @@ def _paired_test(method, scores_1, scores_2, decision, alternative, sd_of_diff,
     return PairedRocTest(
         method=method, auc_1=auc_1, auc_2=auc_2,
         z=z, p_value=_p_value(z, alternative), alternative=alternative,
-        **params,
+        n_boot=n_boot, seed=seed,
     )
 
 

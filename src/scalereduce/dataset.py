@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import io
+import operator
 from array import array
 from dataclasses import dataclass, replace
 from typing import Sequence, Union
@@ -108,8 +109,9 @@ class Dataset:
 def resolve_columns(ds: Dataset, cols: ColumnSelection) -> list[int]:
     """Map a label/index selection to column indices.
 
-    Raises UnknownColumn for entries that do not resolve and
-    DuplicateColumn for repeats. Order is preserved.
+    Raises UnknownColumn for entries that do not resolve, a non-integer
+    index such as 1.5 included, and DuplicateColumn for repeats. Order is
+    preserved.
     """
     if len(cols) == 0:
         raise ValueError("empty column selection")
@@ -121,7 +123,12 @@ def resolve_columns(ds: Dataset, cols: ColumnSelection) -> list[int]:
                 raise UnknownColumn(f"no column named {c!r}")
             out.append(index_of[c])
         else:
-            i = int(c)
+            try:
+                i = operator.index(c)
+            except TypeError:
+                raise UnknownColumn(
+                    f"column {c!r} is neither a name nor an integer index"
+                ) from None
             if not 0 <= i < ds.n_items:
                 raise UnknownColumn(f"column index {i} out of range")
             out.append(i)

@@ -22,6 +22,7 @@ feeding np.unique(...) output works the same way.
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -212,8 +213,12 @@ def gray_examples_for(attrs, decision, n: int) -> list[int]:
 
     Returns row n first, then the matching rows in ascending index order.
     A unique row yields [n]. The caller inspects the decisions to decide
-    whether the replicas are gray.
+    whether the replicas are gray. A non-integer n raises ValueError.
     """
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise ValueError(f"row index must be an integer, got {n!r}") from None
     a = _as_matrix(attrs)
     _decision(decision, a)
     if not 0 <= n < a.shape[0]:

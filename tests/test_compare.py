@@ -1,5 +1,7 @@
+import json
 import math
 import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -144,9 +146,12 @@ class TestBootstrap:
         a = bootstrap_test(s1, s2, decision, n_boot=300, seed=99)
         b = bootstrap_test(s1, s2, decision, n_boot=300, seed=99)
         assert a == b
-        # numpy integers are integers
-        assert bootstrap_test(s1, s2, decision, n_boot=np.int64(300),
-                              seed=np.uint32(99)) == a
+        # numpy integers are integers, recorded as Python ints
+        c = bootstrap_test(s1, s2, decision, n_boot=np.int64(300),
+                           seed=np.uint32(99))
+        assert c == a
+        assert type(c.n_boot) is int and type(c.seed) is int
+        json.dumps(asdict(c))
 
     def test_different_seed_differs(self):
         rng = np.random.default_rng(109)

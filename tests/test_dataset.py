@@ -176,6 +176,11 @@ class TestSelectColumns:
         ds = load_csv(tiny_csv, "d")
         with pytest.raises(UnknownColumn):
             select_columns(ds, ["a", "zzz"])
+        # a float index is rejected, not truncated to a column
+        for cols in ([1.2, 0.5], [np.float64(0.0)]):
+            with pytest.raises(UnknownColumn, match="integer index"):
+                select_columns(ds, cols)
+        assert select_columns(ds, [np.int64(1), 0]).labels == ("b", "a")
         assert issubclass(UnknownColumn, LoadError)  # exit code 2
 
     def test_duplicate_column(self, tiny_csv):

@@ -187,6 +187,11 @@ class TestGrayExamplesFor:
     def test_index_out_of_range(self):
         with pytest.raises(IndexOutOfRange):
             gray_examples_for([[1.0]], [1], 5)
+        # a non-integer row index is rejected; a numpy integer is converted
+        with pytest.raises(ValueError, match="integer"):
+            gray_examples_for([[1.0], [2.0]], [1, 0], 1.5)
+        rows = gray_examples_for([[1.0], [1.0]], [1, 0], np.int64(0))
+        assert rows == [0, 1] and all(type(r) is int for r in rows)
 
 
 @st.composite

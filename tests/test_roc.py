@@ -247,6 +247,8 @@ class TestSumScores:
         ds = load_csv(tiny_csv, "d")
         with pytest.raises(UnknownColumn):
             sum_scores(ds, ["a", "zzz"])
+        with pytest.raises(UnknownColumn, match="1.7"):
+            sum_scores(ds, [1.7])
 
     def test_empty_selection_rejected(self, tiny_csv):
         ds = load_csv(tiny_csv, "d")
