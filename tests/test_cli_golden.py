@@ -15,7 +15,9 @@ from pathlib import Path
 
 import pytest
 
+from scalereduce import load_csv, total_auc
 from scalereduce.cli import main
+from scalereduce.compare import _inclusion_scores
 
 from conftest import DATA_DIR
 
@@ -51,9 +53,10 @@ def test_cli_output_matches_golden(case, capsys, monkeypatch, tmp_path):
 def test_golden_cases_cover_the_interface():
     """Every command and format, each test-inclusion method alone and
     both, a gray pair, a row in two gray pairs, a pair led by a negative
-    row, the below-0.5 advisory, flipped items, a byte-order-marked input
-    and the four plot files of each plotted input, one of them a scale of
-    a single item, all appear in the recorded outputs."""
+    row, the below-0.5 advisory, flipped items, a byte-order-marked input,
+    the four plot files of each plotted input, one of them a scale of a
+    single item, and a bootstrap whose classes both have at least 20 rows
+    per (scores_1, scores_2) cell all appear in the recorded outputs."""
     argvs = [c["argv"] for c in CASES.values()]
     assert {a[0] for a in argvs} == {"audit", "rank", "reduce", "test-inclusion"}
     assert {a[a.index("--format") + 1] for a in argvs} == {"json", "csv", "table"}
@@ -78,6 +81,18 @@ def test_golden_cases_cover_the_interface():
     # a byte-order mark before the header changes nothing csv prints
     bom = (GOLDEN / "cli_mixed_bom-rank-csv.out").read_bytes()
     assert bom == (GOLDEN / "cli_mixed-rank-csv.out").read_bytes()
+    booted = {(a[1], a[a.index("--decision") + 1]) for a in argvs
+              if a[0] == "test-inclusion" and "delong" not in a}
+    assert any(min(_rows_per_cell(*input)) >= 20 for input in booted)
+
+
+def _rows_per_cell(name, decision):
+    """Rows per distinct (scores_1, scores_2) cell of the inclusion
+    scores, in the positives and in the negatives of an input."""
+    ds = load_csv(DATA_DIR / name, decision)
+    s1, s2 = _inclusion_scores(ds, total_auc(ds))
+    return [rows.sum() / len(set(zip(s1[rows], s2[rows])))
+            for rows in (ds.decision, ~ds.decision)]
 
 
 def test_goldens_are_current():

@@ -12,8 +12,11 @@ tests/data/cli_mixed_bom.csv, cli_mixed.csv behind a UTF-8 byte-order
 mark, as Excel writes it; its one case prints the same csv as the plain
 file's (json would differ, as it holds the input path), and
 tests/data/cli_one_item.csv, a scale of a single item, whose reduce --plot
-case draws the running-AUC chart over one item count. Then
-runs every case in cases() through scalereduce.cli.main and writes
+case draws the running-AUC chart over one item count, and
+tests/data/cli_few_cells.csv, 300 seeded rows of four 0-1 items, whose
+inclusion scores fall into six (scores_1, scores_2) cells with at least
+20 rows per cell in each class, as the bootstrap's multinomial draws
+need. Then runs every case in cases() through scalereduce.cli.main and writes
 tests/data/cli_golden/: one <case>.out file per case with its stdout,
 cases.json with each case's argv, exit code and stderr, and, once per
 input, the four files that its reduce --plot cases write, each named
@@ -55,6 +58,7 @@ from scalereduce.cli import main  # noqa: E402
 
 SEED = 20261018
 N_ROWS = 48
+N_FEW_CELLS_ROWS = 300
 FORMATS = ("json", "csv", "table")
 BOOT = ["--n-boot", "200", "--seed", "7"]
 FLAGS = {
@@ -81,6 +85,8 @@ INPUTS = {
     "cli_mixed_bom.csv": ("d", {"rank": {"": []}}, ("csv",)),
     "cli_one_item.csv": ("d", {"reduce": {"-plot": FLAGS["reduce"]["-plot"]}},
                          FORMATS),
+    "cli_few_cells.csv": ("d", {"test-inclusion": {
+        "-bootstrap": FLAGS["test-inclusion"]["-bootstrap"]}}, FORMATS),
 }
 # rows 0, 2 and 4 are one gray group, so row 0 is row_a of two pairs; rows
 # 1 and 5 are another, told apart only by the sign of a zero; rows 3 and 6
@@ -146,11 +152,26 @@ def mixed_rows(rng: random.Random) -> list[list[str]]:
     return rows
 
 
+def few_cells_rows(rng: random.Random) -> list[list[str]]:
+    """Four 0-1 items driven by one latent trait, two of them noise."""
+    rows = []
+    for _ in range(N_FEW_CELLS_ROWS):
+        trait = rng.gauss(0.0, 1.0)
+        d = int(trait + rng.gauss(0.0, 0.8) > 0.0)
+        items = [int(w * trait + rng.gauss(0.0, 1.0) > 0.0)
+                 for w in (1.5, 1.0, 0.1, -0.2)]
+        rows.append([str(v) for v in items] + [str(d)])
+    return rows
+
+
 def write_fixtures(data: Path) -> None:
     rows = [["a", "b", "c", "e", "f", "d"]] + mixed_rows(random.Random(SEED))
     text = "".join(",".join(row) + "\n" for row in rows)
     (data / "cli_mixed.csv").write_text(text, encoding="utf-8")
     (data / "cli_mixed_bom.csv").write_text(text, encoding="utf-8-sig")
+    rows = [["a", "b", "c", "e", "d"]] + few_cells_rows(random.Random(SEED))
+    (data / "cli_few_cells.csv").write_text(
+        "".join(",".join(row) + "\n" for row in rows), encoding="utf-8")
     for name, lines in (("cli_gray.csv", GRAY_ROWS),
                         ("cli_gray_order.csv", GRAY_ORDER_ROWS),
                         ("cli_one_item.csv", ONE_ITEM_ROWS)):
