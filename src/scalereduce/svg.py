@@ -75,6 +75,8 @@ def running_auc_chart(running_auc) -> str:
     xs = [float(k) for k in range(1, len(ys) + 1)]
     lo, hi = min(ys), max(ys)
     pad = max((hi - lo) * 0.1, 0.005)
+    # lo, the midpoint and hi, once each where they round to one tick
+    y_ticks = list(dict.fromkeys(round(y, 3) for y in (lo, (lo + hi) / 2, hi)))
 
     def draw(px, py):
         cy = f"{py(hi):.2f}"
@@ -87,8 +89,7 @@ def running_auc_chart(running_auc) -> str:
 
     return _chart(("Running total AUC", "items in running total", "AUC"),
                   (1.0, float(len(ys))), (lo - pad, hi + pad),
-                  xs[::max(1, len(xs) // 10)],
-                  [round(lo, 3), round((lo + hi) / 2, 3), round(hi, 3)], draw)
+                  xs[::max(1, len(xs) // 10)], y_ticks, draw)
 
 
 def roc_chart(fpr, tpr) -> str:

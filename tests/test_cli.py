@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import scalereduce
-from scalereduce import cli, hygiene, reduction
+from scalereduce import cli, hygiene, reduction, svg
 from scalereduce.cli import main
 
 from conftest import csv_texts, write_csv
@@ -329,6 +329,17 @@ class TestReduce:
             lines = (out_dir / name).read_text(encoding="utf-8").splitlines()
             assert lines[0] == "x,y"
             assert len(lines) > 2
+
+    def test_running_auc_y_ticks_are_distinct(self):
+        # a constant running AUC rounds lo, the midpoint and hi to one tick
+        def labels(running_auc):
+            root = ET.fromstring(svg.running_auc_chart(running_auc))
+            return [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")
+                    if t.get("text-anchor") == "end"]
+
+        assert labels([0.792]) == ["0.792"]
+        assert labels([0.7921, 0.7923]) == ["0.792"]
+        assert labels([0.7, 0.8, 0.75]) == ["0.7", "0.75", "0.8"]
 
     @pytest.mark.parametrize("out", ["taken", "taken/plots"])
     def test_unusable_out_exits_2(self, capsys, demo_csv, tmp_path, out):
