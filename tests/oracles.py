@@ -101,16 +101,21 @@ def best_subset_auc(attrs, decision, auc_fn=auc_pairs):
     return best, best_cols
 
 
-def bootstrap_z_matrices(scores_1, scores_2, decision, n_boot, seed):
+def bootstrap_z_matrices(scores_1, scores_2, decision, n_boot, seed,
+                         rows_per_cell):
     """z of the stratified bootstrap with every replicate materialised.
 
-    The straightforward implementation: draw all positive and all negative
-    row indices with one rng.integers call per class, each class from its
-    own generator spawned from the seed, build the two (n_boot, m)
-    resampled score matrices, and take each replicate's AUC from row-wise
-    midranks. Uses the same random streams as scalereduce.bootstrap_test,
-    so the two agree exactly. Returns None when the replicate differences
-    have no spread.
+    The straightforward implementation: each class draws from its own
+    generator spawned from the seed, all n_boot replicates in one call. A
+    class with at least rows_per_cell rows per distinct (scores_1,
+    scores_2) cell draws each replicate's cell counts with one
+    rng.multinomial call, over its cells in ascending order, and each
+    count becomes that many copies of the cell's first row; any other
+    class draws row indices with one rng.integers call. Then it builds the
+    two (n_boot, m) resampled score matrices and takes each replicate's
+    AUC from row-wise midranks. Uses the same random streams as
+    scalereduce.bootstrap_test, so the two agree exactly. Returns None
+    when the replicate differences have no spread.
     """
     from scipy.stats import rankdata
 
@@ -120,14 +125,29 @@ def bootstrap_z_matrices(scores_1, scores_2, decision, n_boot, seed):
     pos = np.nonzero(d)[0]
     neg = np.nonzero(~d)[0]
     n_pos, n_neg = pos.size, neg.size
-    pos_rng, neg_rng = (
-        np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2)
+
+    def draw(rows, rng):
+        """(n_boot, rows.size) indices of each replicate's drawn rows."""
+        cells = {}
+        for i in rows:  # a dict key does not tell -0.0 from 0.0
+            cells.setdefault((float(s1[i]), float(s2[i])), []).append(i)
+        keys = sorted(cells)
+        if len(keys) * rows_per_cell > rows.size:
+            return rows[rng.integers(0, rows.size, size=(n_boot, rows.size))]
+        freq = np.array([len(cells[k]) for k in keys]) / rows.size
+        first = [cells[k][0] for k in keys]
+        return np.array([
+            np.repeat(first, counts)
+            for counts in rng.multinomial(rows.size, freq, size=n_boot)
+        ])
+
+    pos_draw, neg_draw = (
+        draw(rows, np.random.default_rng(s))
+        for rows, s in zip((pos, neg), np.random.SeedSequence(seed).spawn(2))
     )
-    pos_draw = pos_rng.integers(0, n_pos, size=(n_boot, n_pos))
-    neg_draw = neg_rng.integers(0, n_neg, size=(n_boot, n_neg))
 
     def auc_by_row(s):
-        rep = np.concatenate((s[pos][pos_draw], s[neg][neg_draw]), axis=1)
+        rep = np.concatenate((s[pos_draw], s[neg_draw]), axis=1)
         rank_sum = rankdata(rep, method="average", axis=1)[:, :n_pos].sum(axis=1)
         return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 

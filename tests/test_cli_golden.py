@@ -17,7 +17,7 @@ import pytest
 
 from scalereduce import load_csv, total_auc
 from scalereduce.cli import main
-from scalereduce.compare import _inclusion_scores
+from scalereduce.compare import _ROWS_PER_CELL, _inclusion_scores
 
 from conftest import DATA_DIR
 
@@ -55,8 +55,9 @@ def test_golden_cases_cover_the_interface():
     both, a gray pair, a row in two gray pairs, a pair led by a negative
     row, the below-0.5 advisory, flipped items, a byte-order-marked input,
     the four plot files of each plotted input, one of them a scale of a
-    single item, and a bootstrap whose classes both have at least 20 rows
-    per (scores_1, scores_2) cell all appear in the recorded outputs."""
+    single item, and a bootstrap whose classes both have enough rows per
+    (scores_1, scores_2) cell to draw multinomial counts all appear in the
+    recorded outputs."""
     argvs = [c["argv"] for c in CASES.values()]
     assert {a[0] for a in argvs} == {"audit", "rank", "reduce", "test-inclusion"}
     assert {a[a.index("--format") + 1] for a in argvs} == {"json", "csv", "table"}
@@ -83,7 +84,8 @@ def test_golden_cases_cover_the_interface():
     assert bom == (GOLDEN / "cli_mixed-rank-csv.out").read_bytes()
     booted = {(a[1], a[a.index("--decision") + 1]) for a in argvs
               if a[0] == "test-inclusion" and "delong" not in a}
-    assert any(min(_rows_per_cell(*input)) >= 20 for input in booted)
+    assert any(min(_rows_per_cell(*input)) >= _ROWS_PER_CELL
+               for input in booted)
 
 
 def _rows_per_cell(name, decision):

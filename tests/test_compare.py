@@ -18,7 +18,7 @@ from scalereduce import (
     rsr,
 )
 from scalereduce import compare
-from scalereduce.compare import _BLOCK, _bootstrap_sd
+from scalereduce.compare import _BLOCK, _ROWS_PER_CELL, _bootstrap_sd
 from scalereduce.errors import DegenerateVariance, NoNextAttribute
 
 from oracles import bootstrap_variance_exact, bootstrap_z_matrices
@@ -43,6 +43,16 @@ def no_work(monkeypatch):
 
     for name in ("auc", "total_auc", "_delong_sd", "_bootstrap_sd"):
         monkeypatch.setattr(compare, name, fail)
+
+
+def multinomial_arms(s1, s2, decision):
+    """Whether the positives and the negatives each have enough rows per
+    distinct (s1, s2) cell to draw their counts from a multinomial."""
+    return tuple(
+        len(set(zip(s1[rows].tolist(), s2[rows].tolist()))) * _ROWS_PER_CELL
+        <= rows.sum()
+        for rows in (decision, ~decision)
+    )
 
 
 def correlated_scores(rng, m=100):
@@ -184,18 +194,31 @@ class TestBootstrap:
                 bootstrap_test(HAND_SCORES_1, HAND_SCORES_2, HAND_DECISION,
                                **kwargs)
 
-    @pytest.mark.parametrize("kind", ["tie-heavy", "all-distinct", "signed-zeros"])
+    @pytest.mark.parametrize("kind", [
+        "tie-heavy", "all-distinct", "signed-zeros", "few-cells", "mixed"])
     def test_matches_materialised_replicates_exactly(self, kind):
         # same seed, same draws: the per-cell counting must reproduce the
         # z of explicit (n_boot, m) replicate matrices bit for bit, for
-        # n_boot on and off the block boundaries
+        # n_boot on and off the block boundaries, with each class drawing
+        # row indices or, given enough rows per cell, multinomial counts
         rng = np.random.default_rng(139)
         checked = 0
+        arms = set()
         for seed, n_boot in enumerate(
             [1, 2, 3, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 5, 300]
         ):
-            m = int(rng.integers(8, 120))
-            decision = np.arange(m) < int(rng.integers(2, m - 1))
+            if kind == "few-cells":
+                m = int(rng.integers(220, 400))
+                n_pos = int(rng.integers(100, m - 100))
+            elif kind == "mixed":
+                # one class of 10-39 rows, the other of over 110
+                m = int(rng.integers(150, 300))
+                n_pos = int(rng.integers(10, 40))
+                n_pos = n_pos if seed % 2 else m - n_pos
+            else:
+                m = int(rng.integers(8, 120))
+                n_pos = int(rng.integers(2, m - 1))
+            decision = np.arange(m) < n_pos
             rng.shuffle(decision)
             if kind == "tie-heavy":
                 s1 = rng.integers(0, 4, m).astype(float)
@@ -203,12 +226,17 @@ class TestBootstrap:
             elif kind == "all-distinct":
                 s1 = rng.normal(size=m) + decision
                 s2 = s1 + rng.normal(size=m)
-            else:
+            elif kind == "signed-zeros":
                 s1 = rng.choice([-0.0, 0.0, 1.0], m)
                 s2 = s1 + rng.choice([-0.0, 0.0, 2.0], m)
+            else:
+                s1 = rng.integers(0, 2, m).astype(float)
+                s2 = s1 + rng.integers(0, 2, m)
             if auc(s1, decision) == auc(s2, decision):
                 continue
-            reference = bootstrap_z_matrices(s1, s2, decision, n_boot, seed)
+            arms.add(multinomial_arms(s1, s2, decision))
+            reference = bootstrap_z_matrices(
+                s1, s2, decision, n_boot, seed, _ROWS_PER_CELL)
             if reference is None:
                 with pytest.raises(DegenerateVariance):
                     bootstrap_test(s1, s2, decision, n_boot=n_boot, seed=seed)
@@ -217,6 +245,10 @@ class TestBootstrap:
                 assert t.z == reference
                 checked += 1
         assert checked >= 5
+        assert arms == {
+            "few-cells": {(True, True)},
+            "mixed": {(True, False), (False, True)},
+        }.get(kind, {(False, False)})
 
     def test_variance_matches_exact_bootstrap_variance(self):
         # the replicate variance estimates the ideal bootstrap variance,
@@ -232,6 +264,18 @@ class TestBootstrap:
             rng.shuffle(decision)
             s1 = rng.integers(0, int(rng.integers(2, 7)), m).astype(float)
             s2 = s1 + rng.integers(0, 3, m)
+            assert multinomial_arms(s1, s2, decision) == (False, False)
+            exact = bootstrap_variance_exact(s1, s2, decision)
+            var = _bootstrap_sd(s1, s2, decision, n_boot, seed) ** 2
+            assert abs(var / exact - 1) < bound, (seed, m, var, exact)
+        # few cells: both classes draw multinomial counts
+        for seed in range(12, 18):
+            m = int(rng.integers(160, 261))
+            decision = np.arange(m) < int(rng.integers(80, m - 79))
+            rng.shuffle(decision)
+            s1 = rng.integers(0, 2, m).astype(float)
+            s2 = s1 + rng.integers(0, 2, m)
+            assert multinomial_arms(s1, s2, decision) == (True, True)
             exact = bootstrap_variance_exact(s1, s2, decision)
             var = _bootstrap_sd(s1, s2, decision, n_boot, seed) ** 2
             assert abs(var / exact - 1) < bound, (seed, m, var, exact)
