@@ -20,12 +20,11 @@ must account for the correlation. Two methods:
   both spawned from the seed, as the two classes are resampled
   independently. Replicates are evaluated one block at a time, each held
   as how often it drew each distinct (scores_1, scores_2) cell of each
-  class, so memory grows with the rows and cells, not with n_boot. A
-  class with at least _ROWS_PER_CELL (20) rows per cell draws those
-  counts straight from a multinomial over its cells, whose cost grows
-  with the cells; any other class draws one row index per row, as the
-  counts of a with-replacement resample are exactly multinomial either
-  way. Version 0.3.0 added the multinomial draws, so bootstrap z moved
+  class, so memory grows with the rows and cells, not with n_boot. Those
+  counts are exactly multinomial, so a class with at least _ROWS_PER_CELL
+  (20) rows per cell draws them as one multinomial over its cells, at a
+  cost that grows with the cells; any other class draws one row index per
+  row. Version 0.3.0 added the multinomial draws, so bootstrap z moved
   from 0.2.0's for inputs with a class that takes them.
 
 Zero-difference convention: when auc_1 equals auc_2 exactly the result is
@@ -174,22 +173,21 @@ def delong_test(
 
 
 def _cell_counts(
-    rng, cell_of_row: np.ndarray, cell_freq: np.ndarray, rows: int
+    rng, cell_of_row: np.ndarray, n_cells: int, cell_freq, rows: int
 ) -> np.ndarray:
-    """(rows, cells) counts of how often each of `rows` replicates drew
-    each cell, from one block of draws over this class's rows; cell_freq
-    holds each cell's share of the rows.
+    """(rows, n_cells) counts of how often each of `rows` replicates drew
+    each cell, from one block of draws over this class's rows.
 
-    With at least _ROWS_PER_CELL rows per cell, each replicate's counts
-    are one multinomial draw; otherwise each replicate draws its rows.
-    For fewer than 2**31 rows, dtype int32 draws the same numbers as the
-    default int64 in half the memory. Either way, consecutive blocks leave
-    the random stream exactly as one draw for all replicates would. The
-    counts are float64, which holds them exactly and which _on_levels'
-    weighted bincount takes without a cast.
+    Given cell_freq, each cell's share of the rows, each replicate's
+    counts are one multinomial draw; given None, each replicate draws its
+    rows. For fewer than 2**31 rows, dtype int32 draws the same numbers as
+    the default int64 in half the memory. Either way, consecutive blocks
+    leave the random stream exactly as one draw for all replicates would.
+    The counts are float64, which holds them exactly and which
+    _on_levels' weighted bincount takes without a cast.
     """
-    n, n_cells = cell_of_row.size, cell_freq.size
-    if n_cells * _ROWS_PER_CELL <= n:
+    n = cell_of_row.size
+    if cell_freq is not None:
         return rng.multinomial(n, cell_freq, size=rows).astype(float)
     cells = cell_of_row[rng.integers(0, n, size=(rows, n), dtype=np.int32)]
     cells += n_cells * np.arange(rows)[:, None]
@@ -226,8 +224,11 @@ def _bootstrap_sd(s1: np.ndarray, s2: np.ndarray, d: np.ndarray,
     for rows, seq in zip((d, ~d), np.random.SeedSequence(seed).spawn(2)):
         cells, cell_of_row = _levels(level_1[rows] * n_2 + level_2[rows])
         classes.append((cells // n_2, cells % n_2))
-        cell_freq = np.bincount(cell_of_row) / cell_of_row.size
-        draws.append((np.random.default_rng(seq), cell_of_row, cell_freq))
+        n = cell_of_row.size
+        cell_freq = (np.bincount(cell_of_row) / n
+                     if cells.size * _ROWS_PER_CELL <= n else None)
+        draws.append(
+            (np.random.default_rng(seq), cell_of_row, cells.size, cell_freq))
     (pos_1, pos_2), (neg_1, neg_2) = classes
 
     twice_pn = 2 * n_pos * n_neg
@@ -235,8 +236,7 @@ def _bootstrap_sd(s1: np.ndarray, s2: np.ndarray, d: np.ndarray,
     for start in range(0, n_boot, _BLOCK):
         rows = min(_BLOCK, n_boot - start)
         pos_counts, neg_counts = [
-            _cell_counts(rng, cell_of_row, cell_freq, rows)
-            for rng, cell_of_row, cell_freq in draws
+            _cell_counts(*draw, rows) for draw in draws
         ]
         aucs = [
             _twice_u(
