@@ -254,31 +254,32 @@ class TestBootstrap:
         # the replicate variance estimates the ideal bootstrap variance,
         # known in closed form; a sample variance of B near-normal
         # replicates has relative standard error sqrt(2 / (B - 1)), and
-        # each tie-heavy set must land within five of those
+        # each set must land within five of those; tie-heavy sets draw
+        # rows, and few-cells sets draw multinomial counts in both classes
         n_boot = 40_000
         bound = 5 * math.sqrt(2 / (n_boot - 1))
         rng = np.random.default_rng(151)
+
+        def check(seed, s1, s2, decision, arms):
+            assert multinomial_arms(s1, s2, decision) == arms
+            exact = bootstrap_variance_exact(s1, s2, decision)
+            var = _bootstrap_sd(s1, s2, decision, n_boot, seed) ** 2
+            assert abs(var / exact - 1) < bound, (seed, len(s1), var, exact)
+
         for seed in range(12):
             m = int(rng.integers(25, 115))
             decision = np.arange(m) < int(rng.integers(m // 4, 3 * m // 4))
             rng.shuffle(decision)
             s1 = rng.integers(0, int(rng.integers(2, 7)), m).astype(float)
             s2 = s1 + rng.integers(0, 3, m)
-            assert multinomial_arms(s1, s2, decision) == (False, False)
-            exact = bootstrap_variance_exact(s1, s2, decision)
-            var = _bootstrap_sd(s1, s2, decision, n_boot, seed) ** 2
-            assert abs(var / exact - 1) < bound, (seed, m, var, exact)
-        # few cells: both classes draw multinomial counts
+            check(seed, s1, s2, decision, (False, False))
         for seed in range(12, 18):
             m = int(rng.integers(160, 261))
             decision = np.arange(m) < int(rng.integers(80, m - 79))
             rng.shuffle(decision)
             s1 = rng.integers(0, 2, m).astype(float)
             s2 = s1 + rng.integers(0, 2, m)
-            assert multinomial_arms(s1, s2, decision) == (True, True)
-            exact = bootstrap_variance_exact(s1, s2, decision)
-            var = _bootstrap_sd(s1, s2, decision, n_boot, seed) ** 2
-            assert abs(var / exact - 1) < bound, (seed, m, var, exact)
+            check(seed, s1, s2, decision, (True, True))
 
     def test_memory_does_not_grow_with_n_boot(self):
         # 3-decimal scores on 20k rows: about as many cells as rows, so a

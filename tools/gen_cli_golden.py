@@ -15,9 +15,9 @@ tests/data/cli_one_item.csv, a scale of a single item, whose reduce --plot
 case draws the running-AUC chart over one item count, and
 tests/data/cli_few_cells.csv, 300 seeded rows of four 0-1 items, whose
 inclusion scores fall into six (scores_1, scores_2) cells with at least
-20 rows per cell in each class, as the bootstrap's multinomial draws
-need. Then runs every case in cases() through scalereduce.cli.main and writes
-tests/data/cli_golden/: one <case>.out file per case with its stdout,
+20 rows per cell in each class, so its bootstrap case draws multinomial
+counts. Then runs every case in cases() through scalereduce.cli.main and
+writes tests/data/cli_golden/: one <case>.out file per case with its stdout,
 cases.json with each case's argv, exit code and stderr, and, once per
 input, the four files that its reduce --plot cases write, each named
 <input stem>-plot.<file name>.
