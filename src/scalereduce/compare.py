@@ -173,7 +173,8 @@ def delong_test(
 
 
 def _cell_counts(
-    rng, cell_of_row: np.ndarray, n_cells: int, cell_freq, rows: int
+    rng, cell_of_row: np.ndarray, n_cells: int, cell_freq: np.ndarray | None,
+    rows: int,
 ) -> np.ndarray:
     """(rows, n_cells) counts of how often each of `rows` replicates drew
     each cell, from one block of draws over this class's rows.
@@ -235,9 +236,7 @@ def _bootstrap_sd(s1: np.ndarray, s2: np.ndarray, d: np.ndarray,
     diffs = np.empty(n_boot)
     for start in range(0, n_boot, _BLOCK):
         rows = min(_BLOCK, n_boot - start)
-        pos_counts, neg_counts = [
-            _cell_counts(*draw, rows) for draw in draws
-        ]
+        pos_counts, neg_counts = [_cell_counts(*draw, rows) for draw in draws]
         aucs = [
             _twice_u(
                 _on_levels(pos_counts, pos_level, n_levels),
