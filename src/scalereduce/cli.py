@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .compare import ALTERNATIVES, _inclusion_scores, bootstrap_test, delong_test
+from .compare import ALTERNATIVES, _inclusion_scores, _paired_tests
 from .dataset import Dataset, load_csv, select_columns
 from .errors import LoadError, ScaleReduceError, UnknownColumn
 from .hygiene import GrayGroups, _screen
@@ -210,13 +210,10 @@ def cmd_reduce(args) -> tuple[Dataset, dict]:
 
 def cmd_test_inclusion(args) -> tuple[Dataset, dict]:
     ds, flipped, ranking, scale = _reduced(args)
-    scores_1, scores_2 = _inclusion_scores(ds, ranking)
-    tests = []
-    if args.method in ("delong", "both"):
-        tests.append(delong_test(scores_1, scores_2, ds.decision, args.alternative))
-    if args.method in ("bootstrap", "both"):
-        tests.append(bootstrap_test(scores_1, scores_2, ds.decision, args.alternative,
-                                    n_boot=args.n_boot, seed=args.seed))
+    scores_1, scores_2 = _inclusion_scores(ds, ranking, scale)
+    methods = ("delong", "bootstrap") if args.method == "both" else (args.method,)
+    tests = _paired_tests(methods, scores_1, scores_2, ds.decision,
+                          args.alternative, n_boot=args.n_boot, seed=args.seed)
     return ds, {
         "reduced_items": list(scale.items),
         "next_item": ranking.order[len(scale.items)],

@@ -31,9 +31,13 @@ Zero-difference convention: when auc_1 equals auc_2 exactly the result is
 z = 0, p = 1, whatever the variance would be; this avoids 0/0 on identical
 curves.
 
-Arguments are checked once, before any work: a bad method, alternative,
-n_boot or seed raises ValueError before any item is ranked, any AUC
-computed or any replicate drawn.
+Both tests, and check_attr_for_inclusion and the CLI's test-inclusion,
+run through one dispatch, _paired_tests, the one place that chooses a
+method. It checks every method's arguments before any work: a bad method,
+alternative, n_boot or seed raises ValueError before any item is ranked,
+any level counted or any replicate drawn. It then counts each score
+vector's levels once, and both AUCs and every method's variance are read
+off those counts.
 """
 
 from __future__ import annotations
@@ -46,15 +50,20 @@ import numpy as np
 
 from .dataset import Dataset
 from .errors import DegenerateVariance, NoNextAttribute
-from .reduction import AucRanking, reduce_ranking, total_auc
-from .roc import _level_counts, _levels, _split, _twice_u, auc, placements, sum_scores
+from .reduction import AucRanking, ReducedScale, reduce_ranking, total_auc
+from .roc import (
+    _area, _class_counts, _levels, _placements, _split, _twice_u, sum_scores,
+)
 
 ALTERNATIVES = ("two-sided", "less", "greater")
 
 # Bootstrap replicates drawn and evaluated together; the bootstrap holds
 # one block's draws and counts at a time, so its memory does not grow
-# with n_boot.
-_BLOCK = 64
+# with n_boot. Where the classes draw rows, a block peaks at about 24
+# bytes per row per replicate. Consecutive blocks leave the random streams
+# as one draw would, so, unlike _ROWS_PER_CELL, this is a tuning knob that
+# changes no output.
+_BLOCK = 16
 
 # A class with at least this many rows per distinct (scores_1, scores_2)
 # cell draws a block's cell counts as one multinomial, at a cost that
@@ -124,32 +133,44 @@ def _p_value(z: float, alternative: str) -> float:
     return 0.5 * math.erfc(sign * z / math.sqrt(2.0))
 
 
-def _paired_test(method, scores_1, scores_2, decision, alternative, sd_of_diff,
-                 n_boot=None, seed=None) -> PairedRocTest:
-    """Checks, split, both AUCs and the zero-difference shortcut shared by
-    both tests; sd_of_diff(s1, s2, d) is called only for unequal AUCs."""
-    n_boot, seed = _check(method, alternative, n_boot, seed)
+def _paired_tests(methods, scores_1, scores_2, decision, alternative,
+                  n_boot=None, seed=None) -> list[PairedRocTest]:
+    """One test per method ("delong" or "bootstrap"), in order. Arguments
+    are checked and both vectors split before any work; each vector's
+    levels are counted once, for both AUCs and every method's sd. Equal
+    AUCs give z = 0 without an sd."""
+    recorded = [_check(method, alternative, n_boot, seed) for method in methods]
     s1, d = _split(scores_1, decision)
     s2, _ = _split(scores_2, decision)
-    auc_1 = auc(s1, d)
-    auc_2 = auc(s2, d)
-    z = 0.0 if auc_1 == auc_2 else float((auc_1 - auc_2) / sd_of_diff(s1, s2, d))
-    return PairedRocTest(
-        method=method, auc_1=auc_1, auc_2=auc_2,
-        z=z, p_value=_p_value(z, alternative), alternative=alternative,
-        n_boot=n_boot, seed=seed,
-    )
+    c1, c2 = _class_counts(s1, d), _class_counts(s2, d)
+    auc_1, auc_2 = (_area(pos, neg) for _, _, pos, neg, _ in (c1, c2))
+    tests = []
+    for method, (n_boot, seed) in zip(methods, recorded):
+        if auc_1 == auc_2:
+            z = 0.0
+        else:
+            sd = (_delong_sd(c1, c2) if method == "delong"
+                  else _bootstrap_sd(c1, c2, n_boot, seed))
+            z = float((auc_1 - auc_2) / sd)
+        tests.append(PairedRocTest(
+            method=method, auc_1=auc_1, auc_2=auc_2,
+            z=z, p_value=_p_value(z, alternative), alternative=alternative,
+            n_boot=n_boot, seed=seed,
+        ))
+    return tests
 
 
-def _delong_sd(s1: np.ndarray, s2: np.ndarray, d: np.ndarray) -> float:
+def _delong_sd(c1, c2) -> float:
+    """DeLong's sd of auc_1 - auc_2, from both vectors' _class_counts."""
+    d = c1[0]
     n_pos = int(d.sum())
     n_neg = d.size - n_pos
     if n_pos < 2 or n_neg < 2:
         raise DegenerateVariance(
             "need at least two positives and two negatives to estimate variance"
         )
-    p1 = placements(s1, d)
-    p2 = placements(s2, d)
+    p1 = _placements(*c1)
+    p2 = _placements(*c2)
     s10 = np.cov(p1.v10, p2.v10, ddof=1)
     s01 = np.cov(p1.v01, p2.v01, ddof=1)
     var_1 = s10[0, 0] / n_pos + s01[0, 0] / n_neg
@@ -167,9 +188,8 @@ def delong_test(
     scores_1, scores_2, decision, alternative: str = "two-sided"
 ) -> PairedRocTest:
     """Asymptotic test for a difference of two correlated AUCs."""
-    return _paired_test(
-        "delong", scores_1, scores_2, decision, alternative, _delong_sd
-    )
+    return _paired_tests(
+        ("delong",), scores_1, scores_2, decision, alternative)[0]
 
 
 def _cell_counts(
@@ -208,17 +228,17 @@ def _on_levels(
     ).reshape(rows, n_levels)
 
 
-def _bootstrap_sd(s1: np.ndarray, s2: np.ndarray, d: np.ndarray,
-                  n_boot: int, seed: int) -> float:
-    """Sd of the replicate AUC differences, from per-cell draw counts.
+def _bootstrap_sd(c1, c2, n_boot: int, seed: int) -> float:
+    """Sd of the replicate AUC differences, from both vectors'
+    _class_counts and per-cell draw counts.
 
     The positives and the negatives each draw from their own generator,
     spawned from seed, so both classes are drawn one block at a time.
     Every count and every 2U sum is an integer below 2**53, so the float
     arithmetic on them is exact and each replicate AUC is rounded once.
     """
-    levels_1, _, _, level_1 = _level_counts(s1, d)
-    levels_2, _, _, level_2 = _level_counts(s2, d)
+    d, levels_1, _, _, level_1 = c1
+    _, levels_2, _, _, level_2 = c2
     n_1, n_2 = levels_1.size, levels_2.size
     n_pos, n_neg = int(d.sum()), int((~d).sum())
     classes, draws = [], []
@@ -265,20 +285,16 @@ def bootstrap_test(
     seed: int | None = None,
 ) -> PairedRocTest:
     """Stratified-bootstrap test for a difference of two correlated AUCs."""
-    return _paired_test(
-        "bootstrap", scores_1, scores_2, decision, alternative,
-        lambda s1, s2, d: _bootstrap_sd(s1, s2, d, n_boot, seed),
-        n_boot=n_boot, seed=seed,
-    )
+    return _paired_tests(("bootstrap",), scores_1, scores_2, decision,
+                         alternative, n_boot=n_boot, seed=seed)[0]
 
 
 def _inclusion_scores(
-    ds: Dataset, ranking: AucRanking
+    ds: Dataset, ranking: AucRanking, scale: ReducedScale
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Row sums of the reduced scale (scores_1) and those sums plus the next
-    item in ranking order (scores_2): the item whose addition first failed
-    to improve the running AUC."""
-    scale = reduce_ranking(ranking)
+    """Row sums of the reduced scale of ranking (scores_1) and those sums
+    plus the next item in ranking order (scores_2): the item whose
+    addition first failed to improve the running AUC."""
     kept = len(scale.items)
     if kept == ds.n_items:
         raise NoNextAttribute(
@@ -304,9 +320,7 @@ def check_attr_for_inclusion(
     failed to improve the running AUC.
     """
     _check(method, alternative, n_boot, seed)
-    scores_1, scores_2 = _inclusion_scores(ds, total_auc(ds))
-    if method == "delong":
-        return delong_test(scores_1, scores_2, ds.decision, alternative)
-    return bootstrap_test(
-        scores_1, scores_2, ds.decision, alternative, n_boot=n_boot, seed=seed
-    )
+    ranking = total_auc(ds)
+    scores_1, scores_2 = _inclusion_scores(ds, ranking, reduce_ranking(ranking))
+    return _paired_tests((method,), scores_1, scores_2, ds.decision,
+                         alternative, n_boot=n_boot, seed=seed)[0]

@@ -179,7 +179,11 @@ def placements(scores, decision) -> PlacementValues:
     v01 = 1 - (pos_below + pos/2) / P. Entries are in row order of the
     input within each class.
     """
-    d, _, pos, neg, index = _class_counts(scores, decision)
+    return _placements(*_class_counts(scores, decision))
+
+
+def _placements(d, levels, pos, neg, index) -> PlacementValues:
+    """placements from the _class_counts of a score vector."""
     below_pos = np.cumsum(pos) - pos
     below_neg = np.cumsum(neg) - neg
     v10 = (below_neg + 0.5 * neg)[index[d]] / int(neg.sum())

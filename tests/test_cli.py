@@ -17,10 +17,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import scalereduce
-from scalereduce import cli, hygiene, reduction, svg
+from scalereduce import cli, hygiene, reduction, roc, svg
 from scalereduce.cli import main
 
-from conftest import csv_texts, write_csv
+from conftest import DATA_DIR, csv_texts, write_csv
 
 # 3 items, 16 rows; reduces to (a, b) with c left over to test for inclusion
 DEMO_ROWS = [
@@ -464,6 +464,31 @@ class TestTestInclusion:
         assert code == 0
         assert calls["start_auc"] <= 1
         assert calls["total_auc"] <= 1
+
+    def test_levels_counted_once_per_inclusion_score_vector(
+            self, capsys, monkeypatch):
+        # one count per single-item and per running AUC, then one per
+        # inclusion score vector, shared by both AUCs and both tests
+        original = roc._level_counts
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        for module in list(sys.modules.values()):
+            if (getattr(module, "__name__", "").startswith("scalereduce")
+                    and getattr(module, "_level_counts", None) is original):
+                monkeypatch.setattr(module, "_level_counts", counted)
+        path = str(DATA_DIR / "scale21.csv")
+        code, out, _ = run(capsys, ["test-inclusion", path, "--decision",
+                                    "verdict", "--method", "both",
+                                    "--format", "json"])
+        assert code == 0
+        report = json.loads(out)
+        assert [t["method"] for t in report["results"]["tests"]] == [
+            "delong", "bootstrap"]
+        assert len(calls) == 2 * report["n_items"] + 2
 
     def test_degenerate_equal_scores(self, capsys, tmp_path):
         # duplicated informative column: adding the clone cannot change the

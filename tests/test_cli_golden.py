@@ -18,6 +18,7 @@ import pytest
 from scalereduce import load_csv, total_auc
 from scalereduce.cli import main
 from scalereduce.compare import _ROWS_PER_CELL, _inclusion_scores
+from scalereduce.reduction import reduce_ranking
 
 from conftest import DATA_DIR
 
@@ -92,7 +93,8 @@ def _rows_per_cell(name, decision):
     """Rows per distinct (scores_1, scores_2) cell of the inclusion
     scores, in the positives and in the negatives of an input."""
     ds = load_csv(DATA_DIR / name, decision)
-    s1, s2 = _inclusion_scores(ds, total_auc(ds))
+    ranking = total_auc(ds)
+    s1, s2 = _inclusion_scores(ds, ranking, reduce_ranking(ranking))
     return [rows.sum() / len(set(zip(s1[rows], s2[rows])))
             for rows in (ds.decision, ~ds.decision)]
 

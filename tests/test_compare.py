@@ -20,6 +20,7 @@ from scalereduce import (
 from scalereduce import compare
 from scalereduce.compare import _BLOCK, _ROWS_PER_CELL, _bootstrap_sd
 from scalereduce.errors import DegenerateVariance, NoNextAttribute
+from scalereduce.roc import _class_counts
 
 from oracles import bootstrap_variance_exact, bootstrap_z_matrices
 
@@ -37,11 +38,12 @@ HAND_Z = math.sqrt(30) / 10
 
 @pytest.fixture
 def no_work(monkeypatch):
-    """Fail the test on any AUC, variance or ranking the tests compute."""
+    """Fail the test on any level count, variance or ranking the tests
+    compute."""
     def fail(*args, **kwargs):
         raise AssertionError("work done before the arguments were checked")
 
-    for name in ("auc", "total_auc", "_delong_sd", "_bootstrap_sd"):
+    for name in ("_class_counts", "total_auc", "_delong_sd", "_bootstrap_sd"):
         monkeypatch.setattr(compare, name, fail)
 
 
@@ -263,7 +265,8 @@ class TestBootstrap:
         def check(seed, s1, s2, decision, arms):
             assert multinomial_arms(s1, s2, decision) == arms
             exact = bootstrap_variance_exact(s1, s2, decision)
-            var = _bootstrap_sd(s1, s2, decision, n_boot, seed) ** 2
+            var = _bootstrap_sd(_class_counts(s1, decision),
+                                _class_counts(s2, decision), n_boot, seed) ** 2
             assert abs(var / exact - 1) < bound, (seed, len(s1), var, exact)
 
         for seed in range(12):
@@ -298,6 +301,24 @@ class TestBootstrap:
             finally:
                 tracemalloc.stop()
         assert peaks[1] <= 1.5 * peaks[0]
+
+    def test_row_arm_memory_per_row(self):
+        # the same 3-decimal scores on 20k rows take the row arm in both
+        # classes, whose block holds _BLOCK draws per row; at 64 replicates
+        # a block peaked at 1.6 kB per row, at 16 it peaks at 0.44 kB
+        rng = np.random.default_rng(149)
+        m = 20_000
+        decision = np.arange(m) < m // 2
+        s1 = np.round(rng.normal(size=m) + 0.5 * decision, 3)
+        s2 = np.round(s1 + rng.normal(size=m), 3)
+        assert multinomial_arms(s1, s2, decision) == (False, False)
+        tracemalloc.start()
+        try:
+            bootstrap_test(s1, s2, decision, n_boot=200, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 700 * m
 
     def test_single_replicate_degenerate(self):
         with pytest.raises(DegenerateVariance):
