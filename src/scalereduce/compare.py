@@ -31,9 +31,11 @@ Zero-difference convention: when auc_1 equals auc_2 exactly the result is
 z = 0, p = 1, whatever the variance would be; this avoids 0/0 on identical
 curves.
 
-Both tests, and check_attr_for_inclusion and the CLI's test-inclusion,
-run through one dispatch, _paired_tests, the one place that chooses a
-method. It checks every method's arguments before any work: a bad method,
+Both tests run through one dispatch, _paired_tests, the one place that
+chooses a method, and the inclusion test of check_attr_for_inclusion and
+the CLI's test-inclusion through one composition, _inclusion_tests, the
+one place that names the next item and sums its two score vectors. The
+dispatch checks every method's arguments before any work: a bad method,
 alternative, n_boot or seed raises ValueError before any item is ranked,
 any level counted or any replicate drawn. It then counts each score
 vector's levels once, and both AUCs and every method's variance are read
@@ -289,12 +291,13 @@ def bootstrap_test(
                          alternative, n_boot=n_boot, seed=seed)[0]
 
 
-def _inclusion_scores(
-    ds: Dataset, ranking: AucRanking, scale: ReducedScale
-) -> tuple[np.ndarray, np.ndarray]:
-    """Row sums of the reduced scale of ranking (scores_1) and those sums
-    plus the next item in ranking order (scores_2): the item whose
-    addition first failed to improve the running AUC."""
+def _inclusion_tests(
+    ds: Dataset, ranking: AucRanking, scale: ReducedScale, methods,
+    alternative: str, n_boot=None, seed=None,
+) -> tuple[str, list[PairedRocTest]]:
+    """The next item in ranking order, the one whose addition first failed
+    to improve the running AUC, and _paired_tests of the reduced scale's
+    row sums (scores_1) against those sums plus that item (scores_2)."""
     kept = len(scale.items)
     if kept == ds.n_items:
         raise NoNextAttribute(
@@ -302,7 +305,11 @@ def _inclusion_scores(
             "item, so there is no next attribute whose inclusion could be "
             "tested"
         )
-    return sum_scores(ds, scale.items), sum_scores(ds, ranking.order[:kept + 1])
+    scores_1 = sum_scores(ds, scale.items)
+    scores_2 = sum_scores(ds, ranking.order[:kept + 1])
+    return ranking.order[kept], _paired_tests(
+        methods, scores_1, scores_2, ds.decision, alternative,
+        n_boot=n_boot, seed=seed)
 
 
 def check_attr_for_inclusion(
@@ -321,6 +328,5 @@ def check_attr_for_inclusion(
     """
     _check(method, alternative, n_boot, seed)
     ranking = total_auc(ds)
-    scores_1, scores_2 = _inclusion_scores(ds, ranking, reduce_ranking(ranking))
-    return _paired_tests((method,), scores_1, scores_2, ds.decision,
-                         alternative, n_boot=n_boot, seed=seed)[0]
+    return _inclusion_tests(ds, ranking, reduce_ranking(ranking), (method,),
+                            alternative, n_boot=n_boot, seed=seed)[1][0]

@@ -58,16 +58,22 @@ def _decision(decision, a: np.ndarray) -> np.ndarray:
     return d
 
 
+# sorted rows compared with their neighbours per block in _row_groups
+_ROW_BLOCK = 1 << 13
+
+
 def _row_groups(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Row indices sorted into groups of equal rows, ascending within each
-    group, and the position in that order where each group starts."""
+    group, and the position in that order where each group starts. Each
+    sorted row is compared with the one before it a block of _ROW_BLOCK
+    rows at a time, so no sorted copy of the matrix is held whole."""
     keys = a.view(np.dtype((np.void, a.itemsize * a.shape[1]))).ravel()
     order = np.argsort(keys, kind="stable")
-    rows = a[order]
-    starts = np.flatnonzero(
-        np.concatenate(([True], (rows[1:] != rows[:-1]).any(axis=1)))
-    )
-    return order, starts
+    starts = np.ones(order.size, dtype=bool)
+    for i in range(1, order.size, _ROW_BLOCK):
+        rows = a[order[i - 1:i + _ROW_BLOCK]]
+        starts[i:i + _ROW_BLOCK] = (rows[1:] != rows[:-1]).any(axis=1)
+    return order, np.flatnonzero(starts)
 
 
 # gray pairs per chunk, unless one row alone has more partners

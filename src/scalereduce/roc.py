@@ -103,24 +103,17 @@ def _levels(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.unique(s, return_inverse=True)
 
 
-def _level_counts(
-    s: np.ndarray, d: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Distinct levels of s (ascending), the positive and negative counts
-    at each level, and each row's level index."""
-    levels, index = _levels(s)
-    neg, pos = np.bincount(index * 2 + d, minlength=2 * levels.size).reshape(-1, 2).T
-    return levels, pos, neg, index
-
-
 def _class_counts(scores, decision):
-    """The split decision and _level_counts of the split scores. NaN scores
-    raise ValueError: np.unique sorts NaN last, and s.min() keeps NaN off
-    _levels' counting path, so a NaN level can only be the last one."""
+    """The split decision, the distinct levels of the split scores
+    (ascending), the positive and negative counts at each level and each
+    row's level index. NaN scores raise ValueError: np.unique sorts NaN
+    last, and s.min() keeps NaN off _levels' counting path, so a NaN level
+    can only be the last one."""
     s, d = _split(scores, decision)
-    levels, pos, neg, index = _level_counts(s, d)
+    levels, index = _levels(s)
     if np.isnan(levels[-1]):
         raise ValueError("scores must not be NaN")
+    neg, pos = np.bincount(index * 2 + d, minlength=2 * levels.size).reshape(-1, 2).T
     return d, levels, pos, neg, index
 
 

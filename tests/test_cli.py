@@ -8,6 +8,8 @@ import tempfile
 import tracemalloc
 import warnings
 import xml.etree.ElementTree as ET
+from dataclasses import asdict
+from itertools import product
 from pathlib import Path
 from unittest import mock
 
@@ -381,18 +383,21 @@ class TestTestInclusion:
         assert "bootstrap" not in out
 
     def test_values_match_library(self, capsys, demo_csv):
+        # every field of a report's test entry, for each method, is the
+        # library's record of the same test
         from scalereduce import check_attr_for_inclusion, load_csv
 
-        code, out, _ = run(
-            capsys,
-            ["test-inclusion", demo_csv, "--decision", "d",
-             "--method", "delong", "--format", "json"],
-        )
-        report = json.loads(out)
-        t = check_attr_for_inclusion(load_csv(demo_csv, "d"), method="delong")
-        row = report["results"]["tests"][0]
-        assert row["z"] == t.z
-        assert row["p_value"] == t.p_value
+        inputs = [(demo_csv, "d"), (str(DATA_DIR / "scale21.csv"), "verdict")]
+        methods = [(["--method", "delong"], {"method": "delong"}),
+                   (["--method", "bootstrap", "--n-boot", "200", "--seed", "7"],
+                    {"method": "bootstrap", "n_boot": 200, "seed": 7})]
+        for (path, decision), (flags, kwargs) in product(inputs, methods):
+            code, out, _ = run(capsys, ["test-inclusion", path, "--decision",
+                                        decision, *flags, "--format", "json"])
+            assert code == 0
+            [row] = json.loads(out)["results"]["tests"]
+            t = check_attr_for_inclusion(load_csv(path, decision), **kwargs)
+            assert row == asdict(t)
 
     def test_not_reducible_exits_3(self, capsys, tmp_path):
         path = write_csv(
@@ -469,7 +474,7 @@ class TestTestInclusion:
             self, capsys, monkeypatch):
         # one count per single-item and per running AUC, then one per
         # inclusion score vector, shared by both AUCs and both tests
-        original = roc._level_counts
+        original = roc._class_counts
         calls = []
 
         def counted(*args, **kwargs):
@@ -478,8 +483,8 @@ class TestTestInclusion:
 
         for module in list(sys.modules.values()):
             if (getattr(module, "__name__", "").startswith("scalereduce")
-                    and getattr(module, "_level_counts", None) is original):
-                monkeypatch.setattr(module, "_level_counts", counted)
+                    and getattr(module, "_class_counts", None) is original):
+                monkeypatch.setattr(module, "_class_counts", counted)
         path = str(DATA_DIR / "scale21.csv")
         code, out, _ = run(capsys, ["test-inclusion", path, "--decision",
                                     "verdict", "--method", "both",

@@ -16,7 +16,7 @@ from scalereduce import (
     total_auc,
 )
 from scalereduce.errors import ScoreOverflow, SingleClass, UnknownColumn
-from scalereduce.roc import _level_counts
+from scalereduce.roc import _class_counts, _levels
 
 from conftest import random_scores_decision, write_csv
 from oracles import auc_pairs, placements_pairs
@@ -193,13 +193,22 @@ def level_inputs(draw):
 @example((np.array([-0.1, 1.9, np.nextafter(1.9, 2)]), np.array([True, False, True])))
 def test_level_counts_equal_np_unique_on_every_path(case):
     # integer-coded scores are grouped by counting, the rest by np.unique;
-    # both must give np.unique's grouping, without a warning
+    # both must give np.unique's grouping, without a warning, and
+    # _class_counts must count it or, where a NaN was drawn, reject it
     scores, decision = case
     levels, index = np.unique(scores, return_inverse=True)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got_levels, pos, neg, got_index = _level_counts(scores, decision)
-    assert np.array_equal(got_levels, levels, equal_nan=True)  # 0.0 == -0.0
+        got_levels, got_index = _levels(scores)
+        assert np.array_equal(got_levels, levels, equal_nan=True)  # 0.0 == -0.0
+        assert got_index.tolist() == index.tolist()
+        if np.isnan(scores).any():
+            with pytest.raises(ValueError, match="NaN"):
+                _class_counts(scores, decision)
+            return
+        d, got_levels, pos, neg, got_index = _class_counts(scores, decision)
+    assert d.tolist() == decision.tolist()
+    assert np.array_equal(got_levels, levels)
     assert got_index.tolist() == index.tolist()
     assert pos.tolist() == np.bincount(index[decision], minlength=levels.size).tolist()
     assert neg.tolist() == np.bincount(index[~decision], minlength=levels.size).tolist()
