@@ -34,12 +34,12 @@ curves.
 Both tests run through one dispatch, _paired_tests, the one place that
 chooses a method, and the inclusion test of check_attr_for_inclusion and
 the CLI's test-inclusion through one composition, _inclusion_tests, the
-one place that names the next item and sums its two score vectors. The
-dispatch checks every method's arguments before any work: a bad method,
-alternative, n_boot or seed raises ValueError before any item is ranked,
-any level counted or any replicate drawn. It then counts each score
-vector's levels once, and both AUCs and every method's variance are read
-off those counts.
+one place that names the next item and sums its two score vectors. A
+bad method, alternative, n_boot or seed raises ValueError before any
+work: check_attr_for_inclusion checks before it ranks any item, and the
+dispatch before it counts any level or draws any replicate. The dispatch
+counts each score vector's levels once, and both AUCs and every method's
+variance are read off those counts.
 """
 
 from __future__ import annotations
