@@ -245,10 +245,10 @@ def _bootstrap_sd(c1, c2, n_boot: int, seed: int) -> float:
     n_pos, n_neg = int(d.sum()), int((~d).sum())
     classes, draws = [], []
     for rows, seq in zip((d, ~d), np.random.SeedSequence(seed).spawn(2)):
-        cells, cell_of_row = _levels(level_1[rows] * n_2 + level_2[rows])
+        cells, cell_of_row, cell_n = _levels(level_1[rows] * n_2 + level_2[rows])
         classes.append((cells // n_2, cells % n_2))
         n = cell_of_row.size
-        cell_freq = (np.bincount(cell_of_row) / n
+        cell_freq = (cell_n[:, 0] / n
                      if cells.size * _ROWS_PER_CELL <= n else None)
         draws.append(
             (np.random.default_rng(seq), cell_of_row, cells.size, cell_freq))

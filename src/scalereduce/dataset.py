@@ -283,7 +283,8 @@ def load_csv(
     del table  # Dataset makes the one float64 copy of attrs
     labels = tuple(header[i] for i in keep)
 
-    distinct = np.unique(raw_decision)
+    # return_counts keeps np.unique off its np.ma check, which imports numpy.ma
+    distinct = np.unique(raw_decision, return_counts=True)[0]
     if distinct.size != 2:
         raise NotBinaryDecision(
             f"{path}: decision column {decision_column!r} has "

@@ -135,9 +135,10 @@ class GrayGroups:
         # each chunk's first row has a partner
         row_segs = np.concatenate(([0], np.cumsum(k - 1)))
         through = np.cumsum(np.add.reduceat(count, row_segs[:-1]))
+        # return_counts keeps np.unique off its np.ma check, which imports numpy.ma
         cuts = np.unique(np.concatenate((
             [0], np.searchsorted(through, np.arange(_CHUNK, through[-1], _CHUNK),
-                                 side="right"), [through.size])))
+                                 side="right"), [through.size])), return_counts=True)[0]
         for r0, r1 in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
             s0, s1 = row_segs[r0], row_segs[r1]
             c = count[s0:s1]

@@ -7,11 +7,11 @@ class. AUC uses the pairwise kernel
 
 so it equals the Mann-Whitney probability that a random positive outranks a
 random negative, with ties counted half. AUC and placements are both read
-off per-class counts over the sorted distinct score levels (the ordinal
-form of Hanley & McNeil, 1982), so they agree with the O(P*N) pair
-enumeration exactly, not just to rounding: the numerator is an integer
-count of half-pairs and the quotient is rounded once. NaN scores, which
-psi cannot order, raise ValueError.
+off per-class counts over the sorted distinct score levels (the ordinal form
+of Hanley & McNeil, 1982), taken in one count per score vector, so they
+agree with the O(P*N) pair enumeration exactly, not just to rounding: the
+numerator is an integer count of half-pairs and the quotient is rounded
+once. NaN scores, which psi cannot order, raise ValueError.
 
 Everything here is a pure function of immutable inputs; concurrent calls
 are safe.
@@ -78,42 +78,50 @@ def _split(scores, decision) -> tuple[np.ndarray, np.ndarray]:
     return s, d
 
 
-def _levels(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct values of the nonempty 1-d array s (ascending) and each
-    entry's index into them, as np.unique(s, return_inverse=True) gives them.
+def _levels(s: np.ndarray, d=False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Distinct values of the nonempty 1-d array s (ascending), each
+    entry's index into them, as np.unique(s, return_inverse=True) gives
+    them, and counts[i, c], the entries at level i whose d is c.
 
-    Integer-coded s is grouped by counting instead of sorting, in
-    O(m + range): with lo = s.min(), the counting path is taken when lo is
-    finite, s.max() <= lo + 4*m (checked before any cast, so NaN and inf
-    never reach it), and the integer codes c = int(s - lo) round-trip,
-    lo + c == s for every entry. The round trip makes the grouping exact:
-    equal codes then mean equal values, and since float addition is
-    monotone, distinct values have distinct codes in the same order. A
-    bare "s - lo is integral" test would not do, as the subtraction
-    rounds: with lo = -0.1, both 1.9 and the next float above it lie 2.0
-    above lo. Levels equal np.unique's, except that a zero level may
-    differ in sign. Any other s is sorted by np.unique.
+    Integer-coded s is counted once, by one bincount over (code, d) slots, in
+    O(m + range): with lo = s.min(), that path is taken when lo is finite,
+    s.max() <= lo + 4*m (checked before any cast, so NaN and inf never reach
+    it), and the codes c = int(s - lo) round-trip, lo + c == s for every
+    entry. The round trip makes the grouping exact: equal codes mean equal
+    values and, float addition being monotone, distinct values have distinct
+    codes in the same order. A bare "s - lo is integral" test would not do:
+    with lo = -0.1, both 1.9 and the next float above it lie 2.0 above lo. The
+    codes are the index unless some code in range is unoccupied. Levels equal
+    np.unique's, except that a zero level may differ in sign. Any other s is
+    sorted by np.unique.
     """
-    lo = s.min()
-    if np.isfinite(lo) and s.max() <= lo + 4 * s.size:
-        codes = (s - lo).astype(np.intp)
-        if np.array_equal(lo + codes, s):
-            occupied = np.bincount(codes) > 0
-            return lo + np.flatnonzero(occupied), (np.cumsum(occupied) - 1)[codes]
-    return np.unique(s, return_inverse=True)
+    lo, hi = s.min(), s.max()
+    coded = np.isfinite(lo) and hi <= lo + 4 * s.size
+    index = (s - lo).astype(np.intp) if coded else None
+    if coded and np.array_equal(lo + index, s):
+        levels = lo + np.arange(int(hi - lo) + 1)
+    else:
+        levels, index = np.unique(s, return_inverse=True)
+    # minlength: the top level may hold only entries whose d is 0
+    counts = np.bincount(index * 2 + d, minlength=2 * levels.size).reshape(-1, 2)
+    occupied = np.logical_or(*counts.T)
+    if not occupied.all():
+        levels, counts = levels[occupied], counts[occupied]
+        index = (np.cumsum(occupied) - 1)[index]
+    return levels, index, counts
 
 
 def _class_counts(scores, decision):
     """The split decision, the distinct levels of the split scores
     (ascending), the positive and negative counts at each level and each
-    row's level index. NaN scores raise ValueError: np.unique sorts NaN
-    last, and s.min() keeps NaN off _levels' counting path, so a NaN level
-    can only be the last one."""
+    row's level index, from one _levels count. NaN scores raise ValueError:
+    np.unique sorts NaN last, and s.min() keeps NaN off _levels' counting
+    path, so a NaN level can only be the last one."""
     s, d = _split(scores, decision)
-    levels, index = _levels(s)
+    levels, index, counts = _levels(s, d)
     if np.isnan(levels[-1]):
         raise ValueError("scores must not be NaN")
-    neg, pos = np.bincount(index * 2 + d, minlength=2 * levels.size).reshape(-1, 2).T
+    neg, pos = counts.T
     return d, levels, pos, neg, index
 
 

@@ -596,6 +596,28 @@ def test_cli_import_leaves_xml_and_network_modules_out():
     ) == "[]"
 
 
+@pytest.mark.parametrize("argv", [
+    ["audit", "cli_gray.csv", "--decision", "d"],  # lists gray pairs
+    ["reduce", "scale21.csv", "--decision", "verdict", "--plot"],  # byte path
+    ["test-inclusion", "cli_mixed.csv", "--decision", "d",  # text path
+     "--method", "both", "--n-boot", "200"],
+], ids=["audit", "reduce-plot", "test-inclusion-both"])
+def test_cli_commands_leave_numpy_ma_out(argv, tmp_path):
+    # a plain np.unique(x) asks np.ma.is_masked(x), importing numpy.ma
+    # (6-7 ms) on every run
+    argv = [argv[0], str(DATA_DIR / argv[1]), *argv[2:]]
+    probe = (
+        "import sys; from scalereduce.cli import main; "
+        f"code = main({argv!r}); "
+        "print(code, 'numpy.ma' in sys.modules, file=sys.stderr)"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=_child_env(), cwd=tmp_path,
+        capture_output=True, text=True, timeout=60,
+    )
+    assert result.stderr.splitlines()[-1] == "0 False", result.stderr
+
+
 def test_reader_closing_stdout_early_exits_0(tmp_path):
     # 120 clones with alternating decisions: 3600 gray pairs, far more
     # output than a pipe buffer holds, so the writer meets the closed end

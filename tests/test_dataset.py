@@ -1,4 +1,5 @@
 import csv
+import json
 import os
 import tempfile
 import tracemalloc
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 
 from scalereduce import Dataset, load_csv, select_columns
+from scalereduce.cli import main
 from scalereduce.dataset import _one_digit_table
 from scalereduce.errors import (
     DuplicateColumn,
@@ -326,6 +328,26 @@ def test_single_class_message_is_the_same_on_both_paths(tmp_path):
         messages.append(str(info.value))
     assert messages[0] == messages[1]
     assert messages[0].endswith("decision values are [0.0, 1.0]")
+
+
+@pytest.mark.parametrize("cells", [
+    ("-0", "0", "1"), ("0", "-0", "1"), ("1", "-0", "0"), ("1", "0", "-0"),
+    ("-0", "1", "0"), ("0", "1", "-0", "-0", "0"),
+])
+def test_negative_zero_decision_is_the_one_np_unique_keeps(tmp_path, capsys,
+                                                           cells):
+    # -0 and 0 are one decision value; load_csv and the audit report must
+    # keep the zero that np.unique(column)[0] keeps, sign included
+    path = write_csv(tmp_path / "z.csv", ["x", "d"], [[1, c] for c in cells])
+    assert _one_digit_table(Path(path).read_bytes()) is None  # text path
+    want = float(np.unique(np.array(cells, dtype=float))[0])
+    got = load_csv(path, "d").negative_value
+    assert (got, np.signbit(got)) == (want, np.signbit(want))
+    assert main(["audit", path, "--decision", "d", "--format", "json"]) == 0
+    pairs = json.loads(capsys.readouterr().out)["results"]["gray_pairs"]
+    zeros = [json.dumps(p[k]) for p in pairs
+             for k in ("decision_a", "decision_b") if p[k] == 0]
+    assert zeros == [json.dumps(want)] * (len(cells) - 1)
 
 
 def _outcome(load, path):

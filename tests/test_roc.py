@@ -191,6 +191,12 @@ def level_inputs(draw):
 # 1.9 and the next float up both sit 2.0 above -0.1 in float subtraction:
 # an integral offset alone would merge them, the round trip does not
 @example((np.array([-0.1, 1.9, np.nextafter(1.9, 2)]), np.array([True, False, True])))
+# the top level holds negatives only: its (level, class) count needs minlength
+@example((np.array([0.0, 1.0, 2.0, 3.0]), np.array([True, False, True, False])))
+# gapped levels {0, 5, 9}: the codes must be remapped into an index
+@example((np.array([5.0, 0.0, 9.0, 5.0, 0.0]), np.array([True, False, True, False, True])))
+# dense levels: the index is the codes themselves
+@example((np.array([2.0, 0.0, 1.0, 2.0, 1.0]), np.array([True, False, False, True, False])))
 def test_level_counts_equal_np_unique_on_every_path(case):
     # integer-coded scores are grouped by counting, the rest by np.unique;
     # both must give np.unique's grouping, without a warning, and
@@ -199,7 +205,7 @@ def test_level_counts_equal_np_unique_on_every_path(case):
     levels, index = np.unique(scores, return_inverse=True)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got_levels, got_index = _levels(scores)
+        got_levels, got_index, _ = _levels(scores)
         assert np.array_equal(got_levels, levels, equal_nan=True)  # 0.0 == -0.0
         assert got_index.tolist() == index.tolist()
         if np.isnan(scores).any():
