@@ -35,7 +35,9 @@ from .compare import ALTERNATIVES, _inclusion_tests
 from .dataset import Dataset, load_csv, select_columns
 from .errors import LoadError, ScaleReduceError, UnknownColumn
 from .hygiene import GrayGroups, _screen
-from .reduction import _ranking, reduce_ranking, reduction_ratio, start_auc
+from .reduction import (
+    _ranking, _walk, reduce_ranking, reduction_ratio, start_auc,
+)
 from .roc import auc, roc_curve, sum_scores
 from .svg import points_csv, roc_chart, running_auc_chart
 
@@ -156,16 +158,10 @@ def cmd_rank(args) -> tuple[Dataset, dict]:
     }
 
 
-def _reduced(args):
-    """The oriented dataset, its flipped items, ranking and reduced scale."""
-    ds = _load(args)
-    ds, flipped, singles = _orient(ds, args.auto_orient)
-    ranking = _ranking(ds, singles)
-    return ds, flipped, ranking, reduce_ranking(ranking)
-
-
 def cmd_reduce(args) -> tuple[Dataset, dict]:
-    ds, flipped, ranking, scale = _reduced(args)
+    ds, flipped, singles = _orient(_load(args), args.auto_orient)
+    ranking = _ranking(ds, singles)
+    scale = reduce_ranking(ranking)
     kept = set(scale.items)
 
     plots: list[str] = []
@@ -212,9 +208,10 @@ def cmd_reduce(args) -> tuple[Dataset, dict]:
 
 
 def cmd_test_inclusion(args) -> tuple[Dataset, dict]:
-    ds, flipped, ranking, scale = _reduced(args)
+    ds, flipped, singles = _orient(_load(args), args.auto_orient)
+    order, scale = _walk(ds, singles)
     methods = ("delong", "bootstrap") if args.method == "both" else (args.method,)
-    next_item, tests = _inclusion_tests(ds, ranking, scale, methods,
+    next_item, tests = _inclusion_tests(ds, order, scale, methods,
                                         args.alternative, n_boot=args.n_boot,
                                         seed=args.seed)
     return ds, {

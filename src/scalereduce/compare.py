@@ -34,12 +34,13 @@ curves.
 Both tests run through one dispatch, _paired_tests, the one place that
 chooses a method, and the inclusion test of check_attr_for_inclusion and
 the CLI's test-inclusion through one composition, _inclusion_tests, the
-one place that names the next item and sums its two score vectors. A
-bad method, alternative, n_boot or seed raises ValueError before any
-work: check_attr_for_inclusion checks before it ranks any item, and the
-dispatch before it counts any level or draws any replicate. The dispatch
-counts each score vector's levels once, and both AUCs and every method's
-variance are read off those counts.
+one place that names the next item and sums its two score vectors. Both
+walk the running AUCs only up to kept + 1, the first that does not
+improve. A bad method, alternative, n_boot or seed raises ValueError
+before any work: check_attr_for_inclusion checks before it ranks any
+item, and the dispatch before it counts any level or draws any
+replicate. The dispatch counts each score vector's levels once, and both
+AUCs and every method's variance are read off those counts.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ import numpy as np
 
 from .dataset import Dataset
 from .errors import DegenerateVariance, NoNextAttribute
-from .reduction import AucRanking, ReducedScale, reduce_ranking, total_auc
+from .reduction import ReducedScale, _walk, start_auc
 from .roc import (
     _area, _class_counts, _levels, _placements, _split, _twice_u, sum_scores,
 )
@@ -292,12 +293,13 @@ def bootstrap_test(
 
 
 def _inclusion_tests(
-    ds: Dataset, ranking: AucRanking, scale: ReducedScale, methods,
+    ds: Dataset, order: tuple[str, ...], scale: ReducedScale, methods,
     alternative: str, n_boot=None, seed=None,
 ) -> tuple[str, list[PairedRocTest]]:
-    """The next item in ranking order, the one whose addition first failed
-    to improve the running AUC, and _paired_tests of the reduced scale's
-    row sums (scores_1) against those sums plus that item (scores_2)."""
+    """The next item in the ranking order, the one whose addition first
+    failed to improve the running AUC, and _paired_tests of the reduced
+    scale's row sums (scores_1) against those sums plus that item
+    (scores_2)."""
     kept = len(scale.items)
     if kept == ds.n_items:
         raise NoNextAttribute(
@@ -306,8 +308,8 @@ def _inclusion_tests(
             "tested"
         )
     scores_1 = sum_scores(ds, scale.items)
-    scores_2 = sum_scores(ds, ranking.order[:kept + 1])
-    return ranking.order[kept], _paired_tests(
+    scores_2 = sum_scores(ds, order[:kept + 1])
+    return order[kept], _paired_tests(
         methods, scores_1, scores_2, ds.decision, alternative,
         n_boot=n_boot, seed=seed)
 
@@ -324,9 +326,9 @@ def check_attr_for_inclusion(
     Runs the reduction, sums the retained prefix (scores_1), adds the next
     item in ranking order (scores_2) and tests the AUC difference with the
     chosen method. The next item is exactly the one whose addition first
-    failed to improve the running AUC.
+    failed to improve the running AUC; the walk stops there, at running
+    AUC kept + 1, and sums no item after it.
     """
     _check(method, alternative, n_boot, seed)
-    ranking = total_auc(ds)
-    return _inclusion_tests(ds, ranking, reduce_ranking(ranking), (method,),
+    return _inclusion_tests(ds, *_walk(ds, start_auc(ds)), (method,),
                             alternative, n_boot=n_boot, seed=seed)[1][0]

@@ -13,6 +13,7 @@ decision simply ranks with AUC below 0.5.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .dataset import Dataset
@@ -56,44 +57,69 @@ def total_auc(ds: Dataset) -> AucRanking:
     """Rank items by single AUC and compute all n running-total AUCs.
 
     The full running vector is computed even past the eventual stopping
-    point; rsr() consumes only the prefix.
+    point, as reduce reports it; rsr() stops at the first maximum.
     """
     return _ranking(ds, start_auc(ds))
 
 
+def _running(ds: Dataset,
+             singles: dict[str, float]) -> tuple[list[int], Iterator[float]]:
+    """Column indices of ds, largest single AUC first (ties keep column
+    order), and a generator of their running AUCs, each computed as read."""
+    idx = sorted(range(ds.n_items), key=lambda i: -singles[ds.labels[i]])
+    return idx, (auc(total, ds.decision) for total in _running_sums(ds, idx))
+
+
 def _ranking(ds: Dataset, singles: dict[str, float]) -> AucRanking:
     """total_auc given the single-item AUCs of ds, keyed by label."""
-    values = [singles[lab] for lab in ds.labels]
-    # stable sort, descending by AUC; ties keep original column order
-    order_idx = sorted(range(ds.n_items), key=lambda i: -values[i])
-
+    idx, running = _running(ds, singles)
     return AucRanking(
-        order=tuple(ds.labels[i] for i in order_idx),
-        single_auc=tuple(values[i] for i in order_idx),
-        running_auc=tuple(auc(total, ds.decision)
-                          for total in _running_sums(ds, order_idx)),
+        order=tuple(ds.labels[i] for i in idx),
+        single_auc=tuple(singles[ds.labels[i]] for i in idx),
+        running_auc=tuple(running),
     )
 
 
-def reduce_ranking(ranking: AucRanking) -> ReducedScale:
-    """First-maximum truncation of a precomputed ranking."""
-    running = ranking.running_auc
-    keep = 1
-    while keep < len(running) and running[keep] > running[keep - 1]:
-        keep += 1
+def _first_maximum(order: tuple[str, ...],
+                   running: Iterator[float]) -> ReducedScale:
+    """First-maximum truncation of order, reading its running AUCs only up
+    to the first that does not improve: min(kept + 1, n) of them."""
+    trajectory = [next(running)]
+    for value in running:
+        if not value > trajectory[-1]:
+            break
+        trajectory.append(value)
+    keep = len(trajectory)
     return ReducedScale(
-        items=ranking.order[:keep],
-        auc_trajectory=running[:keep],
-        achieved_auc=running[keep - 1],
+        items=order[:keep],
+        auc_trajectory=tuple(trajectory),
+        achieved_auc=trajectory[-1],
         stop_reason=(
-            "exhausted-all-items" if keep == len(running) else "first-decrease"
+            "exhausted-all-items" if keep == len(order) else "first-decrease"
         ),
     )
 
 
+def reduce_ranking(ranking: AucRanking) -> ReducedScale:
+    """First-maximum truncation of a precomputed ranking; the walk stops
+    at running AUC kept + 1."""
+    return _first_maximum(ranking.order, iter(ranking.running_auc))
+
+
+def _walk(ds: Dataset,
+          singles: dict[str, float]) -> tuple[tuple[str, ...], ReducedScale]:
+    """The ranking order of ds, given its single-item AUCs keyed by label,
+    and its reduced scale, computing running AUCs one at a time up to the
+    first that does not improve; no item past the next one is summed."""
+    idx, running = _running(ds, singles)
+    order = tuple(ds.labels[i] for i in idx)
+    return order, _first_maximum(order, running)
+
+
 def rsr(ds: Dataset) -> ReducedScale:
-    """Reduce the rating scale: rank, walk, stop at the first maximum."""
-    return reduce_ranking(total_auc(ds))
+    """Reduce the rating scale: rank, walk, stop at the first maximum,
+    computing running AUCs only up to kept + 1."""
+    return _walk(ds, start_auc(ds))[1]
 
 
 def reduction_ratio(scale: ReducedScale, n_original: int) -> float:

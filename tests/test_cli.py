@@ -469,11 +469,15 @@ class TestTestInclusion:
         assert code == 0
         assert calls["start_auc"] <= 1
         assert calls["total_auc"] <= 1
+        if argv[0] == "test-inclusion":
+            # the walk reads running AUCs only up to the next item
+            assert calls["total_auc"] == 0
 
     def test_levels_counted_once_per_inclusion_score_vector(
             self, capsys, monkeypatch):
-        # one count per single-item and per running AUC, then one per
-        # inclusion score vector, shared by both AUCs and both tests
+        # one count per single-item AUC and per running AUC the walk reads
+        # (kept + 1 of them), then one per inclusion score vector, shared
+        # by both AUCs and both tests
         original = roc._class_counts
         calls = []
 
@@ -493,7 +497,8 @@ class TestTestInclusion:
         report = json.loads(out)
         assert [t["method"] for t in report["results"]["tests"]] == [
             "delong", "bootstrap"]
-        assert len(calls) == 2 * report["n_items"] + 2
+        kept = len(report["results"]["reduced_items"])
+        assert len(calls) == report["n_items"] + kept + 1 + 2
 
     def test_degenerate_equal_scores(self, capsys, tmp_path):
         # duplicated informative column: adding the clone cannot change the

@@ -56,8 +56,9 @@ def test_golden_cases_cover_the_interface():
     both, a gray pair, a row in two gray pairs, a pair led by a negative
     row, the below-0.5 advisory, flipped items, a byte-order-marked input,
     the four plot files of each plotted input, one of them a scale of a
-    single item, and a bootstrap whose classes both have enough rows per
-    (scores_1, scores_2) cell to draw multinomial counts all appear in the
+    single item, a bootstrap whose classes both have enough rows per
+    (scores_1, scores_2) cell to draw multinomial counts, and an input
+    whose row sums overflow only past the next item all appear in the
     recorded outputs."""
     argvs = [c["argv"] for c in CASES.values()]
     assert {a[0] for a in argvs} == {"audit", "rank", "reduce", "test-inclusion"}
@@ -87,6 +88,13 @@ def test_golden_cases_cover_the_interface():
               if a[0] == "test-inclusion" and "delong" not in a}
     assert any(min(_rows_per_cell(*input)) >= _ROWS_PER_CELL
                for input in booted)
+    # test-inclusion sums no item past the next one, so it succeeds where
+    # reduce, which reports every running AUC, fails naming the items
+    tail = {c["argv"][0]: c for c in CASES.values()
+            if c["argv"][1] == "cli_overflow_tail.csv"}
+    assert tail["test-inclusion"]["exit"] == 0
+    assert tail["reduce"]["exit"] == 3
+    assert "items x, y, z1, z2 overflows" in tail["reduce"]["stderr"]
 
 
 def _rows_per_cell(name, decision):

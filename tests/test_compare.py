@@ -43,7 +43,8 @@ def no_work(monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("work done before the arguments were checked")
 
-    for name in ("_class_counts", "total_auc", "_delong_sd", "_bootstrap_sd"):
+    for name in ("_class_counts", "start_auc", "_walk", "_delong_sd",
+                 "_bootstrap_sd"):
         monkeypatch.setattr(compare, name, fail)
 
 

@@ -1,18 +1,25 @@
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from scalereduce import (
     Dataset,
+    auc,
+    check_attr_for_inclusion,
     load_csv,
+    reduction,
     reduction_ratio,
     rsr,
     select_columns,
     start_auc,
     total_auc,
 )
-from scalereduce.errors import InvalidCount
+from scalereduce.errors import InvalidCount, ScoreOverflow
+from scalereduce.reduction import _walk, reduce_ranking
 
 from conftest import DATA_DIR, random_dataset
 from oracles import auc_pairs, running_auc_prefix
@@ -173,6 +180,65 @@ class TestRsr:
         perm = list(rng.permutation(ds.n_items))
         shuffled = select_columns(ds, perm)
         assert rsr(ds) == rsr(shuffled)
+
+
+@st.composite
+def tied_datasets(draw):
+    """Up to five items scored 0-2 on up to 16 rows of both classes: so
+    few levels make equal running AUCs common."""
+    n = draw(st.integers(1, 5))
+    m = draw(st.integers(2, 16))
+    cells = st.lists(st.integers(0, 2), min_size=n, max_size=n)
+    return Dataset(
+        attributes=np.array(draw(st.lists(cells, min_size=m, max_size=m)),
+                            dtype=float),
+        labels=tuple(f"q{j}" for j in range(n)),
+        decision=np.array(
+            [True, False] + draw(st.lists(st.booleans(), min_size=m - 2,
+                                          max_size=m - 2))),
+    )
+
+
+def _two_items(a, b, decision):
+    return Dataset(attributes=np.array([a, b], dtype=float).T,
+                   labels=("a", "b"), decision=np.array(decision, dtype=bool))
+
+
+class TestWalk:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(tied_datasets())
+    # one item
+    @example(Dataset(attributes=np.array([[1.0], [0.0], [2.0]]),
+                     labels=("solo",), decision=np.array([True, False, True])))
+    # b lifts the running AUC from 5/6 to 1: the scale keeps every item
+    @example(_two_items([0, 1, 0, 1], [0, 0, 1, 1], [0, 1, 1, 1]))
+    # b is a copy of a: the running AUC ties and the walk stops at a
+    @example(_two_items([0, 1, 2, 1], [0, 1, 2, 1], [0, 0, 1, 1]))
+    def test_walk_matches_the_full_ranking(self, ds):
+        ranking = total_auc(ds)
+        scale = reduce_ranking(ranking)
+        singles = start_auc(ds)
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return auc(*args)
+
+        with mock.patch.object(reduction, "auc", counted):
+            walked = _walk(ds, singles)
+        assert walked == (ranking.order, scale)
+        assert len(calls) == min(len(scale.items) + 1, ds.n_items)
+        assert rsr(ds) == scale
+
+    def test_overflow_past_the_next_item_fails_total_auc_alone(self):
+        # x, y, z1, z2 in ranking order; any row's z1 + z2 overflows, and
+        # the scale keeps x, so the walk sums no z
+        ds = load_csv(str(DATA_DIR / "cli_overflow_tail.csv"), "d")
+        scale = rsr(ds)
+        assert scale.items == ("x",)
+        assert check_attr_for_inclusion(ds).auc_1 == scale.achieved_auc
+        with pytest.raises(ScoreOverflow, match="items x, y, z1, z2 overflows"):
+            total_auc(ds)
 
 
 class TestReductionRatio:

@@ -16,8 +16,13 @@ case draws the running-AUC chart over one item count, and
 tests/data/cli_few_cells.csv, 300 seeded rows of four 0-1 items, whose
 inclusion scores fall into six (scores_1, scores_2) cells with at least
 20 rows per cell in each class, so its bootstrap case draws multinomial
-counts. Then runs every case in cases() through scalereduce.cli.main and
-writes tests/data/cli_golden/: one <case>.out file per case with its stdout,
+counts, and tests/data/cli_overflow_tail.csv, 60 seeded rows whose items
+rank x, y, z1, z2 and whose scale keeps x alone, while z1 and z2 hold
+scores near 1e308 that overflow float64 when summed: its test-inclusion
+case succeeds, as the walk sums no item past y, and its reduce case,
+which reports every running AUC, fails with exit 3. Then runs every case
+in cases() through scalereduce.cli.main and writes
+tests/data/cli_golden/: one <case>.out file per case with its stdout,
 cases.json with each case's argv, exit code and stderr, and, once per
 input, the four files that its reduce --plot cases write, each named
 <input stem>-plot.<file name>.
@@ -59,6 +64,7 @@ from scalereduce.cli import main  # noqa: E402
 SEED = 20261018
 N_ROWS = 48
 N_FEW_CELLS_ROWS = 300
+N_OVERFLOW_TAIL_ROWS = 60
 FORMATS = ("json", "csv", "table")
 BOOT = ["--n-boot", "200", "--seed", "7"]
 FLAGS = {
@@ -76,18 +82,25 @@ FLAGS = {
         "-bootstrap": BOOT + ["--method", "bootstrap"],
     },
 }
-# input file -> (decision column, the commands run on it, the formats)
-INPUTS = {
-    "scale21.csv": ("verdict", FLAGS, FORMATS),
-    "cli_mixed.csv": ("d", FLAGS, FORMATS),
-    "cli_gray.csv": ("d", {"audit": FLAGS["audit"]}, FORMATS),
-    "cli_gray_order.csv": ("d", {"audit": FLAGS["audit"]}, FORMATS),
-    "cli_mixed_bom.csv": ("d", {"rank": {"": []}}, ("csv",)),
-    "cli_one_item.csv": ("d", {"reduce": {"-plot": FLAGS["reduce"]["-plot"]}},
-                         FORMATS),
-    "cli_few_cells.csv": ("d", {"test-inclusion": {
+# (input file, decision column, the commands run on it, the formats); an
+# input may appear more than once, each time with its own formats
+RUNS = [
+    ("scale21.csv", "verdict", FLAGS, FORMATS),
+    ("cli_mixed.csv", "d", FLAGS, FORMATS),
+    ("cli_gray.csv", "d", {"audit": FLAGS["audit"]}, FORMATS),
+    ("cli_gray_order.csv", "d", {"audit": FLAGS["audit"]}, FORMATS),
+    ("cli_mixed_bom.csv", "d", {"rank": {"": []}}, ("csv",)),
+    ("cli_one_item.csv", "d", {"reduce": {"-plot": FLAGS["reduce"]["-plot"]}},
+     FORMATS),
+    ("cli_few_cells.csv", "d", {"test-inclusion": {
         "-bootstrap": FLAGS["test-inclusion"]["-bootstrap"]}}, FORMATS),
-}
+    # reduce fails here and prints no report, which the json layout check
+    # would refuse, so it runs in csv alone
+    ("cli_overflow_tail.csv", "d", {"reduce": {"": []}}, ("csv",)),
+    ("cli_overflow_tail.csv", "d", {"test-inclusion": {
+        "-delong": FLAGS["test-inclusion"]["-delong"]}}, ("json",)),
+]
+INPUTS = {run[0] for run in RUNS}
 # rows 0, 2 and 4 are one gray group, so row 0 is row_a of two pairs; rows
 # 1 and 5 are another, told apart only by the sign of a zero; rows 3 and 6
 # are duplicates with the same decision
@@ -164,6 +177,21 @@ def few_cells_rows(rng: random.Random) -> list[list[str]]:
     return rows
 
 
+def overflow_tail_rows(rng: random.Random) -> list[list[str]]:
+    """x tracks the decision, y weakly; z1 and z2 lean against it, each
+    at 9.0e307, 9.1e307 or 9.2e307, so any row's z1 + z2 overflows."""
+    rows = []
+    for _ in range(N_OVERFLOW_TAIL_ROWS):
+        d = int(rng.random() < 0.5)
+        x = min(4, max(0, round(1 + 2 * d + rng.gauss(0.0, 0.8))))
+        y = min(4, max(0, round(1.5 + 0.8 * d + rng.gauss(0.0, 1.2))))
+        zs = [(9.0e307, 9.1e307, 9.2e307)[
+                  min(2, max(0, round(1 - w * d + rng.gauss(0.0, 0.8))))]
+              for w in (0.3, 0.6)]
+        rows.append([str(x), str(y)] + [repr(z) for z in zs] + [str(d)])
+    return rows
+
+
 def write_fixtures(data: Path) -> None:
     rows = [["a", "b", "c", "e", "f", "d"]] + mixed_rows(random.Random(SEED))
     text = "".join(",".join(row) + "\n" for row in rows)
@@ -171,6 +199,10 @@ def write_fixtures(data: Path) -> None:
     (data / "cli_mixed_bom.csv").write_text(text, encoding="utf-8-sig")
     rows = [["a", "b", "c", "e", "d"]] + few_cells_rows(random.Random(SEED))
     (data / "cli_few_cells.csv").write_text(
+        "".join(",".join(row) + "\n" for row in rows), encoding="utf-8")
+    rows = [["x", "y", "z1", "z2", "d"]] + overflow_tail_rows(
+        random.Random(SEED))
+    (data / "cli_overflow_tail.csv").write_text(
         "".join(",".join(row) + "\n" for row in rows), encoding="utf-8")
     for name, lines in (("cli_gray.csv", GRAY_ROWS),
                         ("cli_gray_order.csv", GRAY_ORDER_ROWS),
@@ -181,7 +213,7 @@ def write_fixtures(data: Path) -> None:
 
 def cases() -> dict[str, list[str]]:
     out = {}
-    for name, (decision, commands, formats) in INPUTS.items():
+    for name, decision, commands, formats in RUNS:
         for command, variants in commands.items():
             for suffix, flags in variants.items():
                 for fmt in formats:
