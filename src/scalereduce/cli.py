@@ -100,7 +100,7 @@ def _orient(ds: Dataset, auto_orient: bool) -> tuple[Dataset, list[str], dict]:
             file=sys.stderr,
         )
         return ds, [], singles
-    attrs = ds.attributes.copy()
+    attrs = ds.attributes.copy(order="K")  # column-major, as loaded
     for lab in below:
         i = ds.labels.index(lab)
         attrs[:, i] = -attrs[:, i]
@@ -115,22 +115,23 @@ def _orient(ds: Dataset, auto_orient: bool) -> tuple[Dataset, list[str], dict]:
 # stderr ---------------------------------------------------------------
 
 
-def _pair_fields(groups: GrayGroups, decision_text,
-                 values_text) -> Iterator[tuple[int, tuple]]:
-    """Per chunk of an audit's gray pairs, its pair count and each pair's
-    row_a, row_b, decision_a, decision_b and values, in one flat tuple.
-    decision_text is called once per decision value and values_text once
-    per group, on its values list."""
-    decision = np.array([decision_text(v) for v in groups.levels.tolist()],
-                        dtype=object)[groups.level]
-    values = np.array([values_text(v) for v in groups.values.tolist()],
-                      dtype=object)[groups.group]
-    for a, b, run_a, run_b in groups.pair_chunks():
-        fields = np.empty((a.size, 5), dtype=object)
-        fields[:, 0], fields[:, 1] = a, b
-        fields[:, 2], fields[:, 3] = decision[run_a], decision[run_b]
-        fields[:, 4] = values[run_a]
-        yield a.size, tuple(fields.ravel().tolist())
+def _pair_text(groups: GrayGroups, head: str, tail: str, decision_text,
+               values_text) -> Iterator[str]:
+    """Per chunk of an audit's gray pairs, one text of head % row_a,
+    str(row_b) and tail % (decision_a, decision_b, values) per pair. The
+    decision is binary, so group g is runs 2g and 2g + 1 and a pair's tail
+    is its row_a run's: heads and names are formatted once per gray row,
+    tails once per run, each decision and values list once."""
+    low, high = map(decision_text, groups.levels.tolist())
+    tails = np.array([tail % t for v in map(values_text, groups.values.tolist())
+                      for t in ((low, high, v), (high, low, v))], dtype=object)
+    gray = np.sort(groups.rows)
+    heads = np.array([head % r for r in gray.tolist()], dtype=object)
+    names = np.array(list(map(str, gray.tolist())), dtype=object)
+    for a, b, run_a, _ in groups.pair_chunks():
+        yield "".join(np.column_stack((
+            heads[np.searchsorted(gray, a)], names[np.searchsorted(gray, b)],
+            tails[run_a])).ravel().tolist())
 
 
 def cmd_audit(args) -> tuple[Dataset, dict]:
@@ -240,9 +241,10 @@ def _table_audit(report: dict) -> Iterator[str]:
     yield (f"examples: total {dup['total']}, distinct {dup['distinct']}, "
            f"duplicates {dup['duplicates']}")
     yield f"gray pairs: {r['gray_pair_count']}"
-    for n, fields in _pair_fields(r["gray_pairs"], "{:g}".format,
-                                  lambda v: ",".join(f"{x:g}" for x in v)):
-        yield "\n".join(["  rows %d,%d decision %s/%s values %s"] * n) % fields
+    for text in _pair_text(r["gray_pairs"], "  rows %d,",
+                           " decision %s/%s values %s\n", "{:g}".format,
+                           lambda v: ",".join(f"{x:g}" for x in v)):
+        yield text[:-1]  # _write ends each line
 
 
 def _table_rank(report: dict) -> list[str]:
@@ -290,7 +292,7 @@ def _table_test_inclusion(report: dict) -> list[str]:
 
 
 # command -> (table lines, csv header, csv rows from the results); a
-# table may yield its lines, as audit's one line per gray pair does
+# table may yield its lines, as audit's gray pairs come a chunk at a time
 VIEWS = {
     "audit": (
         _table_audit,
@@ -322,19 +324,18 @@ VIEWS = {
 }
 
 
-# a gray pair as json.dumps(indent=2) lays it out in a report; ints and
-# the encoded decisions and values fill it as json writes them
-_PAIR = """
+# a gray pair as json.dumps(indent=2) lays it out in a report after a pair
+# before it, cut where _pair_text writes row_b
+_PAIR_HEAD, _, _PAIR_TAIL = """,
       {
         "row_a": %d,
         "row_b": %d,
         "decision_a": %s,
         "decision_b": %s,
         "values": %s
-      }"""
-# A pair's nonempty values list as json.dumps(indent=2) lays it out at the
-# pair's depth, filled from json.dumps without indent, which keeps json on
-# its C encoder.
+      }""".rpartition("%d")
+# a pair's nonempty values list at its depth in json.dumps(indent=2), filled
+# from json.dumps without indent, which keeps json on its C encoder
 _VALUES = "[\n          %s\n        ]"
 
 
@@ -342,9 +343,8 @@ def _json_pieces(report: dict) -> Iterator[str]:
     """Yield json.dumps(report, indent=2) and a newline, in pieces. An audit
     report is dumped with an empty gray-pair list and split at that list,
     which can only be the key, as json escapes '"' in a string; the pairs
-    are then expanded from the gray groups a chunk at a time, and each
-    chunk fills _PAIR with one %-format, each decision value and each
-    group's values list encoded once."""
+    are then written from the gray groups a chunk at a time by _pair_text,
+    the first chunk without the ',' that leads every pair."""
     results = report["results"]
     pairs = results.get("gray_pairs")
     if pairs is None:
@@ -354,12 +354,12 @@ def _json_pieces(report: dict) -> Iterator[str]:
                       indent=2)
     head, _, tail = text.partition('"gray_pairs": []')
     yield head + '"gray_pairs": ['
-    sep = ""
-    for n, fields in _pair_fields(pairs, json.dumps, lambda v: _VALUES % (
-            json.dumps(v)[1:-1].replace(", ", ",\n          "))):
-        yield sep + ",".join([_PAIR] * n) % fields
-        sep = ","
-    yield ("\n    ]" if sep else "]") + tail + "\n"
+    lead = 1  # the first pair has no pair before it
+    for text in _pair_text(pairs, _PAIR_HEAD, _PAIR_TAIL, json.dumps, lambda v: (
+            _VALUES % json.dumps(v)[1:-1].replace(", ", ",\n          "))):
+        yield text[lead:]
+        lead = 0
+    yield ("]" if lead else "\n    ]") + tail + "\n"
 
 
 def _write(report: dict, fmt: str) -> None:

@@ -111,9 +111,9 @@ class TestAudit:
             assert calls == [(4, 2)]
 
     def test_json_keys_encoded_once_per_shape(self, capsys, monkeypatch, tmp_path):
-        # every gray pair fills one template and a clone's values list is
-        # encoded once, so json.dumps runs as often for 225 pairs as for
-        # 22500
+        # a gray pair's pieces are formatted per gray row and per run, and
+        # a clone's values list is encoded once, so json.dumps runs as often
+        # for 225 pairs as for 22500
         calls = []
 
         def counted(obj, _dumps=json.dumps, **kwargs):
@@ -175,6 +175,68 @@ class TestAudit:
         code, _, err = run(capsys, ["audit", demo_csv, "--decision", "zzz"])
         assert code == 2
         assert "zzz" in err
+
+
+# cells whose values json.dumps and {:g} print differently, -0 among them
+GRAY_CELLS = ["-0", "0", "2.5", "1e-07", "123456789"]
+
+
+@st.composite
+def gray_audits(draw):
+    """(CSV text, complete rows, raw decisions, chunk size): 2-14 rows of
+    1-3 items drawn from up to three distinct rows of GRAY_CELLS, the
+    first two rows equal and of opposite classes, so there is always a
+    gray group, with decisions coded -1/1 or 0.5/2."""
+    n_items = draw(st.integers(1, 3))
+    shapes = draw(st.lists(st.lists(st.sampled_from(GRAY_CELLS), min_size=n_items,
+                                    max_size=n_items), min_size=1, max_size=3))
+    coding = draw(st.sampled_from([("-1", "1"), ("0.5", "2")]))
+    rows = [(shapes[0], coding[0]), (shapes[0], coding[1])] + draw(st.lists(
+        st.tuples(st.sampled_from(shapes), st.sampled_from(coding)), max_size=12))
+    rows = draw(st.permutations(rows))
+    text = "".join(",".join(cells) + "\n" for cells in [
+        [*(f"q{j}" for j in range(n_items)), "d"], *(c + [d] for c, d in rows)])
+    attrs = np.array([[float(c) for c in cells] for cells, _ in rows])
+    raw = np.array([float(d) for _, d in rows])
+    return text, attrs, raw, draw(st.sampled_from([1, 3, hygiene._CHUNK]))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(gray_audits())
+def test_audit_views_write_every_gray_pair_byte_for_byte(drawn):
+    # parsing the report back cannot tell 1 from 1.0 or -0 from 0: the
+    # json view must be json.dumps of the report with its pairs expanded
+    # from gray_examples, and the table one {:g} line per pair, across
+    # chunks of one, three and the default number of pairs
+    text, attrs, raw, chunk = drawn
+    values = attrs + 0.0  # a group's values row reads -0 as 0
+    pairs = hygiene.gray_examples(attrs, raw).tolist()
+    outs = {}
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(hygiene, "_CHUNK", chunk):
+        path = os.path.join(tmp, "gray.csv")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        for fmt in ("json", "table"):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert main(["audit", path, "--decision", "d",
+                             "--format", fmt]) == 0
+            outs[fmt] = out.getvalue()
+    assert pairs
+    report = json.loads(outs["json"])
+    report["results"]["gray_pairs"] = [
+        {"row_a": a, "row_b": b, "decision_a": float(raw[a]),
+         "decision_b": float(raw[b]), "values": values[a].tolist()}
+        for a, b in pairs
+    ]
+    assert outs["json"] == json.dumps(report, indent=2) + "\n"
+    lines = ["  rows %d,%d decision %s/%s values %s" % (
+        a, b, f"{raw[a]:g}", f"{raw[b]:g}", ",".join(f"{x:g}" for x in values[a]))
+        for a, b in pairs]
+    head = outs["table"].split("\n", 1)[0]
+    assert outs["table"] == "\n".join(
+        [head, f"gray pairs: {len(pairs)}", *lines]) + "\n"
 
 
 class TestRank:

@@ -54,8 +54,9 @@ def test_cli_output_matches_golden(case, capsys, monkeypatch, tmp_path):
 def test_golden_cases_cover_the_interface():
     """Every command and format, each test-inclusion method alone and
     both, a gray pair, a row in two gray pairs, a pair led by a negative
-    row, the below-0.5 advisory, flipped items, a byte-order-marked input,
-    the four plot files of each plotted input, one of them a scale of a
+    row, gray pairs whose decision codes and cells json and {:g} print
+    differently, the below-0.5 advisory, flipped items, a byte-order-marked
+    input, the four plot files of each plotted input, one of them a scale of a
     single item, a bootstrap whose classes both have enough rows per
     (scores_1, scores_2) cell to draw multinomial counts, and an input
     whose row sums overflow only past the next item all appear in the
@@ -76,6 +77,11 @@ def test_golden_cases_cover_the_interface():
     order = json.loads((GOLDEN / "cli_gray_order-audit-json.out").read_bytes())
     assert any(p["decision_a"] < p["decision_b"]
                for p in order["results"]["gray_pairs"])
+    json_out, table_out = (
+        (GOLDEN / f"cli_gray_codes-audit-{fmt}.out").read_text(encoding="utf-8")
+        for fmt in ("json", "table"))
+    assert '"decision_a": 2.0,' in json_out and "123456789.0," in json_out
+    assert "decision 2/0.5 values 1.23457e+08,0\n" in table_out
     plotted = {Path(a[1]).stem for a in argvs if "--plot" in a}
     assert plotted == {"scale21", "cli_mixed", "cli_one_item"}
     for stem in plotted:

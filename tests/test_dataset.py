@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 
 from scalereduce import Dataset, load_csv, select_columns
-from scalereduce.cli import main
+from scalereduce.cli import _orient, main
 from scalereduce.dataset import _one_digit_table
 from scalereduce.errors import (
     DuplicateColumn,
@@ -328,6 +328,22 @@ def test_single_class_message_is_the_same_on_both_paths(tmp_path):
         messages.append(str(info.value))
     assert messages[0] == messages[1]
     assert messages[0].endswith("decision values are [0.0, 1.0]")
+
+
+def test_attributes_stay_column_major(tmp_path):
+    # items are read a column at a time, so both load paths, select_columns
+    # and --auto-orient's flip keep the attribute matrix column-major
+    path = tmp_path / "scale.csv"
+    for body in (b"1,3,0,0\n2,1,3,1\n0,2,1,1\n",  # byte, then text path
+                 b"1.5,3,0,0\n2,1,3,1\n0,2,1,1\n"):
+        path.write_bytes(b"up,down,x,d\n" + body)
+        ds = load_csv(str(path), "d")
+        assert (_one_digit_table(path.read_bytes()) is None) == (b"." in body)
+        flipped, below, _ = _orient(ds, True)
+        assert below == ["down"]
+        for derived in (ds, select_columns(ds, ["x", "up"]), flipped):
+            assert derived.attributes.flags.f_contiguous
+            assert not derived.attributes.flags.c_contiguous
 
 
 @pytest.mark.parametrize("cells", [

@@ -7,9 +7,12 @@ whose gray groups put one row in two pairs and a -0 cell in another,
 tests/data/cli_gray_order.csv, an audit fixture with decisions coded 1/2
 whose interleaved gray groups pin the order of the pair listing (a pair
 led by a negative row, alternating decisions, three positives against one
-negative, and clones of a single decision that are not gray), and
-tests/data/cli_mixed_bom.csv, cli_mixed.csv behind a UTF-8 byte-order
-mark, as Excel writes it; its one case prints the same csv as the plain
+negative, and clones of a single decision that are not gray),
+tests/data/cli_gray_codes.csv, an audit fixture with decisions coded
+0.5/2 and cells of -0, 1e-07 and 123456789, which json.dumps and {:g}
+print differently, so its json and table cases pin both writers' number
+formats, and tests/data/cli_mixed_bom.csv, cli_mixed.csv behind a UTF-8
+byte-order mark, as Excel writes it; its one case prints the same csv as the plain
 file's (json would differ, as it holds the input path), and
 tests/data/cli_one_item.csv, a scale of a single item, whose reduce --plot
 case draws the running-AUC chart over one item count, and
@@ -89,6 +92,7 @@ RUNS = [
     ("cli_mixed.csv", "d", FLAGS, FORMATS),
     ("cli_gray.csv", "d", {"audit": FLAGS["audit"]}, FORMATS),
     ("cli_gray_order.csv", "d", {"audit": FLAGS["audit"]}, FORMATS),
+    ("cli_gray_codes.csv", "d", {"audit": FLAGS["audit"]}, FORMATS),
     ("cli_mixed_bom.csv", "d", {"rank": {"": []}}, ("csv",)),
     ("cli_one_item.csv", "d", {"reduce": {"-plot": FLAGS["reduce"]["-plot"]}},
      FORMATS),
@@ -133,6 +137,20 @@ GRAY_ORDER_ROWS = [
     "3,1,1",
     "0,0,2",
     "1,4,2",
+]
+# decisions 0.5 (negative) and 2 (positive), which json writes as 0.5 and
+# 2.0 and {:g} as 0.5 and 2. Rows 0 and 1 are a gray group told apart only
+# by the sign of a zero, with values 123456789 (json 123456789.0, {:g}
+# 1.23457e+08) and 0; rows 2, 3 and 4 are a group whose second pair is led
+# by a positive row; row 5 is not gray
+GRAY_CODES_ROWS = [
+    "s,t,d",
+    "123456789,-0,2",
+    "123456789,0,0.5",
+    "1e-07,2.5,0.5",
+    "1e-07,2.5,2",
+    "1e-07,2.5,0.5",
+    "3,1,2",
 ]
 # one item with tied scores across the classes: the running total has a
 # single value, so the running-AUC chart's x range is one point wide
@@ -206,6 +224,7 @@ def write_fixtures(data: Path) -> None:
         "".join(",".join(row) + "\n" for row in rows), encoding="utf-8")
     for name, lines in (("cli_gray.csv", GRAY_ROWS),
                         ("cli_gray_order.csv", GRAY_ORDER_ROWS),
+                        ("cli_gray_codes.csv", GRAY_CODES_ROWS),
                         ("cli_one_item.csv", ONE_ITEM_ROWS)):
         text = "".join(line + "\n" for line in lines)
         (data / name).write_text(text, encoding="utf-8")
