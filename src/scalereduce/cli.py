@@ -35,10 +35,8 @@ from .compare import ALTERNATIVES, _inclusion_tests
 from .dataset import Dataset, load_csv, select_columns
 from .errors import LoadError, ScaleReduceError, UnknownColumn
 from .hygiene import GrayGroups, _screen
-from .reduction import (
-    _ranking, _walk, reduce_ranking, reduction_ratio, start_auc,
-)
-from .roc import auc, roc_curve, sum_scores
+from .reduction import _ranking, _walk, reduction_ratio, start_auc
+from .roc import _curve, auc
 from .svg import points_csv, roc_chart, running_auc_chart
 
 TOOL = "scalereduce"
@@ -128,7 +126,7 @@ def _pair_text(groups: GrayGroups, head: str, tail: str, decision_text,
     gray = np.sort(groups.rows)
     heads = np.array([head % r for r in gray.tolist()], dtype=object)
     names = np.array(list(map(str, gray.tolist())), dtype=object)
-    for a, b, run_a, _ in groups.pair_chunks():
+    for a, b, run_a in groups.pair_chunks():
         yield "".join(np.column_stack((
             heads[np.searchsorted(gray, a)], names[np.searchsorted(gray, b)],
             tails[run_a])).ravel().tolist())
@@ -161,15 +159,14 @@ def cmd_rank(args) -> tuple[Dataset, dict]:
 
 def cmd_reduce(args) -> tuple[Dataset, dict]:
     ds, flipped, singles = _orient(_load(args), args.auto_orient)
-    ranking = _ranking(ds, singles)
-    scale = reduce_ranking(ranking)
+    ranking, scale, counts = _ranking(ds, singles)
     kept = set(scale.items)
 
     plots: list[str] = []
     if args.plot:
         ks = list(range(1, ds.n_items + 1))
         running = list(ranking.running_auc)
-        curve = roc_curve(sum_scores(ds, scale.items), ds.decision)
+        curve = _curve(counts)
         files = {
             "running_auc.svg": running_auc_chart(running),
             "running_auc.csv": points_csv(ks, running),
@@ -210,9 +207,9 @@ def cmd_reduce(args) -> tuple[Dataset, dict]:
 
 def cmd_test_inclusion(args) -> tuple[Dataset, dict]:
     ds, flipped, singles = _orient(_load(args), args.auto_orient)
-    order, scale = _walk(ds, singles)
+    order, scale, counts = _walk(ds, singles)
     methods = ("delong", "bootstrap") if args.method == "both" else (args.method,)
-    next_item, tests = _inclusion_tests(ds, order, scale, methods,
+    next_item, tests = _inclusion_tests(order, scale, counts, methods,
                                         args.alternative, n_boot=args.n_boot,
                                         seed=args.seed)
     return ds, {

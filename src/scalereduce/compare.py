@@ -32,15 +32,17 @@ z = 0, p = 1, whatever the variance would be; this avoids 0/0 on identical
 curves.
 
 Both tests run through one dispatch, _paired_tests, the one place that
-chooses a method, and the inclusion test of check_attr_for_inclusion and
-the CLI's test-inclusion through one composition, _inclusion_tests, the
-one place that names the next item and sums its two score vectors. Both
-walk the running AUCs only up to kept + 1, the first that does not
-improve. A bad method, alternative, n_boot or seed raises ValueError
-before any work: check_attr_for_inclusion checks before it ranks any
-item, and the dispatch before it counts any level or draws any
-replicate. The dispatch counts each score vector's levels once, and both
-AUCs and every method's variance are read off those counts.
+chooses a method; it reads both AUCs and every method's variance off the
+two score vectors' level counts. delong_test and bootstrap_test count
+their vectors in _vector_test. The inclusion test of
+check_attr_for_inclusion and the CLI's test-inclusion go through one
+composition, _inclusion_tests, the one place that names the next item;
+it sums nothing, but takes the counts of the kept and the next running
+sums from reduction._walk, which forms and counts each once. A bad
+method, alternative, n_boot or seed raises ValueError before any work:
+check_attr_for_inclusion checks before it ranks any item, _vector_test
+before it counts any level, and the dispatch before it draws any
+replicate.
 """
 
 from __future__ import annotations
@@ -54,9 +56,7 @@ import numpy as np
 from .dataset import Dataset
 from .errors import DegenerateVariance, NoNextAttribute
 from .reduction import ReducedScale, _walk, start_auc
-from .roc import (
-    _area, _class_counts, _levels, _placements, _split, _twice_u, sum_scores,
-)
+from .roc import _area, _class_counts, _levels, _placements, _split, _twice_u
 
 ALTERNATIVES = ("two-sided", "less", "greater")
 
@@ -136,17 +136,14 @@ def _p_value(z: float, alternative: str) -> float:
     return 0.5 * math.erfc(sign * z / math.sqrt(2.0))
 
 
-def _paired_tests(methods, scores_1, scores_2, decision, alternative,
-                  n_boot=None, seed=None) -> list[PairedRocTest]:
-    """One test per method ("delong" or "bootstrap"), in order. Arguments
-    are checked and both vectors split before any work; each vector's
-    levels are counted once, for both AUCs and every method's sd. Equal
-    AUCs give z = 0 without an sd."""
+def _paired_tests(methods, c1, c2, alternative, n_boot=None,
+                  seed=None) -> list[PairedRocTest]:
+    """One test per method ("delong" or "bootstrap"), in order, from the
+    _class_counts c1 and c2 of two score vectors; both AUCs and every
+    method's sd are read off those counts. Equal AUCs give z = 0 without
+    an sd."""
     recorded = [_check(method, alternative, n_boot, seed) for method in methods]
-    s1, d = _split(scores_1, decision)
-    s2, _ = _split(scores_2, decision)
-    c1, c2 = _class_counts(s1, d), _class_counts(s2, d)
-    auc_1, auc_2 = (_area(pos, neg) for _, _, pos, neg, _ in (c1, c2))
+    auc_1, auc_2 = _area(c1), _area(c2)
     tests = []
     for method, (n_boot, seed) in zip(methods, recorded):
         if auc_1 == auc_2:
@@ -161,6 +158,17 @@ def _paired_tests(methods, scores_1, scores_2, decision, alternative,
             n_boot=n_boot, seed=seed,
         ))
     return tests
+
+
+def _vector_test(method, scores_1, scores_2, decision, alternative,
+                 n_boot=None, seed=None) -> PairedRocTest:
+    """_paired_tests of two score vectors by one method, with the arguments
+    checked and both vectors split before either is counted."""
+    _check(method, alternative, n_boot, seed)
+    s1, d = _split(scores_1, decision)
+    s2, _ = _split(scores_2, decision)
+    return _paired_tests((method,), _class_counts(s1, d), _class_counts(s2, d),
+                         alternative, n_boot=n_boot, seed=seed)[0]
 
 
 def _delong_sd(c1, c2) -> float:
@@ -191,8 +199,7 @@ def delong_test(
     scores_1, scores_2, decision, alternative: str = "two-sided"
 ) -> PairedRocTest:
     """Asymptotic test for a difference of two correlated AUCs."""
-    return _paired_tests(
-        ("delong",), scores_1, scores_2, decision, alternative)[0]
+    return _vector_test("delong", scores_1, scores_2, decision, alternative)
 
 
 def _cell_counts(
@@ -288,30 +295,29 @@ def bootstrap_test(
     seed: int | None = None,
 ) -> PairedRocTest:
     """Stratified-bootstrap test for a difference of two correlated AUCs."""
-    return _paired_tests(("bootstrap",), scores_1, scores_2, decision,
-                         alternative, n_boot=n_boot, seed=seed)[0]
+    return _vector_test("bootstrap", scores_1, scores_2, decision,
+                        alternative, n_boot=n_boot, seed=seed)
 
 
 def _inclusion_tests(
-    ds: Dataset, order: tuple[str, ...], scale: ReducedScale, methods,
+    order: tuple[str, ...], scale: ReducedScale, counts, methods,
     alternative: str, n_boot=None, seed=None,
 ) -> tuple[str, list[PairedRocTest]]:
     """The next item in the ranking order, the one whose addition first
     failed to improve the running AUC, and _paired_tests of the reduced
     scale's row sums (scores_1) against those sums plus that item
-    (scores_2)."""
+    (scores_2), from the first two counts of a _walk's order, scale and
+    counts: the kept and the next."""
     kept = len(scale.items)
-    if kept == ds.n_items:
+    if kept == len(order):
         raise NoNextAttribute(
             "the scale was not reducible: the reduction retained every "
             "item, so there is no next attribute whose inclusion could be "
             "tested"
         )
-    scores_1 = sum_scores(ds, scale.items)
-    scores_2 = sum_scores(ds, order[:kept + 1])
-    return order[kept], _paired_tests(
-        methods, scores_1, scores_2, ds.decision, alternative,
-        n_boot=n_boot, seed=seed)
+    c1, c2 = next(counts), next(counts)
+    return order[kept], _paired_tests(methods, c1, c2, alternative,
+                                      n_boot=n_boot, seed=seed)
 
 
 def check_attr_for_inclusion(
@@ -330,5 +336,5 @@ def check_attr_for_inclusion(
     AUC kept + 1, and sums no item after it.
     """
     _check(method, alternative, n_boot, seed)
-    return _inclusion_tests(ds, *_walk(ds, start_auc(ds)), (method,),
-                            alternative, n_boot=n_boot, seed=seed)[1][0]
+    return _inclusion_tests(*_walk(ds, start_auc(ds)), (method,), alternative,
+                            n_boot=n_boot, seed=seed)[1][0]

@@ -87,22 +87,20 @@ class GrayGroups:
     Each group is split into runs, one per decision value in ascending
     order, and each run lists its rows in ascending order. rows holds the
     runs one after another, group after group: run i is
-    rows[starts[i]:starts[i + 1]], its decision is levels[level[i]] and
-    its group is group[i], numbered from 0. values[g] is group g's
-    attribute row, with a -0 cell read as 0, and pair_count is the number
-    of gray pairs in all groups.
+    rows[starts[i]:starts[i + 1]] and its group is group[i], numbered
+    from 0. values[g] is group g's attribute row, with a -0 cell read as
+    0, and pair_count is the number of gray pairs in all groups.
     """
 
     levels: np.ndarray
     rows: np.ndarray
     starts: np.ndarray
     group: np.ndarray
-    level: np.ndarray
     values: np.ndarray
     pair_count: int
 
     def pair_chunks(self) -> Iterator[tuple[np.ndarray, ...]]:
-        """Yield (row_a, row_b, run_a, run_b) for every gray pair, in
+        """Yield (row_a, row_b, run_a) for every gray pair, in
         (row_a, row_b) order, for one block of row_a values at a time
         (about _CHUNK pairs). The partners of row a are the rows of a's
         group after a in the other runs: one ascending suffix of each other
@@ -146,11 +144,10 @@ class GrayGroups:
             a = np.repeat(seg_a[s0:s1], c)
             b = rows[at]
             run_a = np.repeat(run_of[seg_entry[s0:s1]], c)
-            run_b = run_of[at]
             if s1 - s0 > r1 - r0:
                 by_b = np.argsort(a * span + b, kind="stable")
-                a, b, run_a, run_b = a[by_b], b[by_b], run_a[by_b], run_b[by_b]
-            yield a, b, run_a, run_b
+                a, b, run_a = a[by_b], b[by_b], run_a[by_b]
+            yield a, b, run_a
 
 
 def _ramps(lengths: np.ndarray) -> np.ndarray:
@@ -187,13 +184,13 @@ def _screen(attrs, decision=None) -> tuple[DuplicateReport, GrayGroups | None]:
     by_run = np.argsort(key, kind="stable")
     rows, key = order[in_gray][by_run], key[by_run]
     run = np.append(np.flatnonzero(np.diff(key, prepend=-1)), rows.size)
-    group, level = np.divmod(key[run[:-1]], levels.size)
+    group = key[run[:-1]] // levels.size
     # a group of g rows pairs each row with the g - r rows outside its
     # run of r: summed over the rows, g**2 - sum(r**2), each pair twice
     group_size, run_size = sizes[gray], np.diff(run)
     pair_count = int(group_size @ group_size - run_size @ run_size) // 2
-    return dup, GrayGroups(levels, rows, run, group, level,
-                           a[order[starts[gray]]], pair_count)
+    return dup, GrayGroups(levels, rows, run, group, a[order[starts[gray]]],
+                           pair_count)
 
 
 def diff_examples(attrs) -> DuplicateReport:
@@ -212,7 +209,7 @@ def gray_examples(attrs, decision) -> np.ndarray:
     """
     chunks = _screen(attrs, decision)[1].pair_chunks()
     return np.concatenate([np.empty((0, 2), dtype=np.intp),
-                           *(np.column_stack((a, b)) for a, b, _, _ in chunks)])
+                           *(np.column_stack((a, b)) for a, b, _ in chunks)])
 
 
 def gray_examples_for(attrs, decision, n: int) -> list[int]:

@@ -15,10 +15,11 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import chain
 
 from .dataset import Dataset
 from .errors import InvalidCount
-from .roc import _running_sums, auc
+from .roc import _area, _class_counts, _running_sums, auc
 
 
 @dataclass(frozen=True)
@@ -54,66 +55,57 @@ def start_auc(ds: Dataset) -> dict[str, float]:
 
 
 def total_auc(ds: Dataset) -> AucRanking:
-    """Rank items by single AUC and compute all n running-total AUCs.
+    """Rank items by single AUC and compute all n running-total AUCs: the
+    walk of rsr(), read on past the first maximum, as reduce reports it."""
+    return _ranking(ds, start_auc(ds))[0]
 
-    The full running vector is computed even past the eventual stopping
-    point, as reduce reports it; rsr() stops at the first maximum.
+
+def _walk(ds: Dataset, singles: dict[str, float]
+          ) -> tuple[tuple[str, ...], ReducedScale, Iterator[tuple]]:
+    """The ranking order of ds, given its single-item AUCs keyed by label,
+    its reduced scale, and a generator of the _class_counts of the running
+    sums from the kept one on: kept, next, then the rest.
+
+    Each running sum is formed by _running_sums and counted by
+    _class_counts once, and its AUC is read off those counts. The walk
+    reads min(kept + 1, n) of them, up to the first AUC that does not
+    improve; the rest are formed only as the generator is read that far.
     """
-    return _ranking(ds, start_auc(ds))
-
-
-def _running(ds: Dataset,
-             singles: dict[str, float]) -> tuple[list[int], Iterator[float]]:
-    """Column indices of ds, largest single AUC first (ties keep column
-    order), and a generator of their running AUCs, each computed as read."""
     idx = sorted(range(ds.n_items), key=lambda i: -singles[ds.labels[i]])
-    return idx, (auc(total, ds.decision) for total in _running_sums(ds, idx))
-
-
-def _ranking(ds: Dataset, singles: dict[str, float]) -> AucRanking:
-    """total_auc given the single-item AUCs of ds, keyed by label."""
-    idx, running = _running(ds, singles)
-    return AucRanking(
-        order=tuple(ds.labels[i] for i in idx),
-        single_auc=tuple(singles[ds.labels[i]] for i in idx),
-        running_auc=tuple(running),
-    )
-
-
-def _first_maximum(order: tuple[str, ...],
-                   running: Iterator[float]) -> ReducedScale:
-    """First-maximum truncation of order, reading its running AUCs only up
-    to the first that does not improve: min(kept + 1, n) of them."""
-    trajectory = [next(running)]
-    for value in running:
-        if not value > trajectory[-1]:
+    order = tuple(ds.labels[i] for i in idx)
+    rest = (_class_counts(total, ds.decision)
+            for total in _running_sums(ds, idx))
+    kept = next(rest)
+    trajectory = [_area(kept)]
+    for counts in rest:
+        if not (value := _area(counts)) > trajectory[-1]:
+            rest = chain((counts,), rest)  # the next counts, then the rest
             break
+        kept = counts
         trajectory.append(value)
-    keep = len(trajectory)
-    return ReducedScale(
-        items=order[:keep],
+    scale = ReducedScale(
+        items=order[:len(trajectory)],
         auc_trajectory=tuple(trajectory),
         achieved_auc=trajectory[-1],
-        stop_reason=(
-            "exhausted-all-items" if keep == len(order) else "first-decrease"
-        ),
+        stop_reason=("exhausted-all-items" if len(trajectory) == len(order)
+                     else "first-decrease"),
     )
+    return order, scale, chain((kept,), rest)
 
 
-def reduce_ranking(ranking: AucRanking) -> ReducedScale:
-    """First-maximum truncation of a precomputed ranking; the walk stops
-    at running AUC kept + 1."""
-    return _first_maximum(ranking.order, iter(ranking.running_auc))
-
-
-def _walk(ds: Dataset,
-          singles: dict[str, float]) -> tuple[tuple[str, ...], ReducedScale]:
-    """The ranking order of ds, given its single-item AUCs keyed by label,
-    and its reduced scale, computing running AUCs one at a time up to the
-    first that does not improve; no item past the next one is summed."""
-    idx, running = _running(ds, singles)
-    order = tuple(ds.labels[i] for i in idx)
-    return order, _first_maximum(order, running)
+def _ranking(ds: Dataset, singles: dict[str, float]
+             ) -> tuple[AucRanking, ReducedScale, tuple]:
+    """total_auc given the single-item AUCs of ds, keyed by label, with
+    its reduced scale and the _class_counts of the scale's row sums, from
+    one walk read to the end."""
+    order, scale, counts = _walk(ds, singles)
+    kept = next(counts)
+    ranking = AucRanking(
+        order=order,
+        single_auc=tuple(singles[label] for label in order),
+        running_auc=scale.auc_trajectory + tuple(map(_area, counts)),
+    )
+    return ranking, scale, kept
 
 
 def rsr(ds: Dataset) -> ReducedScale:

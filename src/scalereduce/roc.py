@@ -141,12 +141,12 @@ def auc(scores, decision) -> float:
 
         auc = sum(pos * (2*neg_below + neg)) / (2*P*N)
     """
-    _, _, pos, neg, _ = _class_counts(scores, decision)
-    return _area(pos, neg)
+    return _area(_class_counts(scores, decision))
 
 
-def _area(pos, neg) -> float:
-    """Tie-aware AUC from per-level class counts, rounded once."""
+def _area(counts) -> float:
+    """Tie-aware AUC from a score vector's _class_counts, rounded once."""
+    _, _, pos, neg, _ = counts
     return int(_twice_u(pos, neg)) / (2 * int(pos.sum()) * int(neg.sum()))
 
 
@@ -158,7 +158,12 @@ def roc_curve(scores, decision) -> RocCurve:
     same counts as auc(), not by summing trapezoids, so the two agree
     exactly.
     """
-    _, levels, pos, neg, _ = _class_counts(scores, decision)
+    return _curve(_class_counts(scores, decision))
+
+
+def _curve(counts) -> RocCurve:
+    """roc_curve from the _class_counts of a score vector."""
+    _, levels, pos, neg, _ = counts
     n_pos = int(pos.sum())
     n_neg = int(neg.sum())
     # descending thresholds: one point per distinct level, highest first
@@ -167,7 +172,7 @@ def roc_curve(scores, decision) -> RocCurve:
     thresholds = np.concatenate(([np.inf], levels[::-1]))
     return RocCurve(
         fpr=fpr, tpr=tpr, thresholds=thresholds,
-        auc=_area(pos, neg), n_pos=n_pos, n_neg=n_neg,
+        auc=_area(counts), n_pos=n_pos, n_neg=n_neg,
     )
 
 

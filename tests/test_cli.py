@@ -54,6 +54,23 @@ def run(capsys, argv):
     return code, captured.out, captured.err
 
 
+def counted_calls(monkeypatch, module, name):
+    """Count the calls of module.name from every scalereduce module that
+    holds it; returns the list that gains one entry per call."""
+    original = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for loaded in list(sys.modules.values()):
+        if (getattr(loaded, "__name__", "").startswith("scalereduce")
+                and getattr(loaded, name, None) is original):
+            monkeypatch.setattr(loaded, name, counted)
+    return calls
+
+
 class TestAudit:
     def test_clean_file(self, capsys, demo_csv):
         code, out, _ = run(capsys, ["audit", demo_csv, "--decision", "d"])
@@ -422,6 +439,22 @@ class TestReduce:
             "scalereduce: input error: cannot write plots to --out")
         assert "Traceback" not in err
 
+    def test_levels_counted_once_per_running_sum_with_plot(
+            self, capsys, monkeypatch, tmp_path):
+        # one count per single-item AUC and per running AUC, all n of
+        # them, from one walk; the ROC plot reads the kept running sum's
+        # counts
+        calls = counted_calls(monkeypatch, roc, "_class_counts")
+        walks = counted_calls(monkeypatch, roc, "_running_sums")
+        code, out, _ = run(capsys, [
+            "reduce", str(DATA_DIR / "scale21.csv"), "--decision", "verdict",
+            "--plot", "--out", str(tmp_path), "--format", "json"])
+        assert code == 0
+        report = json.loads(out)
+        assert len(report["results"]["plots"]) == 4
+        assert len(calls) == 2 * report["n_items"]
+        assert len(walks) == 1
+
 
 class TestTestInclusion:
     def test_both_methods_two_rows(self, capsys, demo_csv):
@@ -538,19 +571,11 @@ class TestTestInclusion:
     def test_levels_counted_once_per_inclusion_score_vector(
             self, capsys, monkeypatch):
         # one count per single-item AUC and per running AUC the walk reads
-        # (kept + 1 of them), then one per inclusion score vector, shared
-        # by both AUCs and both tests
-        original = roc._class_counts
-        calls = []
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
-
-        for module in list(sys.modules.values()):
-            if (getattr(module, "__name__", "").startswith("scalereduce")
-                    and getattr(module, "_class_counts", None) is original):
-                monkeypatch.setattr(module, "_class_counts", counted)
+        # (kept + 1 of them), from one walk; the inclusion score vectors
+        # are the walk's last two running sums, so both AUCs and both tests
+        # share their counts
+        calls = counted_calls(monkeypatch, roc, "_class_counts")
+        walks = counted_calls(monkeypatch, roc, "_running_sums")
         path = str(DATA_DIR / "scale21.csv")
         code, out, _ = run(capsys, ["test-inclusion", path, "--decision",
                                     "verdict", "--method", "both",
@@ -560,7 +585,8 @@ class TestTestInclusion:
         assert [t["method"] for t in report["results"]["tests"]] == [
             "delong", "bootstrap"]
         kept = len(report["results"]["reduced_items"])
-        assert len(calls) == report["n_items"] + kept + 1 + 2
+        assert len(calls) == report["n_items"] + kept + 1
+        assert len(walks) == 1
 
     def test_degenerate_equal_scores(self, capsys, tmp_path):
         # duplicated informative column: adding the clone cannot change the

@@ -15,10 +15,9 @@ from pathlib import Path
 
 import pytest
 
-from scalereduce import load_csv, sum_scores, total_auc
+from scalereduce import load_csv, rsr, sum_scores, total_auc
 from scalereduce.cli import main
 from scalereduce.compare import _ROWS_PER_CELL
-from scalereduce.reduction import reduce_ranking
 
 from conftest import DATA_DIR
 
@@ -108,7 +107,7 @@ def _rows_per_cell(name, decision):
     scores, in the positives and in the negatives of an input."""
     ds = load_csv(DATA_DIR / name, decision)
     ranking = total_auc(ds)
-    kept = len(reduce_ranking(ranking).items)
+    kept = len(rsr(ds).items)
     s1, s2 = (sum_scores(ds, ranking.order[:k]) for k in (kept, kept + 1))
     return [rows.sum() / len(set(zip(s1[rows], s2[rows])))
             for rows in (ds.decision, ~ds.decision)]

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from scalereduce import (
     Dataset,
-    auc,
+    ReducedScale,
     check_attr_for_inclusion,
     load_csv,
     reduction,
@@ -19,7 +19,8 @@ from scalereduce import (
     total_auc,
 )
 from scalereduce.errors import InvalidCount, ScoreOverflow
-from scalereduce.reduction import _walk, reduce_ranking
+from scalereduce.reduction import _walk
+from scalereduce.roc import _area, _class_counts
 
 from conftest import DATA_DIR, random_dataset
 from oracles import auc_pairs, running_auc_prefix
@@ -216,19 +217,32 @@ class TestWalk:
     @example(_two_items([0, 1, 2, 1], [0, 1, 2, 1], [0, 0, 1, 1]))
     def test_walk_matches_the_full_ranking(self, ds):
         ranking = total_auc(ds)
-        scale = reduce_ranking(ranking)
+        # the first maximum of the full running vector
+        running = ranking.running_auc
+        keep = 1
+        while keep < ds.n_items and running[keep] > running[keep - 1]:
+            keep += 1
+        scale = ReducedScale(
+            items=ranking.order[:keep],
+            auc_trajectory=running[:keep],
+            achieved_auc=running[keep - 1],
+            stop_reason=("exhausted-all-items" if keep == ds.n_items
+                         else "first-decrease"),
+        )
         singles = start_auc(ds)
         calls = []
 
         def counted(*args):
             calls.append(1)
-            return auc(*args)
+            return _class_counts(*args)
 
-        with mock.patch.object(reduction, "auc", counted):
-            walked = _walk(ds, singles)
-        assert walked == (ranking.order, scale)
-        assert len(calls) == min(len(scale.items) + 1, ds.n_items)
+        with mock.patch.object(reduction, "_class_counts", counted):
+            order, walked, counts = _walk(ds, singles)
+        assert (order, walked) == (ranking.order, scale)
+        assert len(calls) == min(keep + 1, ds.n_items)
         assert rsr(ds) == scale
+        # read on, the counts give the running AUCs from the kept one on
+        assert tuple(map(_area, counts)) == running[keep - 1:]
 
     def test_overflow_past_the_next_item_fails_total_auc_alone(self):
         # x, y, z1, z2 in ranking order; any row's z1 + z2 overflows, and
@@ -243,8 +257,6 @@ class TestWalk:
 
 class TestReductionRatio:
     def test_six_of_twentyone(self):
-        from scalereduce import ReducedScale
-
         scale = ReducedScale(
             items=("a", "b", "c", "d", "e", "f"),
             auc_trajectory=(0.72, 0.77, 0.79, 0.80, 0.81, 0.82),
