@@ -4,18 +4,19 @@ Both curves are built from the same examples (same decision vector), e.g.
 the reduced-scale sum and that sum plus one more item, so the comparison
 must account for the correlation. Two methods:
 
-* delong_test: asymptotic normal test. With placement values v10 (one per
-  positive) and v01 (one per negative) for each score vector,
+* delong_test: asymptotic normal test (DeLong, DeLong & Clarke-Pearson,
+  1988): z**2 = (auc_1 - auc_2)**2 / (var(v10_1 - v10_2)/P
+  + var(v01_1 - v01_2)/N), unbiased variances of the placement differences,
+  formed in integers. With x = 2N*(v10_1 - v10_2) over the positives and
+  y = 2P*(v01_2 - v01_1) over the negatives (off roc._twice_below), the sum
+  sx = sum(x) = 2U_1 - 2U_2 (2U: twice the Mann-Whitney count),
+  ssx = P*sum(x**2) - sx**2 and ssy = N*sum(y**2) - sum(y)**2,
 
-      Var(auc_r)  = var(v10_r)/P + var(v01_r)/N
-      Cov(a1, a2) = cov(v10_1, v10_2)/P + cov(v01_1, v01_2)/N
-      z = (auc_1 - auc_2) / sqrt(Var1 + Var2 - 2 Cov)
-
-  using unbiased sample (co)variances (P-1, N-1 denominators).
+      z**2 = sx**2 (P-1)(N-1) / (ssx (N-1) + ssy (P-1))
 
 * bootstrap_test: stratified resampling. Each replicate redraws P positives
   and N negatives with replacement, keeping scores_1/scores_2 paired within
-  each drawn row; z = (auc_1 - auc_2) / sd of the replicate AUC differences.
+  each drawn row; z = (2U_1 - 2U_2) / sd of the replicates' 2U_1 - 2U_2.
   Fully determined by the seed: each class draws from its own generator,
   both spawned from the seed, as the two classes are resampled
   independently. Replicates are evaluated one block at a time, each held
@@ -25,7 +26,8 @@ must account for the correlation. Two methods:
   (20) rows per cell draws them as one multinomial over its cells, at a
   cost that grows with the cells; any other class draws one row index per
   row. Version 0.3.0 added the multinomial draws, so bootstrap z moved
-  from 0.2.0's for inputs with a class that takes them.
+  from 0.2.0's for inputs with a class that takes them. Version 0.4.0 forms
+  both tests' z from exact integers, which moved them in the last digits.
 
 Zero-difference convention: when auc_1 equals auc_2 exactly the result is
 z = 0, p = 1, whatever the variance would be; this avoids 0/0 on identical
@@ -56,7 +58,7 @@ import numpy as np
 from .dataset import Dataset
 from .errors import DegenerateVariance, NoNextAttribute
 from .reduction import ReducedScale, _walk, start_auc
-from .roc import _area, _class_counts, _levels, _placements, _split, _twice_u
+from .roc import _area, _class_counts, _levels, _split, _twice_below, _twice_u
 
 ALTERNATIVES = ("two-sided", "less", "greater")
 
@@ -75,6 +77,9 @@ _BLOCK = 16
 # decides its random stream, so changing this constant changes bootstrap
 # z: it is part of the output, not a tuning knob.
 _ROWS_PER_CELL = 20
+
+# While P*N*max(P, N) < this, DeLong's sums of squares (<= 4x it) fit int64.
+_INT64_MOMENTS = 2**61
 
 
 @dataclass(frozen=True)
@@ -140,18 +145,19 @@ def _paired_tests(methods, c1, c2, alternative, n_boot=None,
                   seed=None) -> list[PairedRocTest]:
     """One test per method ("delong" or "bootstrap"), in order, from the
     _class_counts c1 and c2 of two score vectors; both AUCs and every
-    method's sd are read off those counts. Equal AUCs give z = 0 without
-    an sd."""
+    method's spread are read off those counts. Equal AUCs give z = 0
+    without a spread."""
     recorded = [_check(method, alternative, n_boot, seed) for method in methods]
     auc_1, auc_2 = _area(c1), _area(c2)
     tests = []
     for method, (n_boot, seed) in zip(methods, recorded):
         if auc_1 == auc_2:
             z = 0.0
+        elif method == "delong":
+            z = _delong_z(c1, c2)
         else:
-            sd = (_delong_sd(c1, c2) if method == "delong"
-                  else _bootstrap_sd(c1, c2, n_boot, seed))
-            z = float((auc_1 - auc_2) / sd)
+            twice_diff = int(_twice_u(*c1[2:4])) - int(_twice_u(*c2[2:4]))
+            z = twice_diff / _bootstrap_sd(c1, c2, n_boot, seed)
         tests.append(PairedRocTest(
             method=method, auc_1=auc_1, auc_2=auc_2,
             z=z, p_value=_p_value(z, alternative), alternative=alternative,
@@ -171,28 +177,26 @@ def _vector_test(method, scores_1, scores_2, decision, alternative,
                          alternative, n_boot=n_boot, seed=seed)[0]
 
 
-def _delong_sd(c1, c2) -> float:
-    """DeLong's sd of auc_1 - auc_2, from both vectors' _class_counts."""
-    d = c1[0]
-    n_pos = int(d.sum())
-    n_neg = d.size - n_pos
-    if n_pos < 2 or n_neg < 2:
+def _delong_z(c1, c2) -> float:
+    """DeLong's z from both vectors' _class_counts, by the integer moments
+    of the module docstring; within 1 ulp of its exact value."""
+    d, _, pos_1, neg_1, level_1 = c1
+    _, _, pos_2, neg_2, level_2 = c2
+    n_pos, n_neg = int(d.sum()), int((~d).sum())
+    wide = n_pos * n_neg * max(n_pos, n_neg) >= _INT64_MOMENTS
+    moments = []
+    for rows, c_1, c_2 in ((d, neg_1, neg_2), (~d, pos_1, pos_2)):
+        t = _twice_below(c_1)[level_1[rows]] - _twice_below(c_2)[level_2[rows]]
+        t = t.astype(object) if wide else t
+        moments.append((int(t.sum()), t.size * int(t @ t)))
+    (sx, px), (sy, py) = moments
+    den = (px - sx * sx) * (n_neg - 1) + (py - sy * sy) * (n_pos - 1)
+    if den == 0:
         raise DegenerateVariance(
-            "need at least two positives and two negatives to estimate variance"
-        )
-    p1 = _placements(*c1)
-    p2 = _placements(*c2)
-    s10 = np.cov(p1.v10, p2.v10, ddof=1)
-    s01 = np.cov(p1.v01, p2.v01, ddof=1)
-    var_1 = s10[0, 0] / n_pos + s01[0, 0] / n_neg
-    var_2 = s10[1, 1] / n_pos + s01[1, 1] / n_neg
-    cov_12 = s10[0, 1] / n_pos + s01[0, 1] / n_neg
-    var_diff = var_1 + var_2 - 2.0 * cov_12
-    if var_diff <= 0.0:
-        raise DegenerateVariance(
-            f"variance of the AUC difference is {var_diff!r} with unequal AUCs"
-        )
-    return np.sqrt(var_diff)
+            "variance of the AUC difference is zero with unequal AUCs: the "
+            "placement differences are constant or a class has one row")
+    return math.copysign(
+        math.sqrt(sx * sx * (n_pos - 1) * (n_neg - 1) / den), sx)
 
 
 def delong_test(
@@ -239,18 +243,17 @@ def _on_levels(
 
 
 def _bootstrap_sd(c1, c2, n_boot: int, seed: int) -> float:
-    """Sd of the replicate AUC differences, from both vectors'
-    _class_counts and per-cell draw counts.
+    """Sd of the replicates' 2U_1 - 2U_2, 2PN times their AUC difference,
+    from both vectors' _class_counts and per-cell draw counts.
 
     The positives and the negatives each draw from their own generator,
     spawned from seed, so both classes are drawn one block at a time.
     Every count and every 2U sum is an integer below 2**53, so the float
-    arithmetic on them is exact and each replicate AUC is rounded once.
+    arithmetic on them is exact and only the sd is rounded.
     """
     d, levels_1, _, _, level_1 = c1
     _, levels_2, _, _, level_2 = c2
     n_1, n_2 = levels_1.size, levels_2.size
-    n_pos, n_neg = int(d.sum()), int((~d).sum())
     classes, draws = [], []
     for rows, seq in zip((d, ~d), np.random.SeedSequence(seed).spawn(2)):
         cells, cell_of_row, cell_n = _levels(level_1[rows] * n_2 + level_2[rows])
@@ -262,21 +265,18 @@ def _bootstrap_sd(c1, c2, n_boot: int, seed: int) -> float:
             (np.random.default_rng(seq), cell_of_row, cells.size, cell_freq))
     (pos_1, pos_2), (neg_1, neg_2) = classes
 
-    twice_pn = 2 * n_pos * n_neg
     diffs = np.empty(n_boot)
     for start in range(0, n_boot, _BLOCK):
         rows = min(_BLOCK, n_boot - start)
         pos_counts, neg_counts = [_cell_counts(*draw, rows) for draw in draws]
-        aucs = [
-            _twice_u(
-                _on_levels(pos_counts, pos_level, n_levels),
-                _on_levels(neg_counts, neg_level, n_levels),
-            ) / twice_pn
+        twice_u = [
+            _twice_u(_on_levels(pos_counts, pos_level, n_levels),
+                     _on_levels(neg_counts, neg_level, n_levels))
             for pos_level, neg_level, n_levels in (
                 (pos_1, neg_1, n_1), (pos_2, neg_2, n_2)
             )
         ]
-        diffs[start:start + rows] = aucs[0] - aucs[1]
+        diffs[start:start + rows] = twice_u[0] - twice_u[1]
 
     sd = float(diffs.std(ddof=1)) if n_boot > 1 else 0.0
     if not np.isfinite(sd) or sd <= 0.0:

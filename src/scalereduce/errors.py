@@ -51,8 +51,8 @@ class IndexOutOfRange(ScaleReduceError, IndexError):
 
 
 class DegenerateVariance(ScaleReduceError):
-    """The variance of an AUC difference is zero or negative while the
-    AUCs differ, so no test statistic can be formed."""
+    """The variance of an AUC difference is zero while the AUCs differ,
+    so no test statistic can be formed."""
 
 
 class NoNextAttribute(ScaleReduceError):

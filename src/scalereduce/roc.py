@@ -125,10 +125,16 @@ def _class_counts(scores, decision):
     return d, levels, pos, neg, index
 
 
+def _twice_below(c):
+    """2*cumsum(c) - c over the last axis of per-level counts c: twice the
+    count below each level plus the count at it."""
+    return 2 * np.cumsum(c, axis=-1) - c
+
+
 def _twice_u(pos, neg):
     """Twice the Mann-Whitney count, sum of pos * (2*neg_below + neg), over
     the last axis of per-level class counts."""
-    return (pos * (2 * np.cumsum(neg, axis=-1) - neg)).sum(axis=-1)
+    return (pos * _twice_below(neg)).sum(axis=-1)
 
 
 def auc(scores, decision) -> float:
@@ -181,19 +187,13 @@ def placements(scores, decision) -> PlacementValues:
 
     Computed from per-level class counts: a positive at a level with
     neg_below negatives under it and neg tied with it has
-    v10 = (neg_below + neg/2) / N, and symmetrically a negative has
-    v01 = 1 - (pos_below + pos/2) / P. Entries are in row order of the
-    input within each class.
+    v10 = (2*neg_below + neg) / (2N), and symmetrically a negative has
+    v01 = 1 - (2*pos_below + pos) / (2P), each quotient of integers rounded
+    once. Entries are in row order of the input within each class.
     """
-    return _placements(*_class_counts(scores, decision))
-
-
-def _placements(d, levels, pos, neg, index) -> PlacementValues:
-    """placements from the _class_counts of a score vector."""
-    below_pos = np.cumsum(pos) - pos
-    below_neg = np.cumsum(neg) - neg
-    v10 = (below_neg + 0.5 * neg)[index[d]] / int(neg.sum())
-    v01 = 1.0 - (below_pos + 0.5 * pos)[index[~d]] / int(pos.sum())
+    d, _, pos, neg, index = _class_counts(scores, decision)
+    v10 = _twice_below(neg)[index[d]] / (2 * int(neg.sum()))
+    v01 = 1.0 - _twice_below(pos)[index[~d]] / (2 * int(pos.sum()))
     return PlacementValues(v10=v10, v01=v01)
 
 

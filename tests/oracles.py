@@ -4,6 +4,8 @@ Everything here is written straight from the definitions, with plain Python
 loops, and stays independent of the code paths it validates.
 """
 
+import math
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -40,6 +42,58 @@ def placements_pairs(scores, decision):
     v10 = [sum(psi(sp, sn) for sn in neg) / len(neg) for sp in pos]
     v01 = [sum(psi(sp, sn) for sp in pos) / len(pos) for sn in neg]
     return v10, v01
+
+
+def sqrt_nearest(q: Fraction) -> float:
+    """The float nearest the square root of the nonnegative rational q."""
+    f = math.sqrt(float(q))
+
+    def below(a, b):  # whether sqrt(q) lies below the midpoint of a and b
+        return q < ((Fraction(a) + Fraction(b)) / 2) ** 2
+
+    while f > 0 and below(math.nextafter(f, 0), f):
+        f = math.nextafter(f, 0)
+    while not below(f, math.nextafter(f, math.inf)):
+        f = math.nextafter(f, math.inf)
+    return f
+
+
+def delong_z_exact(scores_1, scores_2, decision):
+    """DeLong z, in rationals from pair-enumerated placements, rounded once
+    to the nearest float; 0.0 where the AUCs are equal, and None where the
+    variance of their difference is zero (or needs a class of two rows).
+
+        z**2 = (auc_1 - auc_2)**2
+               / (var(v10_1 - v10_2)/P + var(v01_1 - v01_2)/N)
+
+    with unbiased sample variances over the positives' (v10) and the
+    negatives' (v01) placement differences.
+    """
+    decision = [bool(d) for d in decision]
+
+    def placements(scores):
+        pos = [float(s) for s, d in zip(scores, decision) if d]
+        neg = [float(s) for s, d in zip(scores, decision) if not d]
+        v10 = [sum(Fraction(psi(p, n)) for n in neg) / len(neg) for p in pos]
+        v01 = [sum(Fraction(psi(p, n)) for p in pos) / len(pos) for n in neg]
+        return v10, v01
+
+    def var(v):
+        mean = sum(v) / len(v)
+        return sum((x - mean) ** 2 for x in v) / (len(v) - 1)
+
+    a10, a01 = placements(scores_1)
+    b10, b01 = placements(scores_2)
+    diff = (sum(a10) - sum(b10)) / len(a10)
+    if diff == 0:
+        return 0.0
+    if min(len(a10), len(a01)) < 2:
+        return None
+    variance = (var([a - b for a, b in zip(a10, b10)]) / len(a10)
+                + var([a - b for a, b in zip(a01, b01)]) / len(a01))
+    if variance == 0:
+        return None
+    return math.copysign(sqrt_nearest(diff * diff / variance), diff)
 
 
 def duplicates_quadratic(attrs):
@@ -113,7 +167,9 @@ def bootstrap_z_matrices(scores_1, scores_2, decision, n_boot, seed,
     count becomes that many copies of the cell's first row; any other
     class draws row indices with one rng.integers call. Then it builds the
     two (n_boot, m) resampled score matrices and takes each replicate's
-    AUC from row-wise midranks. Uses the same random streams as
+    2U = 2*rank_sum - P(P+1), twice its Mann-Whitney count, from row-wise
+    midranks; z is the full sample's 2U_1 - 2U_2 over the sd of the
+    replicates'. Uses the same random streams as
     scalereduce.bootstrap_test, so the two agree exactly. Returns None
     when the replicate differences have no spread.
     """
@@ -124,7 +180,7 @@ def bootstrap_z_matrices(scores_1, scores_2, decision, n_boot, seed,
     d = np.asarray(decision, dtype=bool)
     pos = np.nonzero(d)[0]
     neg = np.nonzero(~d)[0]
-    n_pos, n_neg = pos.size, neg.size
+    n_pos = pos.size
 
     def draw(rows, rng):
         """(n_boot, rows.size) indices of each replicate's drawn rows."""
@@ -146,20 +202,20 @@ def bootstrap_z_matrices(scores_1, scores_2, decision, n_boot, seed,
         for rows, s in zip((pos, neg), np.random.SeedSequence(seed).spawn(2))
     )
 
-    def auc_by_row(s):
+    def twice_u_by_row(s):
         rep = np.concatenate((s[pos_draw], s[neg_draw]), axis=1)
         rank_sum = rankdata(rep, method="average", axis=1)[:, :n_pos].sum(axis=1)
-        return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+        return 2 * rank_sum - n_pos * (n_pos + 1)
 
-    def auc_full(s):
+    def twice_u_full(s):
         ranks = rankdata(s, method="average")
-        return (ranks[d].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+        return 2 * ranks[d].sum() - n_pos * (n_pos + 1)
 
-    diffs = auc_by_row(s1) - auc_by_row(s2)
+    diffs = twice_u_by_row(s1) - twice_u_by_row(s2)
     sd = float(diffs.std(ddof=1)) if n_boot > 1 else 0.0
     if not np.isfinite(sd) or sd <= 0.0:
         return None
-    return float((auc_full(s1) - auc_full(s2)) / sd)
+    return float((twice_u_full(s1) - twice_u_full(s2)) / sd)
 
 
 def bootstrap_variance_exact(scores_1, scores_2, decision) -> float:

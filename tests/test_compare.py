@@ -2,9 +2,12 @@ import json
 import math
 import tracemalloc
 from dataclasses import asdict
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import norm
 
 from scalereduce import (
@@ -22,18 +25,30 @@ from scalereduce.compare import _BLOCK, _ROWS_PER_CELL, _bootstrap_sd
 from scalereduce.errors import DegenerateVariance, NoNextAttribute
 from scalereduce.roc import _class_counts
 
-from oracles import bootstrap_variance_exact, bootstrap_z_matrices
+from oracles import (
+    bootstrap_variance_exact,
+    bootstrap_z_matrices,
+    delong_z_exact,
+    sqrt_nearest,
+)
 
 # Hand-computed six-example fixture (P = N = 3). All quantities were
 # worked out from the pairwise kernel with fractions:
 #   v10_1 = (1, 5/6, 1/2)   v01_1 = (1/2, 5/6, 1)    auc_1 = 7/9
 #   v10_2 = (1, 1/6, 2/3)   v01_2 = (1/2, 5/6, 1/2)  auc_2 = 11/18
 #   var(auc_1) = 7/162, var(auc_2) = 23/324, cov = 7/648
-#   var(diff)  = 60/648 = 5/54,  z = (1/6)/sqrt(5/54) = sqrt(30)/10
+#   var(diff)  = 60/648 = 5/54,  z = (1/6)/sqrt(5/54) = sqrt(3/10)
 HAND_DECISION = [1, 1, 1, 0, 0, 0]
 HAND_SCORES_1 = [3, 2, 1, 2, 1, 0]
 HAND_SCORES_2 = [2, 0, 1, 1, 0, 1]
-HAND_Z = math.sqrt(30) / 10
+HAND_Z = sqrt_nearest(Fraction(3, 10))
+
+# Unequal AUCs whose placement differences are constant in both classes,
+# so the variance of the AUC difference and the spread of every bootstrap
+# replicate difference are exactly zero: the scores of the two items of
+# tests/data/cli_degenerate.csv and their sum
+DEGENERATE = ([3, 3, 3, 3, 3, 3, 3, 2], [0, 1, 1, 1, 0, 2, 0, 0],
+              [1, 0, 0, 0, 1, 0, 1, 0])
 
 
 @pytest.fixture
@@ -43,7 +58,7 @@ def no_work(monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("work done before the arguments were checked")
 
-    for name in ("_class_counts", "start_auc", "_walk", "_delong_sd",
+    for name in ("_class_counts", "start_auc", "_walk", "_delong_z",
                  "_bootstrap_sd"):
         monkeypatch.setattr(compare, name, fail)
 
@@ -79,7 +94,7 @@ class TestDelong:
         t = delong_test(HAND_SCORES_1, HAND_SCORES_2, HAND_DECISION)
         assert t.auc_1 == pytest.approx(7 / 9, abs=1e-12)
         assert t.auc_2 == pytest.approx(11 / 18, abs=1e-12)
-        assert t.z == pytest.approx(HAND_Z, abs=1e-12)
+        assert abs(t.z - HAND_Z) <= math.ulp(HAND_Z)
         assert t.p_value == pytest.approx(2 * norm.sf(HAND_Z), abs=1e-12)
 
     def test_antisymmetry(self):
@@ -120,11 +135,46 @@ class TestDelong:
     def test_degenerate_variance(self):
         # placement differences are constant, AUCs differ: variance of the
         # difference is exactly zero
-        s1 = [2.0, 1.0, 1.5, 0.5]
-        s2 = [2.0, 1.0, 2.0, 1.0]
-        decision = [1, 1, 0, 0]
+        for s1, s2, decision in [
+            ([2.0, 1.0, 1.5, 0.5], [2.0, 1.0, 2.0, 1.0], [1, 1, 0, 0]),
+            DEGENERATE,
+        ]:
+            with pytest.raises(DegenerateVariance, match="zero"):
+                delong_test(s1, s2, decision)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_z_within_one_ulp_of_the_exact_value(self, data):
+        # integer or one-decimal scores, tie-heavy, and a second vector
+        # that may repeat the first in some rows; DegenerateVariance
+        # exactly where the rational variance is zero
+        m = data.draw(st.integers(2, 30))
+        decision = data.draw(st.lists(st.booleans(), min_size=m, max_size=m))
+        decision[:2] = [True, False]
+        value = st.sampled_from(data.draw(st.sampled_from(
+            [[0, 1], [0, 1, 2, 3], [k / 10 for k in range(10)]])))
+        s1 = data.draw(st.lists(value, min_size=m, max_size=m))
+        s2 = [a if data.draw(st.booleans()) else data.draw(value) for a in s1]
+        exact = delong_z_exact(s1, s2, decision)
+        if exact is None:
+            with pytest.raises(DegenerateVariance):
+                delong_test(s1, s2, decision)
+        else:
+            z = delong_test(s1, s2, decision).z
+            assert abs(z - exact) <= math.ulp(exact), (z, exact)
+
+    def test_python_int_moments_match_int64(self, monkeypatch):
+        # past _INT64_MOMENTS the moments are summed in Python ints; with
+        # the bound at 0 every input takes that path and must give the
+        # int64 path's z bit for bit, and the same zero variance
+        rng = np.random.default_rng(157)
+        inputs = [correlated_scores(rng, m=m) for m in (6, 40, 500)]
+        inputs.append((HAND_SCORES_1, HAND_SCORES_2, HAND_DECISION))
+        expected = [delong_test(*args).z for args in inputs]
+        monkeypatch.setattr(compare, "_INT64_MOMENTS", 0)
+        assert [delong_test(*args).z for args in inputs] == expected
         with pytest.raises(DegenerateVariance):
-            delong_test(s1, s2, decision)
+            delong_test(*DEGENERATE)
 
     def test_bad_alternative(self, no_work):
         # rejected before either AUC or the variance, for both tests
@@ -254,8 +304,9 @@ class TestBootstrap:
         }.get(kind, {(False, False)})
 
     def test_variance_matches_exact_bootstrap_variance(self):
-        # the replicate variance estimates the ideal bootstrap variance,
-        # known in closed form; a sample variance of B near-normal
+        # the replicate variance of 2U_1 - 2U_2 estimates (2PN)**2 times
+        # the ideal bootstrap variance of the AUC difference, known in
+        # closed form; a sample variance of B near-normal
         # replicates has relative standard error sqrt(2 / (B - 1)), and
         # each set must land within five of those; tie-heavy sets draw
         # rows, and few-cells sets draw multinomial counts in both classes
@@ -265,7 +316,8 @@ class TestBootstrap:
 
         def check(seed, s1, s2, decision, arms):
             assert multinomial_arms(s1, s2, decision) == arms
-            exact = bootstrap_variance_exact(s1, s2, decision)
+            twice_pn = 2 * int(decision.sum()) * int((~decision).sum())
+            exact = twice_pn ** 2 * bootstrap_variance_exact(s1, s2, decision)
             var = _bootstrap_sd(_class_counts(s1, decision),
                                 _class_counts(s2, decision), n_boot, seed) ** 2
             assert abs(var / exact - 1) < bound, (seed, len(s1), var, exact)
@@ -326,6 +378,11 @@ class TestBootstrap:
             bootstrap_test(
                 HAND_SCORES_1, HAND_SCORES_2, HAND_DECISION, n_boot=1, seed=0
             )
+
+    def test_zero_spread_degenerate(self):
+        # every replicate difference 2U_1 - 2U_2 is the same integer
+        with pytest.raises(DegenerateVariance, match="zero spread"):
+            bootstrap_test(*DEGENERATE, n_boot=200, seed=7)
 
 
 class TestVarianceEstimator:

@@ -10,6 +10,7 @@ checked end to end, on inputs no golden file holds.
 import contextlib
 import io
 import json
+import math
 import os
 import tempfile
 
@@ -25,9 +26,9 @@ from scalereduce.compare import _ROWS_PER_CELL
 from oracles import (
     auc_pairs,
     bootstrap_z_matrices,
+    delong_z_exact,
     duplicates_quadratic,
     gray_pairs_quadratic,
-    placements_pairs,
     running_auc_prefix,
 )
 
@@ -82,24 +83,6 @@ def report(path, argv):
         code = main([argv[0], path, "--decision", "d", "--format", "json",
                      *argv[1:]])
     return code, json.loads(out.getvalue()) if code == 0 else None, err.getvalue()
-
-
-def delong_z(s1, s2, decision):
-    """DeLong z from pair-enumerated placements, or None where its
-    variance is degenerate."""
-    n_pos = int(decision.sum())
-    n_neg = decision.size - n_pos
-    if n_pos < 2 or n_neg < 2:
-        return None
-    a10, a01 = placements_pairs(s1, decision)
-    b10, b01 = placements_pairs(s2, decision)
-    s10 = np.cov(a10, b10, ddof=1)
-    s01 = np.cov(a01, b01, ddof=1)
-    var = ((s10[0, 0] + s10[1, 1] - 2 * s10[0, 1]) / n_pos
-           + (s01[0, 0] + s01[1, 1] - 2 * s01[0, 1]) / n_neg)
-    if var <= 0.0:
-        return None
-    return (auc_pairs(s1, decision) - auc_pairs(s2, decision)) / np.sqrt(var)
 
 
 @settings(max_examples=250, deadline=None, derandomize=True)
@@ -174,7 +157,7 @@ def test_every_report_field_matches_the_oracles(drawn, n_boot, seed):
     if auc_1 == auc_2:
         expected = [0.0, 0.0]
     else:
-        expected = [delong_z(s1, s2, decision), bootstrap_z_matrices(
+        expected = [delong_z_exact(s1, s2, decision), bootstrap_z_matrices(
             s1, s2, decision, n_boot, seed, _ROWS_PER_CELL)]
     if None in expected:
         assert code == 3
@@ -189,7 +172,7 @@ def test_every_report_field_matches_the_oracles(drawn, n_boot, seed):
     assert (delong["method"], boot["method"]) == ("delong", "bootstrap")
     assert (delong["n_boot"], delong["seed"]) == (None, None)
     assert (boot["n_boot"], boot["seed"]) == (n_boot, seed)
-    assert delong["z"] == pytest.approx(expected[0], abs=1e-12)
+    assert abs(delong["z"] - expected[0]) <= math.ulp(expected[0])
     assert boot["z"] == expected[1]
     for test in (delong, boot):
         assert (test["auc_1"], test["auc_2"]) == (auc_1, auc_2)

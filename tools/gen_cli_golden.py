@@ -23,7 +23,11 @@ counts, and tests/data/cli_overflow_tail.csv, 60 seeded rows whose items
 rank x, y, z1, z2 and whose scale keeps x alone, while z1 and z2 hold
 scores near 1e308 that overflow float64 when summed: its test-inclusion
 case succeeds, as the walk sums no item past y, and its reduce case,
-which reports every running AUC, fails with exit 3. Then runs every case
+which reports every running AUC, fails with exit 3, and
+tests/data/cli_degenerate.csv, eight rows whose scale keeps a and whose
+next item b moves the AUC while the placement differences stay constant
+in both classes, so both paired tests fail with exit 3, their variance
+and spread exactly zero. Then runs every case
 in cases() through scalereduce.cli.main and writes
 tests/data/cli_golden/: one <case>.out file per case with its stdout,
 cases.json with each case's argv, exit code and stderr, and, once per
@@ -103,6 +107,10 @@ RUNS = [
     ("cli_overflow_tail.csv", "d", {"reduce": {"": []}}, ("csv",)),
     ("cli_overflow_tail.csv", "d", {"test-inclusion": {
         "-delong": FLAGS["test-inclusion"]["-delong"]}}, ("json",)),
+    # both tests fail and print no report, so these run in csv alone
+    ("cli_degenerate.csv", "d", {"test-inclusion": {
+        "-delong": FLAGS["test-inclusion"]["-delong"],
+        "-bootstrap": FLAGS["test-inclusion"]["-bootstrap"]}}, ("csv",)),
 ]
 INPUTS = {run[0] for run in RUNS}
 # rows 0, 2 and 4 are one gray group, so row 0 is row_a of two pairs; rows
@@ -165,6 +173,21 @@ ONE_ITEM_ROWS = [
     "1,0",
 ]
 
+# a keeps AUC 0.6 and a + b falls to 0.1; every positive is the row
+# (3, -3), and each negative's placement moves by the same amount from a
+# to a + b, so the placement differences are constant in both classes
+DEGENERATE_ROWS = [
+    "a,b,d",
+    "3,-3,1",
+    "3,-2,0",
+    "3,-2,0",
+    "3,-2,0",
+    "3,-3,1",
+    "3,-1,0",
+    "3,-3,1",
+    "2,-2,0",
+]
+
 
 def mixed_rows(rng: random.Random) -> list[list[str]]:
     """Five 0-3 items driven by one latent trait; f is reverse-keyed."""
@@ -225,7 +248,8 @@ def write_fixtures(data: Path) -> None:
     for name, lines in (("cli_gray.csv", GRAY_ROWS),
                         ("cli_gray_order.csv", GRAY_ORDER_ROWS),
                         ("cli_gray_codes.csv", GRAY_CODES_ROWS),
-                        ("cli_one_item.csv", ONE_ITEM_ROWS)):
+                        ("cli_one_item.csv", ONE_ITEM_ROWS),
+                        ("cli_degenerate.csv", DEGENERATE_ROWS)):
         text = "".join(line + "\n" for line in lines)
         (data / name).write_text(text, encoding="utf-8")
 
