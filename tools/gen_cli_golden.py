@@ -27,7 +27,10 @@ which reports every running AUC, fails with exit 3, and
 tests/data/cli_degenerate.csv, eight rows whose scale keeps a and whose
 next item b moves the AUC while the placement differences stay constant
 in both classes, so both paired tests fail with exit 3, their variance
-and spread exactly zero. Then runs every case
+and spread exactly zero, and tests/data/cli_ints.csv, 40 seeded rows of
+signed multi-digit integers: a 0-10 item, a reverse-keyed item that holds
+-128 and 127, which --auto-orient flips to 128 and -127, an item of -50
+to 50 and a planted gray pair. Then runs every case
 in cases() through scalereduce.cli.main and writes
 tests/data/cli_golden/: one <case>.out file per case with its stdout,
 cases.json with each case's argv, exit code and stderr, and, once per
@@ -72,6 +75,7 @@ SEED = 20261018
 N_ROWS = 48
 N_FEW_CELLS_ROWS = 300
 N_OVERFLOW_TAIL_ROWS = 60
+N_INTS_ROWS = 40
 FORMATS = ("json", "csv", "table")
 BOOT = ["--n-boot", "200", "--seed", "7"]
 FLAGS = {
@@ -111,6 +115,11 @@ RUNS = [
     ("cli_degenerate.csv", "d", {"test-inclusion": {
         "-delong": FLAGS["test-inclusion"]["-delong"],
         "-bootstrap": FLAGS["test-inclusion"]["-bootstrap"]}}, ("csv",)),
+    ("cli_ints.csv", "d", {"audit": FLAGS["audit"]}, ("json", "table")),
+    ("cli_ints.csv", "d", {
+        "rank": {"-auto-orient": FLAGS["rank"]["-auto-orient"]},
+        "reduce": {"-auto-orient": FLAGS["reduce"]["-auto-orient"]}},
+     ("json",)),
 ]
 INPUTS = {run[0] for run in RUNS}
 # rows 0, 2 and 4 are one gray group, so row 0 is row_a of two pairs; rows
@@ -233,6 +242,24 @@ def overflow_tail_rows(rng: random.Random) -> list[list[str]]:
     return rows
 
 
+def ints_rows(rng: random.Random) -> list[list[str]]:
+    """A 0-10 item, a reverse-keyed -128..127 item and a -50..50 item,
+    driven by one latent trait; the first two rows are a gray pair."""
+    rows = []
+    for _ in range(N_INTS_ROWS):
+        trait = rng.gauss(0.0, 1.0)
+        d = int(trait + rng.gauss(0.0, 0.7) > 0.0)
+        items = [
+            min(10, max(0, round(5 + 2.5 * trait + rng.gauss(0.0, 1.5)))),
+            min(127, max(-128, round(-60 * trait + rng.gauss(0.0, 40.0)))),
+            min(50, max(-50, round(15 * trait + rng.gauss(0.0, 25.0)))),
+        ]
+        rows.append([str(v) for v in items] + [str(d)])
+    rows[1] = rows[0][:-1] + [str(1 - int(rows[0][-1]))]
+    rows[2][1], rows[3][1] = "-128", "127"  # both ends of int8
+    return rows
+
+
 def write_fixtures(data: Path) -> None:
     rows = [["a", "b", "c", "e", "f", "d"]] + mixed_rows(random.Random(SEED))
     text = "".join(",".join(row) + "\n" for row in rows)
@@ -244,6 +271,9 @@ def write_fixtures(data: Path) -> None:
     rows = [["x", "y", "z1", "z2", "d"]] + overflow_tail_rows(
         random.Random(SEED))
     (data / "cli_overflow_tail.csv").write_text(
+        "".join(",".join(row) + "\n" for row in rows), encoding="utf-8")
+    rows = [["u", "v", "w", "d"]] + ints_rows(random.Random(SEED))
+    (data / "cli_ints.csv").write_text(
         "".join(",".join(row) + "\n" for row in rows), encoding="utf-8")
     for name, lines in (("cli_gray.csv", GRAY_ROWS),
                         ("cli_gray_order.csv", GRAY_ORDER_ROWS),
