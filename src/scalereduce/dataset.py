@@ -1,11 +1,11 @@
 """Validated in-memory dataset and CSV ingestion.
 
-A dataset is a real-valued attribute matrix (one column per rating scale
-item) plus one binary decision vector. Loading is complete-case: any row
-with a missing or unparseable cell is dropped and counted. A body of
-one-digit fields is read straight from the file's bytes. Every other file
-is decoded a chunk at a time as csv.reader asks for lines, and each kept
-row goes into one flat float buffer. Both give the same result.
+A dataset is an attribute matrix of integer codes or floats, whichever
+Dataset picks (one column per rating scale item), plus one binary decision
+vector. Loading is complete-case: any row with a missing or unparseable cell
+is dropped and counted. A body of one-digit fields is read straight from the
+file's bytes. Every other file is decoded a chunk at a time as csv.reader
+asks for lines, and each kept row goes into one flat float buffer.
 """
 
 from __future__ import annotations
@@ -37,7 +37,8 @@ ColumnSelection = Sequence[Union[str, int]]
 class Dataset:
     """Immutable attribute matrix with a binary decision vector.
 
-    attributes: (m, n) float64 matrix, one row per example.
+    attributes: (m, n) matrix, one row per example, of signed integer
+    codes (int8 for digits; see __post_init__) or else of float64.
     labels: n unique, non-empty column labels in file order.
     decision: (m,) bool vector, True marks a positive example.
     dropped_rows: input rows removed because of missing/unparseable cells.
@@ -53,8 +54,9 @@ class Dataset:
     negative_value: float = 0.0
 
     def __post_init__(self) -> None:
-        # copy before freezing so caller-owned arrays stay writeable
-        attrs = np.array(self.attributes, dtype=float)
+        attrs = np.asarray(self.attributes)
+        if attrs.dtype.kind not in "biu":
+            attrs = np.asarray(attrs, dtype=float)
         decision = np.array(self.decision, dtype=bool)
         if attrs.ndim != 2:
             raise LoadError("attribute matrix must be 2-dimensional")
@@ -63,7 +65,8 @@ class Dataset:
             raise EmptyDataset("dataset has no rows")
         if n < 1:
             raise EmptyDataset("dataset has no attribute columns")
-        if not np.isfinite(attrs).all():
+        floats = attrs.dtype.kind == "f"
+        if floats and not np.isfinite(attrs).all():
             raise LoadError("attribute values must be finite")
         if decision.shape != (m,):
             raise LoadError(
@@ -79,6 +82,16 @@ class Dataset:
             raise SingleClass(
                 "decision must contain at least one positive and one negative"
             )
+        # the one dtype decision, on a copy so caller-owned arrays stay
+        # writeable: integers below 2**31 in magnitude take the smallest
+        # signed dtype holding each value and its negation, so a flip cannot
+        # wrap and int64 sums cannot overflow. Float columns are tested one
+        # at a time; integer input is narrowed with no float copy.
+        top = 2**31
+        if not floats or all(-top < c.min() and c.max() < top and (
+                c.astype(np.int32) == c).all() for c in attrs.T):
+            top = max(-int(attrs.min()), int(attrs.max()))
+        attrs = attrs.astype(np.min_scalar_type(-top - 1) if top < 2**31 else float)
         attrs.setflags(write=False)
         decision.setflags(write=False)
         object.__setattr__(self, "attributes", attrs)
@@ -247,11 +260,11 @@ def load_csv(
     """Load an RFC-4180-style CSV (header row, comma separated, UTF-8,
     with or without a byte-order mark).
 
-    Every cell is read as a double; rows containing any missing or
-    non-numeric cell are dropped and counted in dropped_rows. The decision
-    column must end up with exactly two distinct values; under
-    positive_value="auto" the numerically larger one is positive, otherwise
-    the given value is positive.
+    Every cell is read as a number, integer codes kept as integers; rows
+    with any missing or non-numeric cell are dropped and counted in
+    dropped_rows. The decision column must end up with exactly two
+    distinct values; under positive_value="auto" the numerically larger
+    one is positive, otherwise the given value is positive.
 
     A body of one-digit fields, each row ending in "\n", is read straight
     from the bytes. Every other file is decoded as it is read and goes
@@ -283,7 +296,7 @@ def load_csv(
     # the 100k x 50 survey-large workload start_auc takes 19 ms on it and
     # 33 ms on a row-major copy (2-vCPU VM)
     attrs = table[:, keep]
-    del table  # Dataset makes the one float64 copy of attrs
+    del table  # Dataset narrows attrs to its item dtype
     labels = tuple(header[i] for i in keep)
 
     # return_counts keeps np.unique off its np.ma check, which imports numpy.ma

@@ -4,8 +4,8 @@ A gray example shares its full attribute row with another example that has
 the opposite decision. Row equality is exact value equality, no epsilon:
 rating scale items are discrete codes and tolerance matching would silently
 merge distinct responses. Rows are grouped by one stable sort of their raw
-bytes (negative zeros normalized first), which matches an elementwise ==
-scan on finite data.
+bytes, integer rows in their own dtype and others as float64 with negative
+zeros made positive, which matches an elementwise == scan on finite data.
 
 Gray examples are held as gray groups: the groups of equal rows that hold
 more than one decision value, with each group's rows split by decision,
@@ -39,13 +39,14 @@ class DuplicateReport:
 
 
 def _as_matrix(attrs) -> np.ndarray:
-    # one C-ordered copy, so the caller's array is never written
-    a = np.array(attrs, dtype=float, order="C")
+    # one C-ordered copy, never the caller's array; integers keep their dtype
+    a = np.asarray(attrs)
+    a = np.array(a, dtype=None if a.dtype.kind in "iu" else float, order="C")
     if a.ndim == 1:
         a = a.reshape(-1, 1)
     if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
         raise EmptyDataset("attribute matrix must have at least one row and column")
-    a += 0.0  # maps -0.0 to +0.0 so byte keys agree with == comparison
+    a += 0  # maps -0.0 to +0.0 so byte keys agree with == comparison
     return a
 
 
@@ -88,8 +89,8 @@ class GrayGroups:
     order, and each run lists its rows in ascending order. rows holds the
     runs one after another, group after group: run i is
     rows[starts[i]:starts[i + 1]] and its group is group[i], numbered
-    from 0. values[g] is group g's attribute row, with a -0 cell read as
-    0, and pair_count is the number of gray pairs in all groups.
+    from 0. values[g] is group g's attribute row as floats, with a -0 cell
+    read as 0, and pair_count is the number of gray pairs in all groups.
     """
 
     levels: np.ndarray
@@ -189,8 +190,8 @@ def _screen(attrs, decision=None) -> tuple[DuplicateReport, GrayGroups | None]:
     # run of r: summed over the rows, g**2 - sum(r**2), each pair twice
     group_size, run_size = sizes[gray], np.diff(run)
     pair_count = int(group_size @ group_size - run_size @ run_size) // 2
-    return dup, GrayGroups(levels, rows, run, group, a[order[starts[gray]]],
-                           pair_count)
+    return dup, GrayGroups(levels, rows, run, group,
+                           a[order[starts[gray]]].astype(float), pair_count)
 
 
 def diff_examples(attrs) -> DuplicateReport:

@@ -67,7 +67,8 @@ class PlacementValues:
 
 
 def _split(scores, decision) -> tuple[np.ndarray, np.ndarray]:
-    s = np.asarray(scores, dtype=float).ravel()
+    s = np.asarray(scores).ravel()
+    s = s if s.dtype.kind == "i" else s.astype(float, copy=False)
     d = np.asarray(decision, dtype=bool).ravel()
     if s.shape != d.shape:
         raise ValueError(
@@ -83,23 +84,15 @@ def _levels(s: np.ndarray, d=False) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     entry's index into them, as np.unique(s, return_inverse=True) gives
     them, and counts[i, c], the entries at level i whose d is c.
 
-    Integer-coded s is counted once, by one bincount over (code, d) slots, in
-    O(m + range): with lo = s.min(), that path is taken when lo is finite,
-    s.max() <= lo + 4*m (checked before any cast, so NaN and inf never reach
-    it), and the codes c = int(s - lo) round-trip, lo + c == s for every
-    entry. The round trip makes the grouping exact: equal codes mean equal
-    values and, float addition being monotone, distinct values have distinct
-    codes in the same order. A bare "s - lo is integral" test would not do:
-    with lo = -0.1, both 1.9 and the next float above it lie 2.0 above lo. The
-    codes are the index unless some code in range is unoccupied. Levels equal
-    np.unique's, except that a zero level may differ in sign. Any other s is
-    sorted by np.unique.
+    Signed-integer s spanning at most 4*m values is counted by one bincount
+    over (s - s.min(), d) slots, in O(m + range); the offsets are the index
+    unless some value in range is unoccupied. np.unique sorts any other s.
     """
-    lo, hi = s.min(), s.max()
-    coded = np.isfinite(lo) and hi <= lo + 4 * s.size
-    index = (s - lo).astype(np.intp) if coded else None
-    if coded and np.array_equal(lo + index, s):
-        levels = lo + np.arange(int(hi - lo) + 1)
+    integer = s.dtype.kind == "i"
+    lo, hi = (int(s.min()), int(s.max())) if integer else (0, 0)
+    if integer and hi - lo <= 4 * s.size:
+        index = s.astype(np.intp) - lo
+        levels = lo + np.arange(hi - lo + 1)
     else:
         levels, index = np.unique(s, return_inverse=True)
     # minlength: the top level may hold only entries whose d is 0
@@ -115,8 +108,8 @@ def _class_counts(scores, decision):
     """The split decision, the distinct levels of the split scores
     (ascending), the positive and negative counts at each level and each
     row's level index, from one _levels count. NaN scores raise ValueError:
-    np.unique sorts NaN last, and s.min() keeps NaN off _levels' counting
-    path, so a NaN level can only be the last one."""
+    they are float, which _levels sorts by np.unique, and np.unique sorts
+    NaN last, so a NaN level can only be the last one."""
     s, d = _split(scores, decision)
     levels, index, counts = _levels(s, d)
     if np.isnan(levels[-1]):
@@ -140,7 +133,7 @@ def _twice_u(pos, neg):
 def auc(scores, decision) -> float:
     """Tie-aware AUC of scores against the binary decision.
 
-    Counting evaluation, O(m + range) for integer-coded scores and
+    Counting evaluation, O(m + range) for narrow-range integer scores and
     O(m log m) otherwise (see _levels): with pos and neg the class counts
     at each distinct score level and neg_below the negatives at lower
     levels,
@@ -199,9 +192,9 @@ def placements(scores, decision) -> PlacementValues:
 
 def _running_sums(ds: Dataset, idx: list[int]) -> Iterator[np.ndarray]:
     """Row sums of the columns idx[:1], idx[:2], ..., in one array updated
-    in place. Raises ScoreOverflow, naming the items summed, where finite
-    cells sum past the float64 range."""
-    total = np.zeros(ds.n_rows)
+    in place, in int64 for integer items. Raises ScoreOverflow, naming the
+    items summed, where finite float cells sum past the float64 range."""
+    total = np.zeros(ds.n_rows, dtype=np.result_type(ds.attributes, np.int64))
     for k, i in enumerate(idx, 1):
         try:
             # scoped to the add: the caller's code between yields keeps
@@ -217,8 +210,8 @@ def _running_sums(ds: Dataset, idx: list[int]) -> Iterator[np.ndarray]:
 
 
 def sum_scores(ds: Dataset, cols: ColumnSelection) -> np.ndarray:
-    """Row-wise unweighted sum of the selected columns; raises
-    ScoreOverflow if it leaves the float64 range."""
+    """Row-wise unweighted sum of the selected columns, int64 for integer
+    items; raises ScoreOverflow if a float sum leaves the float64 range."""
     for total in _running_sums(ds, resolve_columns(ds, cols)):
         pass
     return total

@@ -26,10 +26,8 @@ def _chart(labels, x_range, y_range, x_ticks, y_ticks, draw) -> str:
     draw(px, py) returns, where px and py map data to pixels."""
     title, x_label, y_label = labels
     (x0, x1), (y0, y1) = x_range, y_range
-    if x1 == x0:
+    if x1 == x0:  # a running chart of one item count
         x1 = x0 + 1.0
-    if y1 == y0:
-        y1 = y0 + 1.0
     plot_w = WIDTH - MARGIN_L - MARGIN_R
     plot_h = HEIGHT - MARGIN_T - MARGIN_B
     bottom = HEIGHT - MARGIN_B

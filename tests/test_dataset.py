@@ -151,6 +151,11 @@ class TestLoadCsv:
         with pytest.raises(DuplicateColumn):
             load_csv(path, "d")
 
+    def test_empty_header_label(self, tmp_path):
+        path = write_csv(tmp_path / "blank.csv", ["a", " ", "d"], [[1, 2, 0], [3, 4, 1]])
+        with pytest.raises(LoadError, match="empty label"):
+            load_csv(path, "d")
+
 
 class TestSelectColumns:
     def test_select_all_is_identity(self, tiny_csv):
@@ -185,6 +190,12 @@ class TestSelectColumns:
         assert select_columns(ds, [np.int64(1), 0]).labels == ("b", "a")
         assert issubclass(UnknownColumn, LoadError)  # exit code 2
 
+    def test_index_out_of_range(self, tiny_csv):
+        ds = load_csv(tiny_csv, "d")
+        for i in (ds.n_items, -1):
+            with pytest.raises(UnknownColumn, match="out of range"):
+                select_columns(ds, [i])
+
     def test_duplicate_column(self, tiny_csv):
         ds = load_csv(tiny_csv, "d")
         with pytest.raises(DuplicateColumn):
@@ -213,6 +224,51 @@ class TestDatasetValidation:
         ds = load_csv(tiny_csv, "d")
         with pytest.raises(ValueError):
             ds.attributes[0, 0] = 99.0
+
+    @pytest.mark.parametrize("attrs,labels,decision,error,match", [
+        (np.ones(2), ("a",), [1, 0], LoadError, "2-dimensional"),
+        (np.ones((0, 1)), ("a",), [], EmptyDataset, "no rows"),
+        (np.ones((2, 0)), (), [1, 0], EmptyDataset, "no attribute columns"),
+        (np.ones((2, 1)), ("a",), [1, 0, 1], LoadError, "decision length"),
+        (np.ones((2, 1)), ("a", "b"), [1, 0], LoadError, "2 labels for 1"),
+        (np.ones((2, 2)), ("a", ""), [1, 0], LoadError, "non-empty"),
+        (np.ones((2, 2)), ("a", "a"), [1, 0], DuplicateColumn, "unique"),
+    ], ids=["1-d", "no-rows", "no-columns", "decision-length", "label-count",
+            "empty-label", "duplicate-labels"])
+    def test_malformed_input_rejected(self, attrs, labels, decision, error,
+                                      match):
+        with pytest.raises(error, match=match):
+            Dataset(attributes=attrs, labels=labels, decision=decision)
+
+
+# Each matrix, as numpy reads it, with the dtype Dataset stores it in: the
+# smallest signed integer dtype that holds every value and its negation
+# when all values are integers below 2**31 in magnitude, else float64
+ITEM_DTYPES = {
+    "digits": ([[0, 9], [3, 1]], np.int8),
+    "uint8-digits": (np.array([[0, 9], [3, 1]], dtype=np.uint8), np.int8),
+    "int8-ends": ([[-127, 0], [1, 127]], np.int8),
+    "minus-128": ([[-128, 0], [1, 1]], np.int16),
+    "int32-ends": ([[1 - 2**31, 0], [1, 2**31 - 1]], np.int32),
+    "2**31": ([[2**31, 0], [1, 1]], np.float64),
+    "float-2**31": ([[2.0**31, 0], [1, 1]], np.float64),
+    "integral-floats": ([[-300.0, 0], [1, 1]], np.int16),
+    "fraction": ([[1.5, 0], [1, 1]], np.float64),
+    "fraction-in-last-column": ([[1, 0], [1, 0.5]], np.float64),
+    "negative-zero": ([[-0.0, 0], [1, 1]], np.int8),
+    "bool": ([[True, False], [False, True]], np.int8),
+}
+
+
+@pytest.mark.parametrize("cells,dtype", ITEM_DTYPES.values(),
+                         ids=list(ITEM_DTYPES))
+def test_dataset_picks_the_item_dtype(cells, dtype):
+    attrs = np.asfortranarray(cells)
+    ds = Dataset(attributes=attrs, labels=("a", "b"), decision=[1, 0])
+    assert ds.attributes.dtype == dtype
+    assert ds.attributes.tolist() == attrs.tolist()
+    assert ds.attributes.flags.f_contiguous
+    assert attrs.flags.writeable  # the caller's array is copied, not frozen
 
 
 # Files at the edges of the one-digit byte path, each with whether that
@@ -277,9 +333,11 @@ def test_one_digit_file_needs_neither_the_decoder_nor_the_cell_parser(
     assert got.attributes.tobytes() == expected.attributes.tobytes()
 
 
-def test_one_digit_load_makes_one_float_copy(tmp_path):
-    # the byte path's uint8 table becomes float64 once, in Dataset, so the
-    # peak stays well under two float copies of the attribute matrix
+def test_one_digit_load_makes_no_float_copy(tmp_path):
+    # the byte path's uint8 table is narrowed to int8 in Dataset with no
+    # float copy, so the peak stays under one float64 copy of the
+    # 5000 x 20 attribute matrix, 800 000 bytes; making that copy peaked
+    # at 1.12 MB
     rng = np.random.default_rng(5)
     rows = rng.integers(0, 5, size=(5000, 21))
     rows[:, -1] = np.arange(5000) % 2
@@ -293,7 +351,8 @@ def test_one_digit_load_makes_one_float_copy(tmp_path):
     finally:
         tracemalloc.stop()
     assert _one_digit_table(Path(path).read_bytes()) is not None
-    assert peak < 1.75 * ds.attributes.nbytes
+    assert ds.attributes.dtype == np.int8
+    assert peak < 8 * 5000 * 20
 
 
 def test_text_path_load_stays_near_two_float_copies(tmp_path):

@@ -78,6 +78,9 @@ class TestDiffExamples:
         with pytest.raises(EmptyDataset):
             diff_examples(np.empty((0, 2)))
 
+    def test_one_dimensional_input_is_one_column(self):
+        assert diff_examples([3, 1, 3, 3]).distinct_examples == 2
+
 
 def pair_list(attrs, decision):
     return [tuple(p) for p in gray_examples(attrs, decision).tolist()]
@@ -171,6 +174,22 @@ class TestGrayExamples:
             tracemalloc.stop()
         assert dup.duplicate_examples == 10
         assert peak < 1.5 * attrs.nbytes
+
+    def test_decision_length_checked(self):
+        with pytest.raises(ValueError, match="decision length"):
+            gray_examples([[1.0], [1.0]], [1, 0, 1])
+
+    def test_integer_matrix_keeps_its_dtype(self):
+        # integer rows are keyed in their own bytes; the gray groups' values
+        # are floats either way, so reports print the same
+        attrs = np.array([[-128, 5], [7, 0], [-128, 5]], dtype=np.int16)
+        a = hygiene._as_matrix(attrs)
+        assert a.dtype == np.int16 and np.array_equal(a, attrs)
+        _, groups = hygiene._screen(attrs, [1, 0, 0])
+        _, float_groups = hygiene._screen(attrs.astype(float), [1, 0, 0])
+        assert groups.values.dtype == np.float64
+        assert groups.values.tolist() == float_groups.values.tolist() == [[-128.0, 5.0]]
+        assert pair_list(attrs, [1, 0, 0]) == [(0, 2)]
 
     def test_works_on_deduplicated_rows(self):
         # screening unique (decision, attrs) rows: clones across decisions

@@ -289,3 +289,9 @@ class TestReductionRatio:
         scale = rsr(ds)
         with pytest.raises(InvalidCount):
             reduction_ratio(scale, len(scale.items) - 1)
+
+    def test_empty_scale(self):
+        scale = ReducedScale(items=(), auc_trajectory=(), achieved_auc=0.5,
+                             stop_reason="first-decrease")
+        with pytest.raises(InvalidCount, match="no items"):
+            reduction_ratio(scale, 3)

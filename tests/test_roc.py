@@ -169,18 +169,30 @@ def test_counting_kernel_equals_pair_enumeration_exactly(example):
 @st.composite
 def level_inputs(draw):
     """Scores base + step * code with codes spanning up to about 4*m (the
-    counting path's limit), a decision with both classes, and a few
-    entries overwritten by NaN, inf, signed zeros or a fraction."""
+    counting path's limit for signed integers) and a decision with both
+    classes. Float scores have a few entries overwritten by NaN, inf,
+    signed zeros or a fraction; int8, int16 and int64 scores sit anywhere
+    in their dtype's range, up to either end, and a few entries may be
+    overwritten by either end or 0."""
     m = draw(st.integers(2, 60))
-    base = draw(st.sampled_from([0.0, -0.0, -37.0, 0.5, -2.5, -0.1, 1e17,
-                                 -1e17, 2.0**60, 1e300]))
-    step = draw(st.sampled_from([1.0, 16.0, 0.5, 0.1]))
     span = draw(st.sampled_from([1, 4 * m - 1, 4 * m, 4 * m + 1]))
     codes = draw(st.lists(st.integers(0, span), min_size=m - 2, max_size=m - 2))
-    scores = base + step * np.array([0, span, *codes], dtype=float)
+    codes = np.array([0, span, *codes])
+    dtype = draw(st.sampled_from([float, np.int8, np.int16, np.int64]))
+    if dtype is float:
+        base = draw(st.sampled_from([0.0, -0.0, -37.0, 0.5, -2.5, -0.1, 1e17,
+                                     -1e17, 2.0**60, 1e300]))
+        step = draw(st.sampled_from([1.0, 16.0, 0.5, 0.1]))
+        scores = base + step * codes.astype(float)
+        overwrites = [np.nan, np.inf, -np.inf, 0.0, -0.0, 0.3, np.nextafter(1.9, 2)]
+    else:
+        info = np.iinfo(dtype)
+        step = min(draw(st.sampled_from([1, 3])), (info.max - info.min) // span)
+        base = draw(st.sampled_from([info.min, -37, 0, info.max]))
+        scores = (min(base, info.max - step * span) + step * codes).astype(dtype)
+        overwrites = [info.min, info.max, 0]
     for i in draw(st.lists(st.integers(0, m - 1), max_size=3)):
-        scores[i] = draw(st.sampled_from([np.nan, np.inf, -np.inf, 0.0, -0.0, 0.3,
-                                          np.nextafter(1.9, 2)]))
+        scores[i] = draw(st.sampled_from(overwrites))
     decision = np.array(draw(st.lists(st.booleans(), min_size=m, max_size=m)))
     decision[0], decision[1] = True, False
     return scores, decision
@@ -189,7 +201,7 @@ def level_inputs(draw):
 @settings(max_examples=600, deadline=None, derandomize=True)
 @given(level_inputs())
 # 1.9 and the next float up both sit 2.0 above -0.1 in float subtraction:
-# an integral offset alone would merge them, the round trip does not
+# an integral offset alone would merge them, np.unique does not
 @example((np.array([-0.1, 1.9, np.nextafter(1.9, 2)]), np.array([True, False, True])))
 # the top level holds negatives only: its (level, class) count needs minlength
 @example((np.array([0.0, 1.0, 2.0, 3.0]), np.array([True, False, True, False])))
@@ -197,6 +209,11 @@ def level_inputs(draw):
 @example((np.array([5.0, 0.0, 9.0, 5.0, 0.0]), np.array([True, False, True, False, True])))
 # dense levels: the index is the codes themselves
 @example((np.array([2.0, 0.0, 1.0, 2.0, 1.0]), np.array([True, False, False, True, False])))
+# a narrow range at either int64 end is counted in intp offsets
+@example((np.array([2**63 - 1, 2**63 - 3, 2**63 - 1]), np.array([True, False, False])))
+@example((np.array([-2**63, -2**63 + 2, -2**63]), np.array([True, False, True])))
+# both int64 ends: the range itself overflows int64, so it is sorted
+@example((np.array([-2**63, 2**63 - 1, 0]), np.array([True, False, True])))
 def test_level_counts_equal_np_unique_on_every_path(case):
     # integer-coded scores are grouped by counting, the rest by np.unique;
     # both must give np.unique's grouping, without a warning, and
@@ -218,6 +235,12 @@ def test_level_counts_equal_np_unique_on_every_path(case):
     assert got_index.tolist() == index.tolist()
     assert pos.tolist() == np.bincount(index[decision], minlength=levels.size).tolist()
     assert neg.tolist() == np.bincount(index[~decision], minlength=levels.size).tolist()
+
+
+def test_integer_scores_past_2_53_compare_exactly():
+    # both round to the same float, which would tie them at AUC 0.5
+    assert auc([2**53 + 1, 2**53], [1, 0]) == 1.0
+    assert roc_curve(np.array([2**62 + 1, 2**62]), [1, 0]).auc == 1.0
 
 
 @pytest.mark.parametrize("scores", [[np.nan, 1, 0], [np.nan, np.nan, 0],
