@@ -116,9 +116,9 @@ def _orient(ds: Dataset, auto_orient: bool) -> tuple[Dataset, list[str], dict]:
 def _pair_text(groups: GrayGroups, head: str, tail: str, decision_text,
                values_text) -> Iterator[str]:
     """Per chunk of an audit's gray pairs, one text of head % row_a,
-    str(row_b) and tail % (decision_a, decision_b, values) per pair. The
-    decision is binary, so group g is runs 2g and 2g + 1 and a pair's tail
-    is its row_a run's: heads and names are formatted once per gray row,
+    str(row_b) and tail % (decision_a, decision_b, values) per pair. Group
+    g is runs 2g (lower decision) and 2g + 1 (higher), so a pair's tail is
+    its row_a run's: heads and names are formatted once per gray row,
     tails once per run, each decision and values list once."""
     low, high = map(decision_text, groups.levels.tolist())
     tails = np.array([tail % t for v in map(values_text, groups.values.tolist())

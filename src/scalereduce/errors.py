@@ -4,8 +4,9 @@ Input/parsing problems derive from LoadError (CLI exit code 2), a column
 selection that names an unknown or repeated column included; everything
 that goes wrong during analysis of a well-formed dataset derives directly
 from ScaleReduceError (CLI exit code 3). Invalid arguments to a library
-call (a bad method, alternative, n_boot or seed, NaN scores, or a row
-index that is not an integer) raise the built-in ValueError.
+call (a bad method, alternative, n_boot or seed, NaN scores, a row index
+that is not an integer, or a gray screen's decision with more than two
+values) raise the built-in ValueError.
 """
 
 

@@ -8,9 +8,9 @@ bytes, integer rows in their own dtype and others as float64 with negative
 zeros made positive, which matches an elementwise == scan on finite data.
 
 Gray examples are held as gray groups: the groups of equal rows that hold
-more than one decision value, with each group's rows split by decision,
-each group's attribute row and the number of gray pairs, all set once
-from the one grouping of the rows. A group of g rows can make about
+both values of a decision with at most two, with each group's rows split
+by decision, each group's attribute row and the number of gray pairs, all
+set once from the one grouping of the rows. A group of g rows can make about
 g**2 / 4 gray pairs, so pairs are only made on demand, expanded from the
 groups one chunk at a time in (row_a, row_b) order; gray_examples
 concatenates the chunks.
@@ -83,115 +83,91 @@ _CHUNK = 1 << 12
 
 @dataclass(frozen=True)
 class GrayGroups:
-    """The groups of equal rows that hold more than one decision value.
+    """The groups of equal rows that hold both values of a decision.
 
-    Each group is split into runs, one per decision value in ascending
-    order, and each run lists its rows in ascending order. rows holds the
-    runs one after another, group after group: run i is
-    rows[starts[i]:starts[i + 1]] and its group is group[i], numbered
-    from 0. values[g] is group g's attribute row as floats, with a -0 cell
-    read as 0, and pair_count is the number of gray pairs in all groups.
+    levels holds the decision's distinct values, at most two, ascending.
+    Each group is split into two runs, each listing its rows in ascending
+    order: run 2g holds group g's rows with the lower decision and run
+    2g + 1 those with the higher one, so a row's group is its run // 2.
+    rows holds the runs one after another: run i is
+    rows[starts[i]:starts[i + 1]]. values[g] is group g's attribute row as
+    floats, with a -0 cell read as 0, and pair_count is the number of gray
+    pairs in all groups.
     """
 
     levels: np.ndarray
     rows: np.ndarray
     starts: np.ndarray
-    group: np.ndarray
     values: np.ndarray
     pair_count: int
 
     def pair_chunks(self) -> Iterator[tuple[np.ndarray, ...]]:
         """Yield (row_a, row_b, run_a) for every gray pair, in
         (row_a, row_b) order, for one block of row_a values at a time
-        (about _CHUNK pairs). The partners of row a are the rows of a's
-        group after a in the other runs: one ascending suffix of each other
-        run, found by a binary search. Cost is O(rows + pairs) when every
-        group holds two decision values; a row with partners in two or more
-        other runs has them merged by a sort within its chunk."""
+        (about _CHUNK pairs). The partners of row a are the rows after a in
+        the other run of its group, run_a ^ 1: one ascending suffix of it,
+        found by a binary search, so the cost is O(rows + pairs)."""
         rows, starts = self.rows, self.starts
         if not rows.size:
             return
-        run_of = np.repeat(np.arange(self.group.size), np.diff(starts))
-        first = np.searchsorted(self.group, self.group)
-        n_runs = np.searchsorted(self.group, self.group, side="right") - first
-        # every gray row in ascending order, then one segment per other run
-        # of its group
+        run_of = np.repeat(np.arange(starts.size - 1), np.diff(starts))
+        # every gray row in ascending order, with its run
         entry = np.argsort(rows)
-        run = run_of[entry]
-        k = n_runs[run]
-        seg_entry = np.repeat(entry, k)
-        seg_run = np.repeat(first[run], k) + _ramps(k)
-        other = seg_run != run_of[seg_entry]
-        seg_entry, seg_run = seg_entry[other], seg_run[other]
-        seg_a = rows[seg_entry]
-        # rows is ascending in (run, row), so one search finds, in run r,
-        # the first row after a
+        a, run = rows[entry], run_of[entry]
+        # rows is ascending in (run, row), so one search finds, in the
+        # other run, the first row after a
         span = int(rows.max()) + 1
-        lo = np.searchsorted(run_of * span + rows, seg_run * span + seg_a,
+        lo = np.searchsorted(run_of * span + rows, (run ^ 1) * span + a,
                              side="right")
-        count = starts[seg_run + 1] - lo
-        # chunks end between rows, each gray row owning k - 1 segments, and
-        # each chunk's first row has a partner
-        row_segs = np.concatenate(([0], np.cumsum(k - 1)))
-        through = np.cumsum(np.add.reduceat(count, row_segs[:-1]))
+        count = starts[(run ^ 1) + 1] - lo
+        # pair p of the enumeration in row_a order is row a's pair
+        # p - (through - count) and has partner rows[p + shift]; chunks
+        # end between rows, and each chunk's first row has a partner
+        through = np.cumsum(count)
+        shift = lo - through + count
         # return_counts keeps np.unique off its np.ma check, which imports numpy.ma
         cuts = np.unique(np.concatenate((
             [0], np.searchsorted(through, np.arange(_CHUNK, through[-1], _CHUNK),
                                  side="right"), [through.size])), return_counts=True)[0]
         for r0, r1 in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
-            s0, s1 = row_segs[r0], row_segs[r1]
-            c = count[s0:s1]
-            at = np.repeat(lo[s0:s1], c) + _ramps(c)
-            a = np.repeat(seg_a[s0:s1], c)
-            b = rows[at]
-            run_a = np.repeat(run_of[seg_entry[s0:s1]], c)
-            if s1 - s0 > r1 - r0:
-                by_b = np.argsort(a * span + b, kind="stable")
-                a, b, run_a = a[by_b], b[by_b], run_a[by_b]
-            yield a, b, run_a
-
-
-def _ramps(lengths: np.ndarray) -> np.ndarray:
-    """0, 1, ..., n - 1 for each n in a non-empty lengths, concatenated."""
-    ends = np.cumsum(lengths)
-    return np.arange(ends[-1]) - np.repeat(ends - lengths, lengths)
+            c = count[r0:r1]
+            p = np.arange(through[r0] - c[0], through[r1 - 1])
+            yield (np.repeat(a[r0:r1], c), rows[p + np.repeat(shift[r0:r1], c)],
+                   np.repeat(run[r0:r1], c))
 
 
 def _screen(attrs, decision=None) -> tuple[DuplicateReport, GrayGroups | None]:
     """diff_examples' report and, given a decision, the gray groups, from
     one grouping of the rows. A group of equal rows is gray when its rows
-    hold more than one decision value; decision values compare as !=
-    does, so each NaN is a value of its own."""
+    hold both decision values. Decision values compare as != does, so each
+    NaN is a value of its own, and a decision with more than two values
+    raises ValueError before the rows are grouped."""
     a = _as_matrix(attrs)
-    d = None if decision is None else _decision(decision, a)
+    if decision is not None:
+        levels, code = np.unique(_decision(decision, a), return_inverse=True,
+                                 equal_nan=False)
+        if levels.size > 2:
+            raise ValueError(
+                f"decision has {levels.size} distinct values; at most two allowed"
+            )
     order, starts = _row_groups(a)
     total = a.shape[0]
-    dup = DuplicateReport(
-        total_examples=total,
-        distinct_examples=starts.size,
-        duplicate_examples=total - starts.size,
-    )
-    if d is None:
+    dup = DuplicateReport(total, starts.size, total - starts.size)
+    if decision is None:
         return dup, None
-    levels, code = np.unique(d, return_inverse=True, equal_nan=False)
     code = code[order]
     sizes = np.diff(np.append(starts, total))
     gray = np.minimum.reduceat(code, starts) != np.maximum.reduceat(code, starts)
     in_gray = np.repeat(gray, sizes)
-    group = np.repeat(np.arange(np.count_nonzero(gray)), sizes[gray])
-    # one key per (group, decision) run; a stable sort keeps each run's
-    # rows ascending, as order has them
-    key = group * levels.size + code[in_gray]
+    n_gray = np.count_nonzero(gray)
+    # a row of gray group g with decision code c goes to run 2g + c; a
+    # stable sort keeps each run's rows ascending, as order has them
+    key = 2 * np.repeat(np.arange(n_gray), sizes[gray]) + code[in_gray]
     by_run = np.argsort(key, kind="stable")
-    rows, key = order[in_gray][by_run], key[by_run]
-    run = np.append(np.flatnonzero(np.diff(key, prepend=-1)), rows.size)
-    group = key[run[:-1]] // levels.size
-    # a group of g rows pairs each row with the g - r rows outside its
-    # run of r: summed over the rows, g**2 - sum(r**2), each pair twice
-    group_size, run_size = sizes[gray], np.diff(run)
-    pair_count = int(group_size @ group_size - run_size @ run_size) // 2
-    return dup, GrayGroups(levels, rows, run, group,
-                           a[order[starts[gray]]].astype(float), pair_count)
+    run = np.searchsorted(key[by_run], np.arange(2 * n_gray + 1))
+    low, high = np.diff(run).reshape(-1, 2).T
+    return dup, GrayGroups(levels, order[in_gray][by_run], run,
+                           a[order[starts[gray]]].astype(float), int(low @ high))
 
 
 def diff_examples(attrs) -> DuplicateReport:
@@ -203,7 +179,8 @@ def diff_examples(attrs) -> DuplicateReport:
 
 
 def gray_examples(attrs, decision) -> np.ndarray:
-    """All unordered row pairs with equal attributes and unequal decisions.
+    """All unordered row pairs with equal attributes and unequal decisions,
+    for a decision with at most two distinct values (more raise ValueError).
 
     Returns a (k, 2) intp array: each pair appears once as (a, b) with
     a < b, and the rows are sorted by (a, b), so output is deterministic.

@@ -34,7 +34,9 @@ class RocCurve:
 
     fpr/tpr/thresholds are parallel arrays. The first point is (0, 0) at
     threshold +inf; one point follows per distinct score value, so the last
-    point is always (1, 1) at the smallest score. A point's coordinates are
+    point is always (1, 1) at the smallest score. thresholds is float64,
+    unless an integer score is not exact in float64: then it is an object
+    array of inf and the scores as Python ints. A point's coordinates are
     the false/true positive rates of the classifier "score >= threshold".
     auc is the trapezoidal area under those points, computed as the
     tie-aware AUC, so it equals auc(scores, decision) exactly.
@@ -68,7 +70,12 @@ class PlacementValues:
 
 def _split(scores, decision) -> tuple[np.ndarray, np.ndarray]:
     s = np.asarray(scores).ravel()
-    s = s if s.dtype.kind == "i" else s.astype(float, copy=False)
+    # integers compare exactly: unsigned and bool as int64 where they fit,
+    # past 2**63 left for np.unique; anything else as float64
+    if s.dtype.kind in "bu" and int(s.max(initial=0)) < 2**63:
+        s = s.astype(np.int64)
+    elif s.dtype.kind not in "iu":
+        s = s.astype(float, copy=False)
     d = np.asarray(decision, dtype=bool).ravel()
     if s.shape != d.shape:
         raise ValueError(
@@ -169,6 +176,9 @@ def _curve(counts) -> RocCurve:
     fpr = np.concatenate(([0.0], np.cumsum(neg[::-1]) / n_neg))
     tpr = np.concatenate(([0.0], np.cumsum(pos[::-1]) / n_pos))
     thresholds = np.concatenate(([np.inf], levels[::-1]))
+    if levels.dtype.kind in "iu" and thresholds[1:].tolist() != levels[::-1].tolist():
+        # some integer level past 2**53 is not exact in float64
+        thresholds = np.array([np.inf, *levels[::-1].tolist()], dtype=object)
     return RocCurve(
         fpr=fpr, tpr=tpr, thresholds=thresholds,
         auc=_area(counts), n_pos=n_pos, n_neg=n_neg,

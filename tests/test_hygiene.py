@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -175,6 +176,18 @@ class TestGrayExamples:
         assert dup.duplicate_examples == 10
         assert peak < 1.5 * attrs.nbytes
 
+    def test_decision_with_more_than_two_values_rejected(self):
+        # the gray screen takes a decision with at most two values, each
+        # NaN a value of its own; the screens that ignore decision values
+        # still accept any decision
+        attrs = [[1], [1], [1]]
+        for decision in ([0, 1, 2], [0, 1, np.nan]):
+            with pytest.raises(ValueError, match="3 distinct values"):
+                gray_examples(attrs, decision)
+            assert diff_examples(attrs).duplicate_examples == 2
+            assert gray_examples_for(attrs, decision, 1) == [1, 0, 2]
+        assert gray_examples(attrs[:2], [np.nan, np.nan]).tolist() == [[0, 1]]
+
     def test_decision_length_checked(self):
         with pytest.raises(ValueError, match="decision length"):
             gray_examples([[1.0], [1.0]], [1, 0, 1])
@@ -232,8 +245,10 @@ class TestGrayExamplesFor:
 
 @st.composite
 def small_matrices(draw):
-    """Small integer codes with signed zeros; one row, one column and
-    all-equal rows included."""
+    """Small integer codes with signed zeros, one row, one column and
+    all-equal rows included, and a decision drawn from two codes picked
+    per example, so one-valued decisions and codings other than 0/1 are
+    drawn too."""
     m = draw(st.integers(1, 12))
     n = draw(st.integers(1, 4))
     cell = st.sampled_from([-0.0, 0.0, 1.0, 2.0, -1.0])
@@ -245,32 +260,42 @@ def small_matrices(draw):
     else:
         attrs = np.array(draw(st.lists(st.lists(cell, min_size=n, max_size=n),
                                        min_size=m, max_size=m)))
-    decision = np.array(draw(st.lists(st.integers(0, 2), min_size=m, max_size=m)))
+    codes = draw(st.sampled_from([(0, 1), (1, 2), (-1, 1), (0.5, 2)]))
+    decision = np.array(draw(st.lists(st.sampled_from(codes), min_size=m, max_size=m)))
     return attrs.reshape(m, n), decision
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
-@given(small_matrices())
+@given(small_matrices(), st.sampled_from([1, 3, hygiene._CHUNK]))
 # twelve equal rows, one of which has another decision
-@example((np.ones((12, 2)), np.array([0] * 7 + [2] + [0] * 4)))
-# two groups whose row indices interleave, each with three decision values
-@example((np.array([[1.0], [0.0], [-0.0], [1.0], [0.0], [1.0], [1.0], [0.0]]),
-          np.array([2, 1, 0, 0, 2, 1, 2, 0])))
-def test_grouping_matches_quadratic_oracles(data):
+@example((np.ones((12, 2)), np.array([0] * 7 + [2] + [0] * 4)), 1)
+# two groups whose row indices interleave, with several rows in each run
+@example((np.array([[1.0], [0.0], [-0.0], [1.0], [0.0], [1.0], [1.0], [-0.0], [1.0], [0.0]]),
+          np.array([1, -1, 1, -1, -1, 1, -1, 1, 1, -1])), 3)
+def test_grouping_matches_quadratic_oracles(data, chunk):
     attrs, decision = data
     report = diff_examples(attrs)
     assert (report.total_examples, report.distinct_examples,
             report.duplicate_examples) == duplicates_quadratic(attrs)
-    pairs = gray_examples(attrs, decision)
     oracle = gray_pairs_quadratic(attrs, decision)
+    with mock.patch.object(hygiene, "_CHUNK", chunk):
+        pairs = gray_examples(attrs, decision)
+        groups = hygiene._screen(attrs, decision)[1]
+        chunks = list(groups.pair_chunks())
     assert pairs.dtype == np.intp and pairs.ndim == 2 and pairs.shape[1] == 2
     assert [tuple(p) for p in pairs.tolist()] == oracle
-    groups = hygiene._screen(attrs, decision)[1]
     assert groups.pair_count == len(oracle)
-    group_of = dict(zip(groups.rows.tolist(), np.repeat(
-        groups.group, np.diff(groups.starts)).tolist()))
+    # run 2g holds group g's rows with the lower decision, 2g + 1 the higher
+    run_of = dict(zip(groups.rows.tolist(), np.repeat(
+        np.arange(groups.starts.size - 1), np.diff(groups.starts)).tolist()))
+    assert groups.levels.tolist() == np.unique(decision).tolist()
+    for row, run in run_of.items():
+        assert decision[row] == groups.levels[run % 2]
+    for a, b, run_a in chunks:
+        for x, y, r in zip(a.tolist(), b.tolist(), run_a.tolist()):
+            assert run_of[x] == r and run_of[y] == r ^ 1
     for a, _ in oracle:
-        values = groups.values[group_of[a]]
+        values = groups.values[run_of[a] // 2]
         assert (values == attrs[a]).all()
         assert not np.signbit(values[values == 0]).any()
     for n in range(attrs.shape[0]):

@@ -243,6 +243,36 @@ def test_integer_scores_past_2_53_compare_exactly():
     assert roc_curve(np.array([2**62 + 1, 2**62]), [1, 0]).auc == 1.0
 
 
+@pytest.mark.parametrize("top", [2**53 + 1, 2**63 + 1, 2**64 - 1])
+def test_unsigned_scores_compare_exactly(top):
+    # top and top - 1 round to one float64: as floats they would tie and
+    # give 0.75; below 2**63 they are counted as int64, above it sorted
+    scores = np.array([top, top - 1, top - 1, 7], dtype=np.uint64)
+    assert auc(scores, [1, 0, 1, 0]) == 0.875
+    assert roc_curve(scores, [1, 0, 1, 0]).thresholds.tolist() == [
+        np.inf, top, top - 1, 7]
+    assert placements(scores, [1, 0, 1, 0]).v10.tolist() == [1.0, 0.75]
+
+
+def test_bool_and_small_unsigned_scores_match_pair_enumeration():
+    decision = [1, 0, 1, 0, 0]
+    for scores in (np.array([True, False, True, True, False]),
+                   np.array([255, 0, 3, 255, 3], dtype=np.uint8)):
+        assert auc(scores, decision) == auc_pairs(scores.astype(int), decision)
+
+
+def test_thresholds_keep_integer_levels_past_2_53_apart():
+    # float64 would repeat one threshold for two levels the AUC counts apart
+    curve = roc_curve(np.array([2**62 + 1, 2**62]), [1, 0])
+    assert curve.thresholds.tolist() == [np.inf, 2**62 + 1, 2**62]
+    assert curve.points[1] == (0.0, 1.0, 2**62 + 1)
+    # levels that float64 holds exactly keep float64 thresholds
+    for scores in ([2**62, 3], [-2**53, 2**53], [3, 1]):
+        thresholds = roc_curve(np.array(scores), [1, 0]).thresholds
+        assert thresholds.dtype == np.float64
+        assert thresholds.tolist() == [np.inf, *sorted(scores, reverse=True)]
+
+
 @pytest.mark.parametrize("scores", [[np.nan, 1, 0], [np.nan, np.nan, 0],
                                     [1, 0, np.nan]])
 @pytest.mark.parametrize("call", [
