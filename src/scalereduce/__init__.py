@@ -7,7 +7,7 @@ gray examples) and paired ROC tests (asymptotic and bootstrap) for whether
 one more item should join the reduced scale.
 """
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"
 
 from .compare import (
     PairedRocTest,

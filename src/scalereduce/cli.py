@@ -4,27 +4,26 @@ Commands: audit (duplicates and gray examples), rank (per-item AUC),
 reduce (full ranking table, reduced scale, optional SVG plots) and
 test-inclusion (paired ROC tests for adding one more item).
 
-Outputs are pure functions of (input bytes, flags, seed). The report
-timestamp honors SOURCE_DATE_EPOCH so JSON output is reproducible too.
-Exit codes: 0 success, 2 input error (a bad flag value included, such as
---n-boot above MAX_N_BOOT), 3 analysis-domain error. A reader that closes
-stdout early (| head) still gets 0. Reports are written as UTF-8 whatever
-the locale or PYTHONIOENCODING says, and a path given in bytes that are
-not UTF-8 is written as those bytes, so no text in a report can cost the
-exit code.
+Outputs are pure functions of (input bytes, flags, seed), and read no
+environment variable. Exit codes: 0 success, 2 input error (a bad flag
+value included, such as --n-boot above MAX_N_BOOT, and a stdout that
+cannot take the report), 3 analysis-domain error. A reader that closes
+stdout early (| head) still gets 0, and a message that stderr cannot take
+is dropped. Reports are written as UTF-8 whatever the locale or
+PYTHONIOENCODING says, and a path given in bytes that are not UTF-8 is
+written as those bytes, so no text in a report can cost the exit code.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import io
 import json
 import os
 import sys
-import time
 from collections.abc import Iterator
 from dataclasses import asdict, replace
-from datetime import datetime, timezone
 from itertools import chain
 from pathlib import Path
 
@@ -44,18 +43,6 @@ TOOL = "scalereduce"
 # replicate costs about 0.16 ms on 10k rows and 1.4 ms on 100k rows where
 # a class draws rows, and 0.015 ms and 0.05 ms where both draw counts.
 MAX_N_BOOT = 1_000_000
-
-
-def _timestamp() -> str:
-    epoch = os.environ.get("SOURCE_DATE_EPOCH")
-    try:
-        seconds = int(epoch) if epoch else int(time.time())
-        return datetime.fromtimestamp(seconds, tz=timezone.utc).isoformat()
-    except (ValueError, OverflowError, OSError) as exc:
-        raise LoadError(
-            f"SOURCE_DATE_EPOCH must be an integer number of seconds, "
-            f"got {epoch!r}"
-        ) from exc
 
 
 def _load(args) -> Dataset:
@@ -92,11 +79,8 @@ def _orient(ds: Dataset, auto_orient: bool) -> tuple[Dataset, list[str], dict]:
     if not below:
         return ds, [], singles
     if not auto_orient:
-        print(
-            f"advisory: {len(below)} item(s) rank below AUC 0.5 and enter "
-            f"the ranking un-flipped: {', '.join(below)}",
-            file=sys.stderr,
-        )
+        _say(f"advisory: {len(below)} item(s) rank below AUC 0.5 and enter "
+             f"the ranking un-flipped: {', '.join(below)}")
         return ds, [], singles
     attrs = ds.attributes.copy(order="K")  # column-major, as loaded
     for lab in below:
@@ -118,18 +102,17 @@ def _pair_text(groups: GrayGroups, head: str, tail: str, decision_text,
     """Per chunk of an audit's gray pairs, one text of head % row_a,
     str(row_b) and tail % (decision_a, decision_b, values) per pair. Group
     g is runs 2g (lower decision) and 2g + 1 (higher), so a pair's tail is
-    its row_a run's: heads and names are formatted once per gray row,
-    tails once per run, each decision and values list once."""
+    its row_a run's: heads and names are formatted once per position in
+    groups.rows, tails once per run, each decision and values list once."""
     low, high = map(decision_text, groups.levels.tolist())
     tails = np.array([tail % t for v in map(values_text, groups.values.tolist())
                       for t in ((low, high, v), (high, low, v))], dtype=object)
-    gray = np.sort(groups.rows)
-    heads = np.array([head % r for r in gray.tolist()], dtype=object)
-    names = np.array(list(map(str, gray.tolist())), dtype=object)
-    for a, b, run_a in groups.pair_chunks():
-        yield "".join(np.column_stack((
-            heads[np.searchsorted(gray, a)], names[np.searchsorted(gray, b)],
-            tails[run_a])).ravel().tolist())
+    rows = groups.rows.tolist()
+    heads = np.array([head % r for r in rows], dtype=object)
+    names = np.array(list(map(str, rows)), dtype=object)
+    for pos_a, pos_b, run_a in groups.pair_chunks():
+        yield "".join(np.column_stack((heads[pos_a], names[pos_b], tails[run_a]))
+                      .ravel().tolist())
 
 
 def cmd_audit(args) -> tuple[Dataset, dict]:
@@ -464,16 +447,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _to_devnull(fd: int) -> None:
+    """Point fd at devnull, so no later write, at exit too, can fail."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
+def _say(message: str) -> None:
+    """Print one line to stderr, or drop it if stderr is missing (print
+    would write into the report) or its write fails."""
+    try:
+        if sys.stderr is not None:
+            print(message, file=sys.stderr, flush=True)
+    except OSError:
+        _to_devnull(sys.stderr.fileno())
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        timestamp = _timestamp()  # rejects a bad SOURCE_DATE_EPOCH before any work
         ds, results = args.func(args)
     except LoadError as exc:
-        print(f"{TOOL}: input error: {exc}", file=sys.stderr)
+        _say(f"{TOOL}: input error: {exc}")
         return 2
     except ScaleReduceError as exc:
-        print(f"{TOOL}: {exc}", file=sys.stderr)
+        _say(f"{TOOL}: {exc}")
         return 3
     report = {
         "tool": TOOL,
@@ -487,19 +486,21 @@ def main(argv=None) -> int:
         "positives": ds.n_pos,
         "negatives": ds.n_neg,
         "results": results,
-        "timestamp": timestamp,
     }
-    if isinstance(sys.stdout, io.TextIOWrapper):
-        sys.stdout.reconfigure(encoding="utf-8", errors="surrogateescape")
+    out = sys.stdout
     try:
+        if out is None:  # started with stdout closed
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+        if isinstance(out, io.TextIOWrapper):
+            out.reconfigure(encoding="utf-8", errors="surrogateescape")
         _write(report, args.format)
-        sys.stdout.flush()
-    except BrokenPipeError:
-        # the reader stopped early; the analysis itself succeeded, so send
-        # what is left to devnull rather than fail the exit-time flush
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+        out.flush()
+    except OSError as exc:
+        _to_devnull(1 if out is None else out.fileno())
+        if not isinstance(exc, BrokenPipeError):  # else the reader stopped early
+            _say(f"{TOOL}: input error: cannot write the report: "
+                 f"{exc.strerror or exc}")
+            return 2
     return 0
 
 

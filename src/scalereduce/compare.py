@@ -25,9 +25,7 @@ must account for the correlation. Two methods:
   counts are exactly multinomial, so a class with at least _ROWS_PER_CELL
   (20) rows per cell draws them as one multinomial over its cells, at a
   cost that grows with the cells; any other class draws one row index per
-  row. Version 0.3.0 added the multinomial draws, so bootstrap z moved
-  from 0.2.0's for inputs with a class that takes them. Version 0.4.0 forms
-  both tests' z from exact integers, which moved them in the last digits.
+  row.
 
 Zero-difference convention: when auc_1 equals auc_2 exactly the result is
 z = 0, p = 1, whatever the variance would be; this avoids 0/0 on identical

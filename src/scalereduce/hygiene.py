@@ -102,11 +102,11 @@ class GrayGroups:
     pair_count: int
 
     def pair_chunks(self) -> Iterator[tuple[np.ndarray, ...]]:
-        """Yield (row_a, row_b, run_a) for every gray pair, in
-        (row_a, row_b) order, for one block of row_a values at a time
-        (about _CHUNK pairs). The partners of row a are the rows after a in
-        the other run of its group, run_a ^ 1: one ascending suffix of it,
-        found by a binary search, so the cost is O(rows + pairs)."""
+        """Yield (pos_a, pos_b, run_a), the positions in rows of every gray
+        pair's rows and row_a's run, in (row_a, row_b) order, for one block
+        of row_a values at a time (about _CHUNK pairs). The partners of row
+        a are the rows after a in the other run of its group, run_a ^ 1: one
+        ascending suffix of it, found by a binary search: O(rows + pairs)."""
         rows, starts = self.rows, self.starts
         if not rows.size:
             return
@@ -132,7 +132,7 @@ class GrayGroups:
         for r0, r1 in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
             c = count[r0:r1]
             p = np.arange(through[r0] - c[0], through[r1 - 1])
-            yield (np.repeat(a[r0:r1], c), rows[p + np.repeat(shift[r0:r1], c)],
+            yield (np.repeat(entry[r0:r1], c), p + np.repeat(shift[r0:r1], c),
                    np.repeat(run[r0:r1], c))
 
 
@@ -185,9 +185,9 @@ def gray_examples(attrs, decision) -> np.ndarray:
     Returns a (k, 2) intp array: each pair appears once as (a, b) with
     a < b, and the rows are sorted by (a, b), so output is deterministic.
     """
-    chunks = _screen(attrs, decision)[1].pair_chunks()
-    return np.concatenate([np.empty((0, 2), dtype=np.intp),
-                           *(np.column_stack((a, b)) for a, b, _ in chunks)])
+    groups = _screen(attrs, decision)[1]
+    return np.concatenate([np.empty((0, 2), dtype=np.intp), *(
+        groups.rows[np.column_stack(pos)] for *pos, _ in groups.pair_chunks())])
 
 
 def gray_examples_for(attrs, decision, n: int) -> list[int]:

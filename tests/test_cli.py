@@ -505,8 +505,7 @@ class TestTestInclusion:
         assert code == 3
         assert "not reducible" in err
 
-    def test_fixed_seed_byte_identical(self, capsys, demo_csv, monkeypatch):
-        monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
+    def test_fixed_seed_byte_identical(self, capsys, demo_csv):
         argv = ["test-inclusion", demo_csv, "--decision", "d",
                 "--seed", "42", "--format", "json"]
         _, first, _ = run(capsys, argv)
@@ -615,20 +614,11 @@ class TestReportShape:
         report = json.loads(out)
         for key in ("tool", "version", "command", "input_path", "parameters",
                     "n_rows", "n_items", "dropped_rows", "positives",
-                    "negatives", "results", "timestamp"):
+                    "negatives", "results"):
             assert key in report
+        assert "timestamp" not in report
         assert report["command"] == "audit"
         assert report["n_rows"] == 16
-
-    @pytest.mark.parametrize("epoch", ["abc", "1.5", "99999999999999999999"])
-    def test_bad_source_date_epoch_exits_2(self, capsys, demo_csv,
-                                           monkeypatch, epoch):
-        monkeypatch.setenv("SOURCE_DATE_EPOCH", epoch)
-        code, out, err = run(capsys, ["reduce", demo_csv, "--decision", "d"])
-        assert code == 2
-        assert out == ""
-        assert "SOURCE_DATE_EPOCH" in err
-        assert "Traceback" not in err
 
     def test_rerun_byte_identical_table(self, capsys, demo_csv):
         argv = ["reduce", demo_csv, "--decision", "d"]
@@ -747,6 +737,68 @@ def test_reader_closing_stdout_mid_report_exits_0(tmp_path):
     assert err == b"", err
 
 
+def _cli_child(redirect, *argv, env=None):
+    """Run the CLI in a child interpreter with one shell redirection, such
+    as '>&-' (stdout closed) or '' (none); returns the finished process."""
+    return subprocess.run(
+        ["sh", "-c", f'exec "$@" {redirect}', "sh", sys.executable, "-m",
+         "scalereduce.cli", *argv],
+        env=env or _child_env(), capture_output=True, timeout=60,
+    )
+
+
+def _assert_one_line_write_error(result):
+    err = result.stderr.decode()
+    assert result.returncode == 2, err
+    assert len(err.splitlines()) == 1, err
+    assert err.startswith("scalereduce: input error: cannot write the report: ")
+    assert "Traceback" not in err and "Exception ignored" not in err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+def test_full_stdout_exits_2(fmt):
+    _assert_one_line_write_error(_cli_child(
+        ">/dev/full", "audit", str(DATA_DIR / "cli_gray.csv"), "--decision",
+        "d", "--format", fmt))
+
+
+def test_closed_stdout_exits_2():
+    _assert_one_line_write_error(_cli_child(
+        ">&-", "audit", str(DATA_DIR / "cli_gray.csv"), "--decision", "d"))
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_closed_stderr_keeps_the_report(fmt):
+    # the advisory for cli_mixed.csv's reverse-keyed item has nowhere to go
+    argv = ["reduce", str(DATA_DIR / "cli_mixed.csv"), "--decision", "d",
+            "--format", fmt]
+    normal = _cli_child("", *argv)
+    assert normal.returncode == 0
+    assert normal.stderr.startswith(b"advisory: ")
+    closed = _cli_child("2>&-", *argv)
+    assert closed.returncode == 0
+    assert closed.stdout == normal.stdout
+    missing = _cli_child("2>&-", "audit", "missing.csv", "--decision", "d")
+    assert (missing.returncode, missing.stdout) == (2, b"")
+
+
+def test_reports_do_not_depend_on_the_environment():
+    base = _child_env()
+    base.pop("SOURCE_DATE_EPOCH", None)
+    envs = [base, {**base, "SOURCE_DATE_EPOCH": "1700000000"},
+            {**base, "SOURCE_DATE_EPOCH": "abc"},
+            {**base, "TZ": "Asia/Kathmandu", "LC_ALL": "C",
+             "PYTHONIOENCODING": "latin-1"}]
+    path = str(DATA_DIR / "cli_mixed.csv")
+    for argv in (["audit", path, "--decision", "d", "--format", "json"],
+                 ["test-inclusion", path, "--decision", "d", "--method",
+                  "both", "--format", "json"]):
+        runs = [_cli_child("", *argv, env=env) for env in envs]
+        assert [r.returncode for r in runs] == [0] * 4, runs[0].stderr
+        assert len({r.stdout for r in runs}) == 1
+
+
 @pytest.mark.parametrize("encoding", ["ascii", "latin-1", "utf-8"])
 def test_reports_are_utf8_whatever_the_stdout_encoding(encoding, monkeypatch,
                                                        tmp_path):
@@ -793,8 +845,7 @@ def usually(valid, junk=user_text):
 
 @st.composite
 def cli_calls(draw):
-    """An argv for any command and format, and a SOURCE_DATE_EPOCH value
-    (None leaves it unset)."""
+    """An argv for any command and format."""
     command = draw(st.sampled_from(["audit", "rank", "reduce", "test-inclusion"]))
     argv = [command, "--decision", "d",
             "--format", draw(st.sampled_from(["table", "json", "csv"]))]
@@ -817,9 +868,7 @@ def cli_calls(draw):
                                        st.one_of(junk, too_many))),
             "--seed=" + draw(usually(seeds.map(str), junk)),
         ]
-    epoch = draw(st.one_of(
-        st.none(), usually(st.integers(-10**12, 10**12).map(str))))
-    return argv, epoch
+    return argv
 
 
 # rows of DEMO_ROWS: well-formed files that most calls can run to a writer
@@ -840,37 +889,30 @@ OVERFLOW_CSV = ("a,b,d\n" + "".join(
 @settings(max_examples=900, deadline=None, derandomize=True)
 @given(cli_calls(), st.one_of(demo_bytes, csv_bytes()),
        st.sampled_from(["utf-8", "ascii", "latin-1"]))
-@example((["reduce", "--decision", "d", "--format", "json"], None), OVERFLOW_CSV,
-         "utf-8")
-@example((["test-inclusion", "--decision", "d", "--format", "json",
-           "--method", "both", "--n-boot=20", "--seed=0"], None), OVERFLOW_CSV,
-         "utf-8")
-@example((["audit", "--decision", "d", "--format", "json"], None),
+@example(["reduce", "--decision", "d", "--format", "json"], OVERFLOW_CSV, "utf-8")
+@example(["test-inclusion", "--decision", "d", "--format", "json",
+          "--method", "both", "--n-boot=20", "--seed=0"], OVERFLOW_CSV, "utf-8")
+@example(["audit", "--decision", "d", "--format", "json"],
          b"q0,q1,d\n1,2,0\n1,2,1\n1,2,0\n1,2,1\n3,0,1\n3,0,0\n2,2,0\n",
          "utf-8")
 # a label that an ascii stdout cannot encode
-@example((["rank", "--decision", "d", "--format", "table"], None),
+@example(["rank", "--decision", "d", "--format", "table"],
          "é1,q1,d\n1,2,1\n0,1,0\n2,2,1\n1,0,0\n".encode(), "ascii")
 # a replicate count whose differences alone would not fit in memory
-@example((["test-inclusion", "--decision", "d", "--format", "json",
-           "--method", "bootstrap", "--n-boot=100000000000", "--seed=0"], None),
+@example(["test-inclusion", "--decision", "d", "--format", "json",
+          "--method", "bootstrap", "--n-boot=100000000000", "--seed=0"],
          "q0,q1,d\n1,2,1\n0,1,0\n2,2,1\n1,0,0\n".encode(), "utf-8")
-def test_any_input_bytes_keep_the_exit_code_contract(call, data, encoding):
-    argv, epoch = call
+def test_any_input_bytes_keep_the_exit_code_contract(argv, data, encoding):
     # a real text stdout in the drawn encoding, as PYTHONIOENCODING sets it
     stdout = io.TextIOWrapper(io.BytesIO(), encoding=encoding)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "fuzz.csv")
         with open(path, "wb") as fh:
             fh.write(data)
-        env = {} if epoch is None else {"SOURCE_DATE_EPOCH": epoch}
         with warnings.catch_warnings(), \
-                mock.patch.dict(os.environ, env), \
                 contextlib.redirect_stdout(stdout), \
                 contextlib.redirect_stderr(io.StringIO()):
             warnings.simplefilter("error")
-            if epoch is None:
-                os.environ.pop("SOURCE_DATE_EPOCH", None)
             try:
                 code = main([argv[0], path, *argv[1:]])
             except SystemExit as exc:  # argparse rejects a flag value

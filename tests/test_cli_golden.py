@@ -3,8 +3,8 @@
 The cases, exit codes and stderr are in tests/data/cli_golden/cases.json
 and each stdout in <case>.out, written by tools/gen_cli_golden.py, and
 the files a reduce --plot case writes in <input stem>-plot.<file name>.
-Each case runs in a directory holding copies of the inputs, under
-SOURCE_DATE_EPOCH=0, exactly as the generator ran it.
+Each case runs in a directory holding copies of the inputs, exactly as
+the generator ran it.
 """
 
 import json
@@ -34,7 +34,6 @@ def test_cli_output_matches_golden(case, capsys, monkeypatch, tmp_path):
     for name in INPUTS:
         shutil.copy(DATA_DIR / name, tmp_path / name)
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
     expected = CASES[case]
     code = main(expected["argv"])
     captured = capsys.readouterr()

@@ -291,7 +291,8 @@ def test_grouping_matches_quadratic_oracles(data, chunk):
     assert groups.levels.tolist() == np.unique(decision).tolist()
     for row, run in run_of.items():
         assert decision[row] == groups.levels[run % 2]
-    for a, b, run_a in chunks:
+    for pos_a, pos_b, run_a in chunks:
+        a, b = groups.rows[pos_a], groups.rows[pos_b]
         for x, y, r in zip(a.tolist(), b.tolist(), run_a.tolist()):
             assert run_of[x] == r and run_of[y] == r ^ 1
     for a, _ in oracle:

@@ -37,9 +37,9 @@ cases.json with each case's argv, exit code and stderr, and, once per
 input, the four files that its reduce --plot cases write, each named
 <input stem>-plot.<file name>.
 
-Each case runs under SOURCE_DATE_EPOCH=0 in a fresh temporary directory
-that holds copies of the input files, so the input path and the plot
-paths in the reports are relative and the same on every machine.
+Each case runs in a fresh temporary directory that holds copies of the
+input files, so the input path and the plot paths in the reports are
+relative and the same on every machine.
 
 Run from the repository root: python3 tools/gen_cli_golden.py
 
@@ -301,22 +301,16 @@ def run_case(argv: list[str], data: Path) -> tuple[int, str, str, dict]:
     Returns its exit code, stdout, stderr and the files it wrote, as
     {file name: bytes}."""
     cwd = os.getcwd()
-    saved = os.environ.get("SOURCE_DATE_EPOCH")
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         for name in INPUTS:
             shutil.copy(data / name, Path(tmp) / name)
-        os.environ["SOURCE_DATE_EPOCH"] = "0"
         os.chdir(tmp)
         try:
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = main(argv)
         finally:
             os.chdir(cwd)
-            if saved is None:
-                del os.environ["SOURCE_DATE_EPOCH"]
-            else:
-                os.environ["SOURCE_DATE_EPOCH"] = saved
         files = {p.name: p.read_bytes() for p in Path(tmp).rglob("*")
                  if p.is_file() and p.name not in INPUTS}
     return code, out.getvalue(), err.getvalue(), files
