@@ -19,13 +19,15 @@ must account for the correlation. Two methods:
   each drawn row; z = (2U_1 - 2U_2) / sd of the replicates' 2U_1 - 2U_2.
   Fully determined by the seed: each class draws from its own generator,
   both spawned from the seed, as the two classes are resampled
-  independently. Replicates are evaluated one block at a time, each held
-  as how often it drew each distinct (scores_1, scores_2) cell of each
-  class, so memory grows with the rows and cells, not with n_boot. Those
-  counts are exactly multinomial, so a class with at least _ROWS_PER_CELL
-  (20) rows per cell draws them as one multinomial over its cells, at a
-  cost that grows with the cells; any other class draws one row index per
-  row.
+  independently. Replicates are evaluated one block at a time, so memory
+  grows with the rows, not with n_boot. Per score, a block counts its
+  drawn negatives on the levels the negatives occupy, and each drawn
+  positive reads its 2U contribution off one table over those levels and
+  the gaps between them. A class with at least _ROWS_PER_CELL (20) rows
+  per distinct (scores_1, scores_2) cell draws how often each cell is
+  drawn as one multinomial, at a cost that grows with the cells; any other
+  class draws one row index per row. The two give the same counts in
+  distribution, not the same random stream.
 
 Zero-difference convention: when auc_1 equals auc_2 exactly the result is
 z = 0, p = 1, whatever the variance would be; this avoids 0/0 on identical
@@ -56,17 +58,18 @@ import numpy as np
 from .dataset import Dataset
 from .errors import DegenerateVariance, NoNextAttribute
 from .reduction import ReducedScale, _walk, start_auc
-from .roc import _area, _class_counts, _levels, _split, _twice_below, _twice_u
+from .roc import _area, _class_counts, _split, _twice_below, _twice_u
 
 ALTERNATIVES = ("two-sided", "less", "greater")
 
-# Bootstrap replicates drawn and evaluated together; the bootstrap holds
-# one block's draws and counts at a time, so its memory does not grow
-# with n_boot. Where the classes draw rows, a block peaks at about 24
-# bytes per row per replicate. Consecutive blocks leave the random streams
-# as one draw would, so, unlike _ROWS_PER_CELL, this is a tuning knob that
-# changes no output.
-_BLOCK = 16
+# Bootstrap replicates are drawn and evaluated in blocks of as many as
+# keep the widest per-replicate array (a class's drawn rows or cells, or a
+# score's slot table) within this many entries, and at least one. The
+# bootstrap holds one block's draws, counts and tables at a time, so its
+# memory does not grow with n_boot. Consecutive blocks leave the random
+# streams as one draw would, so, unlike _ROWS_PER_CELL, this is a tuning
+# knob that changes no output.
+_BLOCK = 2**15
 
 # A class with at least this many rows per distinct (scores_1, scores_2)
 # cell draws a block's cell counts as one multinomial, at a cost that
@@ -204,76 +207,72 @@ def delong_test(
     return _vector_test("delong", scores_1, scores_2, decision, alternative)
 
 
-def _cell_counts(
-    rng, cell_of_row: np.ndarray, n_cells: int, cell_freq: np.ndarray | None,
-    rows: int,
-) -> np.ndarray:
-    """(rows, n_cells) counts of how often each of `rows` replicates drew
-    each cell, from one block of draws over this class's rows.
-
-    Given cell_freq, each cell's share of the rows, each replicate's
-    counts are one multinomial draw; given None, each replicate draws its
-    rows. For fewer than 2**31 rows, dtype int32 draws the same numbers as
-    the default int64 in half the memory. Either way, consecutive blocks
-    leave the random stream exactly as one draw for all replicates would.
-    The counts are float64, which holds them exactly and which
-    _on_levels' weighted bincount takes without a cast.
-    """
-    n = cell_of_row.size
-    if cell_freq is not None:
-        return rng.multinomial(n, cell_freq, size=rows).astype(float)
-    cells = cell_of_row[rng.integers(0, n, size=(rows, n), dtype=np.int32)]
-    cells += n_cells * np.arange(rows)[:, None]
-    return np.bincount(
-        cells.ravel(), minlength=rows * n_cells
-    ).reshape(rows, n_cells).astype(float)
-
-
-def _on_levels(
-    counts: np.ndarray, level_of_cell: np.ndarray, n_levels: int
-) -> np.ndarray:
-    """Sum per-cell counts (rows, cells) into per-level counts (rows, levels)."""
-    rows = counts.shape[0]
-    slots = level_of_cell + n_levels * np.arange(rows)[:, None]
-    return np.bincount(
-        slots.ravel(), weights=counts.ravel(), minlength=rows * n_levels
-    ).reshape(rows, n_levels)
-
-
 def _bootstrap_sd(c1, c2, n_boot: int, seed: int) -> float:
     """Sd of the replicates' 2U_1 - 2U_2, 2PN times their AUC difference,
-    from both vectors' _class_counts and per-cell draw counts.
+    from both vectors' _class_counts.
 
-    The positives and the negatives each draw from their own generator,
-    spawned from seed, so both classes are drawn one block at a time.
+    For each score, every negative gets its index among the L levels the
+    negatives occupy, and every positive its slot lo + hi among the 2L + 1
+    gaps and levels, lo and hi the counts of those levels below it and at
+    or below it. A block counts its drawn negatives per level, and one
+    cumsum of the counts gives the table of a positive's 2U contribution at
+    each slot, below[lo] + below[hi] with below the negatives under each
+    level: a replicate's 2U is that table summed over its drawn positives.
+    A class drawing multinomial cell counts weights each cell's level or
+    slot by its count instead. The positives and the negatives each draw
+    from their own generator, spawned from seed, one block at a time.
     Every count and every 2U sum is an integer below 2**53, so the float
     arithmetic on them is exact and only the sd is rounded.
     """
-    d, levels_1, _, _, level_1 = c1
+    d, _, _, _, level_1 = c1
     _, levels_2, _, _, level_2 = c2
-    n_1, n_2 = levels_1.size, levels_2.size
-    classes, draws = [], []
+    scores = []
+    for level in (level_1, level_2):
+        neg_levels, neg_index = np.unique(level[~d], return_inverse=True)
+        pos = level[d]
+        slot = (np.searchsorted(neg_levels, pos, "left")
+                + np.searchsorted(neg_levels, pos, "right"))
+        scores.append((neg_index, slot, neg_levels.size))
+    draws = []
     for rows, seq in zip((d, ~d), np.random.SeedSequence(seed).spawn(2)):
-        cells, cell_of_row, cell_n = _levels(level_1[rows] * n_2 + level_2[rows])
-        classes.append((cells // n_2, cells % n_2))
-        n = cell_of_row.size
-        cell_freq = (cell_n[:, 0] / n
-                     if cells.size * _ROWS_PER_CELL <= n else None)
-        draws.append(
-            (np.random.default_rng(seq), cell_of_row, cells.size, cell_freq))
-    (pos_1, pos_2), (neg_1, neg_2) = classes
+        # the first row of each distinct (scores_1, scores_2) cell, the
+        # cells in ascending order, and each cell's rows
+        _, cell, cell_n = np.unique(
+            level_1[rows] * levels_2.size + level_2[rows],
+            return_index=True, return_counts=True)
+        n = cell_n.sum()
+        freq = cell_n / n if cell.size * _ROWS_PER_CELL <= n else None
+        draws.append((np.random.default_rng(seq), n, cell, freq))
 
+    block = max(1, _BLOCK // max(
+        *(n if freq is None else cell.size for _, n, cell, freq in draws),
+        *(2 * width + 1 for _, _, width in scores)))
     diffs = np.empty(n_boot)
-    for start in range(0, n_boot, _BLOCK):
-        rows = min(_BLOCK, n_boot - start)
-        pos_counts, neg_counts = [_cell_counts(*draw, rows) for draw in draws]
-        twice_u = [
-            _twice_u(_on_levels(pos_counts, pos_level, n_levels),
-                     _on_levels(neg_counts, neg_level, n_levels))
-            for pos_level, neg_level, n_levels in (
-                (pos_1, neg_1, n_1), (pos_2, neg_2, n_2)
-            )
-        ]
+    for start in range(0, n_boot, block):
+        rows = min(block, n_boot - start)
+        # each class's drawn rows, or its cells and how often each was drawn
+        (pos_at, pos_n), (neg_at, neg_n) = [
+            (rng.integers(0, n, size=(rows, n)), None) if freq is None
+            else (cell, rng.multinomial(n, freq, size=rows))
+            for rng, n, cell, freq in draws]
+        replicate = np.arange(rows)[:, None]
+        twice_u = []
+        for neg_index, slot, width in scores:
+            count = np.bincount(
+                (neg_index[neg_at] + width * replicate).ravel(),
+                weights=None if neg_n is None else neg_n.ravel(),
+                minlength=rows * width).reshape(rows, width)
+            # slot 2j + 1 is tied with level j, slot 2j the gap below it;
+            # filled in place, as roc._twice_below or np.repeat over the
+            # counts would take three to seven times as long
+            table = np.zeros((rows, 2 * width + 1), count.dtype)
+            above = table[:, 2::2]
+            np.cumsum(count, axis=1, out=above)
+            above *= 2
+            np.subtract(above, count, out=table[:, 1::2])
+            at = table.ravel()[slot[pos_at] + (2 * width + 1) * replicate]
+            twice_u.append(at.sum(axis=1) if pos_n is None
+                           else np.einsum("ij,ij->i", at, pos_n))
         diffs[start:start + rows] = twice_u[0] - twice_u[1]
 
     sd = float(diffs.std(ddof=1)) if n_boot > 1 else 0.0

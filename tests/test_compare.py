@@ -51,6 +51,22 @@ DEGENERATE = ([3, 3, 3, 3, 3, 3, 3, 2], [0, 1, 1, 1, 0, 2, 0, 0],
               [1, 0, 0, 0, 1, 0, 1, 0])
 
 
+# (negatives, positives) of one score, three rows each, with the positives
+# at an end of the bootstrap's slot range: below every negative level, tied
+# with the lowest and with the highest, above every one, and around the
+# one level of negatives that all tie
+SLOT_BOUNDS = {
+    "below": ([4.0, 5.0, 6.0], [1.0, 2.0, 3.0]),
+    "tied": ([2.0, 3.0, 4.0], [2.0, 4.0, 2.5]),
+    "above": ([1.0, 2.0, 3.0], [4.0, 5.0, 6.0]),
+    "single": ([3.0, 3.0, 3.0], [1.0, 3.0, 5.0]),
+}
+
+# whether (the positives, the negatives) draw multinomial cell counts
+ARMS = {"rows": (False, False), "cells": (True, True),
+        "pos-cells": (True, False), "neg-cells": (False, True)}
+
+
 @pytest.fixture
 def no_work(monkeypatch):
     """Fail the test on any level count, variance or ranking the tests
@@ -71,6 +87,55 @@ def multinomial_arms(s1, s2, decision):
         <= rows.sum()
         for rows in (decision, ~decision)
     )
+
+
+def replicate_case(kind, rng, seed):
+    """(s1, s2, decision) for test_matches_materialised_replicates_exactly.
+
+    A SLOT_BOUNDS kind "case/arm" puts scores_1's positives at that case's
+    end of the slot range and scores_2's at the next case's, each class
+    repeated _ROWS_PER_CELL times where ARMS[arm] has it draw multinomial
+    counts over its three cells, and written once where it draws rows.
+    """
+    if "/" in kind:
+        case, _, arm = kind.partition("/")
+        names = list(SLOT_BOUNDS)
+        following = names[(names.index(case) + 1) % len(names)]
+        (neg_1, pos_1), (neg_2, pos_2) = (
+            SLOT_BOUNDS[case], SLOT_BOUNDS[following])
+        pos_copies, neg_copies = (
+            _ROWS_PER_CELL if cells else 1 for cells in ARMS[arm])
+        s1 = np.array(pos_1 * pos_copies + neg_1 * neg_copies)
+        s2 = np.array(pos_2 * pos_copies + neg_2 * neg_copies)
+        decision = np.arange(s1.size) < 3 * pos_copies
+        order = rng.permutation(s1.size)
+        return s1[order], s2[order], decision[order]
+    if kind == "few-cells":
+        m = int(rng.integers(220, 400))
+        n_pos = int(rng.integers(100, m - 100))
+    elif kind == "mixed":
+        # one class of 10-39 rows, the other of over 110
+        m = int(rng.integers(150, 300))
+        n_pos = int(rng.integers(10, 40))
+        n_pos = n_pos if seed % 2 else m - n_pos
+    else:
+        m = int(rng.integers(8, 120))
+        n_pos = int(rng.integers(2, m - 1))
+    decision = np.arange(m) < n_pos
+    rng.shuffle(decision)
+    if kind == "tie-heavy":
+        s1 = rng.integers(0, 4, m).astype(float)
+        s2 = s1 + rng.integers(0, 3, m)
+    elif kind == "all-distinct":
+        s1 = rng.normal(size=m) + decision
+        s2 = s1 + rng.normal(size=m)
+    elif kind == "signed-zeros":
+        s1 = rng.choice([-0.0, 0.0, 1.0], m)
+        s2 = s1 + rng.choice([-0.0, 0.0, 2.0], m)
+    else:
+        s1 = rng.integers(0, 2, m).astype(float)
+        s2 = s1 + rng.integers(0, 2, m)
+    return s1, s2, decision
 
 
 def correlated_scores(rng, m=100):
@@ -248,60 +313,44 @@ class TestBootstrap:
                                **kwargs)
 
     @pytest.mark.parametrize("kind", [
-        "tie-heavy", "all-distinct", "signed-zeros", "few-cells", "mixed"])
-    def test_matches_materialised_replicates_exactly(self, kind):
-        # same seed, same draws: the per-cell counting must reproduce the
+        "tie-heavy", "all-distinct", "signed-zeros", "few-cells", "mixed",
+        *(f"{case}/{arm}" for case in SLOT_BOUNDS for arm in ARMS)])
+    def test_matches_materialised_replicates_exactly(self, kind, monkeypatch):
+        # same seed, same draws: the per-level counting must reproduce the
         # z of explicit (n_boot, m) replicate matrices bit for bit, for
         # n_boot on and off the block boundaries, with each class drawing
-        # row indices or, given enough rows per cell, multinomial counts
+        # row indices or, given enough rows per cell, multinomial counts.
+        # A _BLOCK of 8 * 7 entries makes blocks of 8 replicates on the
+        # SLOT_BOUNDS kinds, whose widest array is a 7-slot table, so n_boot
+        # 7, 8 and 9 end a block short of, at and past a boundary, and of 1
+        # to 8 on the other kinds; at 2**11 the blocks hold 14 to 292
+        # replicates, and at the default _BLOCK at least 229
         rng = np.random.default_rng(139)
         checked = 0
         arms = set()
-        for seed, n_boot in enumerate(
-            [1, 2, 3, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 5, 300]
-        ):
-            if kind == "few-cells":
-                m = int(rng.integers(220, 400))
-                n_pos = int(rng.integers(100, m - 100))
-            elif kind == "mixed":
-                # one class of 10-39 rows, the other of over 110
-                m = int(rng.integers(150, 300))
-                n_pos = int(rng.integers(10, 40))
-                n_pos = n_pos if seed % 2 else m - n_pos
-            else:
-                m = int(rng.integers(8, 120))
-                n_pos = int(rng.integers(2, m - 1))
-            decision = np.arange(m) < n_pos
-            rng.shuffle(decision)
-            if kind == "tie-heavy":
-                s1 = rng.integers(0, 4, m).astype(float)
-                s2 = s1 + rng.integers(0, 3, m)
-            elif kind == "all-distinct":
-                s1 = rng.normal(size=m) + decision
-                s2 = s1 + rng.normal(size=m)
-            elif kind == "signed-zeros":
-                s1 = rng.choice([-0.0, 0.0, 1.0], m)
-                s2 = s1 + rng.choice([-0.0, 0.0, 2.0], m)
-            else:
-                s1 = rng.integers(0, 2, m).astype(float)
-                s2 = s1 + rng.integers(0, 2, m)
+        for seed, n_boot in enumerate([1, 2, 3, 7, 8, 9, 21, 300]):
+            s1, s2, decision = replicate_case(kind, rng, seed)
             if auc(s1, decision) == auc(s2, decision):
                 continue
             arms.add(multinomial_arms(s1, s2, decision))
             reference = bootstrap_z_matrices(
                 s1, s2, decision, n_boot, seed, _ROWS_PER_CELL)
-            if reference is None:
-                with pytest.raises(DegenerateVariance):
-                    bootstrap_test(s1, s2, decision, n_boot=n_boot, seed=seed)
-            else:
-                t = bootstrap_test(s1, s2, decision, n_boot=n_boot, seed=seed)
-                assert t.z == reference
-                checked += 1
+            for budget in (8 * 7, 2**11, _BLOCK):
+                monkeypatch.setattr(compare, "_BLOCK", budget)
+                if reference is None:
+                    with pytest.raises(DegenerateVariance):
+                        bootstrap_test(s1, s2, decision, n_boot=n_boot,
+                                       seed=seed)
+                else:
+                    t = bootstrap_test(s1, s2, decision, n_boot=n_boot,
+                                       seed=seed)
+                    assert t.z == reference
+            checked += reference is not None
         assert checked >= 5
         assert arms == {
             "few-cells": {(True, True)},
             "mixed": {(True, False), (False, True)},
-        }.get(kind, {(False, False)})
+        }.get(kind, {ARMS.get(kind.partition("/")[2], (False, False))})
 
     def test_variance_matches_exact_bootstrap_variance(self):
         # the replicate variance of 2U_1 - 2U_2 estimates (2PN)**2 times
@@ -357,8 +406,8 @@ class TestBootstrap:
 
     def test_row_arm_memory_per_row(self):
         # the same 3-decimal scores on 20k rows take the row arm in both
-        # classes, whose block holds _BLOCK draws per row; at 64 replicates
-        # a block peaked at 1.6 kB per row, at 16 it peaks at 0.44 kB
+        # classes, so a block holds the 3 replicates whose 10k drawn rows
+        # per class fit in _BLOCK entries; the test peaks at 0.14 kB per row
         rng = np.random.default_rng(149)
         m = 20_000
         decision = np.arange(m) < m // 2
@@ -371,7 +420,7 @@ class TestBootstrap:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 700 * m
+        assert peak < 200 * m
 
     def test_single_replicate_degenerate(self):
         with pytest.raises(DegenerateVariance):
