@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .compare import ALTERNATIVES, _inclusion_tests
+from .compare import ALTERNATIVES, _next_counts, _paired_test
 from .dataset import Dataset, load_csv, select_columns
 from .errors import LoadError, ScaleReduceError, UnknownColumn
 from .hygiene import GrayGroups, _screen
@@ -191,15 +191,15 @@ def cmd_reduce(args) -> tuple[Dataset, dict]:
 def cmd_test_inclusion(args) -> tuple[Dataset, dict]:
     ds, flipped, singles = _orient(_load(args), args.auto_orient)
     order, scale, counts = _walk(ds, singles)
+    c1, c2 = _next_counts(order, scale, counts)
     methods = ("delong", "bootstrap") if args.method == "both" else (args.method,)
-    next_item, tests = _inclusion_tests(order, scale, counts, methods,
-                                        args.alternative, n_boot=args.n_boot,
-                                        seed=args.seed)
+    boot = {"delong": (None, None), "bootstrap": (args.n_boot, args.seed)}
     return ds, {
         "reduced_items": list(scale.items),
-        "next_item": next_item,
+        "next_item": order[len(scale.items)],
         "flipped_items": flipped,
-        "tests": [asdict(t) for t in tests],
+        "tests": [asdict(_paired_test(method, c1, c2, args.alternative,
+                                      *boot[method])) for method in methods],
     }
 
 

@@ -23,28 +23,24 @@ must account for the correlation. Two methods:
   grows with the rows, not with n_boot. Per score, a block counts its
   drawn negatives on the levels the negatives occupy, and each drawn
   positive reads its 2U contribution off one table over those levels and
-  the gaps between them. A class with at least _ROWS_PER_CELL (20) rows
-  per distinct (scores_1, scores_2) cell draws how often each cell is
-  drawn as one multinomial, at a cost that grows with the cells; any other
-  class draws one row index per row. The two give the same counts in
-  distribution, not the same random stream.
+  the gaps between them; each row's place among them is read off the
+  negative counts per level that the scores were already counted into. A
+  class with at least _ROWS_PER_CELL (20) rows per distinct (scores_1,
+  scores_2) cell draws how often each cell is drawn as one multinomial, at
+  a cost that grows with the cells; any other class draws one row index
+  per row. The two give the same counts in distribution, not the same
+  random stream.
 
 Zero-difference convention: when auc_1 equals auc_2 exactly the result is
 z = 0, p = 1, whatever the variance would be; this avoids 0/0 on identical
 curves.
 
-Both tests run through one dispatch, _paired_tests, the one place that
-chooses a method; it reads both AUCs and every method's variance off the
-two score vectors' level counts. delong_test and bootstrap_test count
-their vectors in _vector_test. The inclusion test of
-check_attr_for_inclusion and the CLI's test-inclusion go through one
-composition, _inclusion_tests, the one place that names the next item;
-it sums nothing, but takes the counts of the kept and the next running
-sums from reduction._walk, which forms and counts each once. A bad
-method, alternative, n_boot or seed raises ValueError before any work:
-check_attr_for_inclusion checks before it ranks any item, _vector_test
-before it counts any level, and the dispatch before it draws any
-replicate.
+Every test is one _paired_test call, which reads both AUCs and the
+method's spread off the two score vectors' level counts. delong_test and
+bootstrap_test count their vectors in _vector_test; check_attr_for_inclusion
+and the CLI's test-inclusion take the counts of the kept and the next
+running sums from reduction._walk, through _next_counts, and sum nothing.
+Each public function checks its arguments once, before any work.
 """
 
 from __future__ import annotations
@@ -142,40 +138,34 @@ def _p_value(z: float, alternative: str) -> float:
     return 0.5 * math.erfc(sign * z / math.sqrt(2.0))
 
 
-def _paired_tests(methods, c1, c2, alternative, n_boot=None,
-                  seed=None) -> list[PairedRocTest]:
-    """One test per method ("delong" or "bootstrap"), in order, from the
-    _class_counts c1 and c2 of two score vectors; both AUCs and every
-    method's spread are read off those counts. Equal AUCs give z = 0
-    without a spread."""
-    recorded = [_check(method, alternative, n_boot, seed) for method in methods]
+def _paired_test(method, c1, c2, alternative, n_boot, seed) -> PairedRocTest:
+    """The method's test of two score vectors from their _class_counts c1
+    and c2, recording n_boot and seed as given; both AUCs and the spread
+    are read off those counts. Equal AUCs give z = 0 without a spread."""
     auc_1, auc_2 = _area(c1), _area(c2)
-    tests = []
-    for method, (n_boot, seed) in zip(methods, recorded):
-        if auc_1 == auc_2:
-            z = 0.0
-        elif method == "delong":
-            z = _delong_z(c1, c2)
-        else:
-            twice_diff = int(_twice_u(*c1[2:4])) - int(_twice_u(*c2[2:4]))
-            z = twice_diff / _bootstrap_sd(c1, c2, n_boot, seed)
-        tests.append(PairedRocTest(
-            method=method, auc_1=auc_1, auc_2=auc_2,
-            z=z, p_value=_p_value(z, alternative), alternative=alternative,
-            n_boot=n_boot, seed=seed,
-        ))
-    return tests
+    if auc_1 == auc_2:
+        z = 0.0
+    elif method == "delong":
+        z = _delong_z(c1, c2)
+    else:
+        twice_diff = int(_twice_u(*c1[2:4])) - int(_twice_u(*c2[2:4]))
+        z = twice_diff / _bootstrap_sd(c1, c2, n_boot, seed)
+    return PairedRocTest(
+        method=method, auc_1=auc_1, auc_2=auc_2, z=z,
+        p_value=_p_value(z, alternative), alternative=alternative,
+        n_boot=n_boot, seed=seed,
+    )
 
 
 def _vector_test(method, scores_1, scores_2, decision, alternative,
                  n_boot=None, seed=None) -> PairedRocTest:
-    """_paired_tests of two score vectors by one method, with the arguments
-    checked and both vectors split before either is counted."""
-    _check(method, alternative, n_boot, seed)
+    """_paired_test of two score vectors, with the arguments checked and
+    both vectors split before either is counted."""
+    n_boot, seed = _check(method, alternative, n_boot, seed)
     s1, d = _split(scores_1, decision)
     s2, _ = _split(scores_2, decision)
-    return _paired_tests((method,), _class_counts(s1, d), _class_counts(s2, d),
-                         alternative, n_boot=n_boot, seed=seed)[0]
+    return _paired_test(method, _class_counts(s1, d), _class_counts(s2, d),
+                        alternative, n_boot, seed)
 
 
 def _delong_z(c1, c2) -> float:
@@ -214,10 +204,12 @@ def _bootstrap_sd(c1, c2, n_boot: int, seed: int) -> float:
     For each score, every negative gets its index among the L levels the
     negatives occupy, and every positive its slot lo + hi among the 2L + 1
     gaps and levels, lo and hi the counts of those levels below it and at
-    or below it. A block counts its drawn negatives per level, and one
-    cumsum of the counts gives the table of a positive's 2U contribution at
-    each slot, below[lo] + below[hi] with below the negatives under each
-    level: a replicate's 2U is that table summed over its drawn positives.
+    or below it; both are read off the score's negative counts per level,
+    a cumsum over the occupied levels. A block counts its drawn negatives
+    per level, and one cumsum of the counts gives the table of a positive's
+    2U contribution at each slot, below[lo] + below[hi] with below the
+    negatives under each level: a replicate's 2U is that table summed over
+    its drawn positives.
     A class drawing multinomial cell counts weights each cell's level or
     slot by its count instead. The positives and the negatives each draw
     from their own generator, spawned from seed, one block at a time.
@@ -227,12 +219,11 @@ def _bootstrap_sd(c1, c2, n_boot: int, seed: int) -> float:
     d, _, _, _, level_1 = c1
     _, levels_2, _, _, level_2 = c2
     scores = []
-    for level in (level_1, level_2):
-        neg_levels, neg_index = np.unique(level[~d], return_inverse=True)
-        pos = level[d]
-        slot = (np.searchsorted(neg_levels, pos, "left")
-                + np.searchsorted(neg_levels, pos, "right"))
-        scores.append((neg_index, slot, neg_levels.size))
+    for _, _, _, neg, level in (c1, c2):
+        occupied = neg > 0
+        scores.append(((np.cumsum(occupied) - 1)[level[~d]],
+                       _twice_below(occupied)[level[d]],
+                       np.count_nonzero(occupied)))
     draws = []
     for rows, seq in zip((d, ~d), np.random.SeedSequence(seed).spawn(2)):
         # the first row of each distinct (scores_1, scores_2) cell, the
@@ -296,25 +287,18 @@ def bootstrap_test(
                         alternative, n_boot=n_boot, seed=seed)
 
 
-def _inclusion_tests(
-    order: tuple[str, ...], scale: ReducedScale, counts, methods,
-    alternative: str, n_boot=None, seed=None,
-) -> tuple[str, list[PairedRocTest]]:
-    """The next item in the ranking order, the one whose addition first
-    failed to improve the running AUC, and _paired_tests of the reduced
-    scale's row sums (scores_1) against those sums plus that item
-    (scores_2), from the first two counts of a _walk's order, scale and
-    counts: the kept and the next."""
-    kept = len(scale.items)
-    if kept == len(order):
+def _next_counts(order: tuple[str, ...], scale: ReducedScale, counts):
+    """The _class_counts of the reduced scale's row sums and of those sums
+    plus the next item in the ranking order, the one whose addition first
+    failed to improve the running AUC: the first two counts of a _walk's
+    order, scale and counts."""
+    if len(scale.items) == len(order):
         raise NoNextAttribute(
             "the scale was not reducible: the reduction retained every "
             "item, so there is no next attribute whose inclusion could be "
             "tested"
         )
-    c1, c2 = next(counts), next(counts)
-    return order[kept], _paired_tests(methods, c1, c2, alternative,
-                                      n_boot=n_boot, seed=seed)
+    return next(counts), next(counts)
 
 
 def check_attr_for_inclusion(
@@ -332,6 +316,6 @@ def check_attr_for_inclusion(
     failed to improve the running AUC; the walk stops there, at running
     AUC kept + 1, and sums no item after it.
     """
-    _check(method, alternative, n_boot, seed)
-    return _inclusion_tests(*_walk(ds, start_auc(ds)), (method,), alternative,
-                            n_boot=n_boot, seed=seed)[1][0]
+    n_boot, seed = _check(method, alternative, n_boot, seed)
+    c1, c2 = _next_counts(*_walk(ds, start_auc(ds)))
+    return _paired_test(method, c1, c2, alternative, n_boot, seed)

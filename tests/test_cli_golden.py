@@ -7,10 +7,12 @@ Each case runs in a directory holding copies of the inputs, exactly as
 the generator ran it.
 """
 
+import csv
 import json
 import shutil
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -99,6 +101,24 @@ def test_golden_cases_cover_the_interface():
     assert tail["test-inclusion"]["exit"] == 0
     assert tail["reduce"]["exit"] == 3
     assert "items x, y, z1, z2 overflows" in tail["reduce"]["stderr"]
+
+
+def test_decimal_goldens_pin_float_sums():
+    """Two rows of cli_decimal.csv have equal written totals of the
+    scale's items but different float64 sums, as 2.07 + 1.0 against
+    1.07 + 2.0, so its goldens record that the scale sums the parsed
+    floats, in ranking order, rather than the written decimals."""
+    report = json.loads(
+        (GOLDEN / "cli_decimal-reduce-json.out").read_bytes())
+    items = report["results"]["reduced_items"]
+    assert len(items) > 1
+    with open(DATA_DIR / "cli_decimal.csv", newline="", encoding="utf-8") as f:
+        rows = list(csv.DictReader(f))
+    sums = {}
+    for row in rows:
+        exact = sum(Fraction(row[item]) for item in items)
+        sums.setdefault(exact, set()).add(sum(float(row[item]) for item in items))
+    assert any(len(floats) > 1 for floats in sums.values())
 
 
 def _rows_per_cell(name, decision):

@@ -536,3 +536,30 @@ class TestCheckAttrForInclusion:
         ]:
             with pytest.raises(ValueError, match=message):
                 check_attr_for_inclusion(ds, **kwargs)
+
+    def test_arguments_checked_once_per_call(self, monkeypatch):
+        # each public test checks its arguments once, and its result
+        # records the n_boot and seed that the check returned
+        ds = self._dataset_reducing_to_two_of_three()
+        calls = []
+        check = compare._check
+
+        def counted(*args):
+            calls.append(args)
+            return check(*args)
+
+        monkeypatch.setattr(compare, "_check", counted)
+        boot = {"n_boot": np.int64(50), "seed": np.uint32(3)}
+        for call in (
+            lambda: delong_test(HAND_SCORES_1, HAND_SCORES_2, HAND_DECISION),
+            lambda: bootstrap_test(HAND_SCORES_1, HAND_SCORES_2,
+                                   HAND_DECISION, **boot),
+            lambda: check_attr_for_inclusion(ds, method="delong"),
+            lambda: check_attr_for_inclusion(ds, method="bootstrap", **boot),
+        ):
+            calls.clear()
+            t = call()
+            assert len(calls) == 1
+            assert (t.n_boot, t.seed) == (
+                (None, None) if t.method == "delong" else (50, 3))
+            assert t.method == "delong" or type(t.n_boot) is type(t.seed) is int

@@ -10,9 +10,14 @@ side runs first. Then it prints, per metric, each side's median and
 quartiles over the seeds, how many pairs the change won (ties count for
 neither side) and whether the gain rule holds: the change wins at least
 nine tenths of the pairs, and the medians differ by more than the
-distance between the parent's quartiles. Which
-way a metric is better is read from BENCHMARK.json. A run that is not
-correct, or that fails an operation, is reported and stops the tool.
+distance between the parent's quartiles. For each end-to-end metric it
+also prints a no-regression verdict: "worse" where the change's median is
+worse than the parent's by more than the metric's bound, a fraction of
+the parent's median; "unresolved" where the parent's quartile spread
+exceeds that bound, unless every change run beats every parent run; and
+"ok" otherwise. Which way a metric is better, and its bound, are read
+from BENCHMARK.json. A run that is not correct, or that fails an
+operation, is reported and stops the tool.
 
 It reads bench/ and writes only what bench/run.py writes itself.
 """
@@ -69,6 +74,7 @@ def main(argv=None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     better = {m["name"]: m["better"]
               for m in spec["end_to_end"] + spec["per_layer"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
 
     sides = {"parent": args.parent.resolve(), "change": ROOT}
     runs = {"parent": [], "change": []}
@@ -86,7 +92,8 @@ def main(argv=None) -> int:
     print(f"{args.workload}: {pairs} pairs, seeds "
           f"{', '.join(map(str, args.seeds))}, --seconds "
           f"{spec['run_seconds']:g}; median [Q1, Q3]")
-    print(f"{'metric':36} {'parent':28} {'change':28} wins   gain")
+    print(f"{'metric':36} {'parent':28} {'change':28} wins   gain  "
+          f"regression")
     for name in runs["parent"][0]:
         sign = 1 if better.get(name, "lower") == "lower" else -1
         old = [r[name] for r in runs["parent"]]
@@ -95,9 +102,18 @@ def main(argv=None) -> int:
             statistics.quantiles(v, n=4, method="inclusive") for v in (old, new))
         wins = sum(sign * (a - b) > 0 for a, b in zip(old, new))
         gain = wins >= 0.9 * pairs and sign * (om - nm) > o3 - o1
+        if name not in bounds:
+            verdict = "-"
+        elif max(sign * v for v in new) < min(sign * v for v in old):
+            verdict = "ok"  # every change run beats every parent run
+        elif o3 - o1 > bounds[name] * abs(om):
+            verdict = "unresolved"
+        else:
+            verdict = ("worse" if sign * (nm - om) > bounds[name] * abs(om)
+                       else "ok")
         print(f"{name:36} {f'{om:.4g} [{o1:.4g}, {o3:.4g}]':28} "
               f"{f'{nm:.4g} [{n1:.4g}, {n3:.4g}]':28} "
-              f"{wins:2d}/{pairs:<2d}  {'yes' if gain else 'no'}")
+              f"{wins:2d}/{pairs:<2d}  {'yes' if gain else 'no':4}  {verdict}")
     return 0
 
 

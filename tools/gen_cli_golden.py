@@ -30,7 +30,13 @@ in both classes, so both paired tests fail with exit 3, their variance
 and spread exactly zero, and tests/data/cli_ints.csv, 40 seeded rows of
 signed multi-digit integers: a 0-10 item, a reverse-keyed item that holds
 -128 and 127, which --auto-orient flips to 128 and -127, an item of -50
-to 50 and a planted gray pair. Then runs every case
+to 50 and a planted gray pair, and tests/data/cli_decimal.csv, 300 seeded
+rows of five lab-style items written to 3 significant digits, from about
+0.01 to over 1000, and a 1-4 stage item: its scale keeps bili and stage,
+and rows 0 and 1, bili 2.07 with stage 1 and bili 1.07 with stage 2, have
+equal written totals but float64 sums 3.07 and 3.0700000000000003, so its
+reduce and test-inclusion cases pin how decimal items are summed. Then
+runs every case
 in cases() through scalereduce.cli.main and writes
 tests/data/cli_golden/: one <case>.out file per case with its stdout,
 cases.json with each case's argv, exit code and stderr, and, once per
@@ -57,6 +63,7 @@ import contextlib
 import filecmp
 import io
 import json
+import math
 import os
 import random
 import shutil
@@ -76,6 +83,7 @@ N_ROWS = 48
 N_FEW_CELLS_ROWS = 300
 N_OVERFLOW_TAIL_ROWS = 60
 N_INTS_ROWS = 40
+N_DECIMAL_ROWS = 300
 FORMATS = ("json", "csv", "table")
 BOOT = ["--n-boot", "200", "--seed", "7"]
 FLAGS = {
@@ -119,6 +127,10 @@ RUNS = [
     ("cli_ints.csv", "d", {
         "rank": {"-auto-orient": FLAGS["rank"]["-auto-orient"]},
         "reduce": {"-auto-orient": FLAGS["reduce"]["-auto-orient"]}},
+     ("json",)),
+    ("cli_decimal.csv", "d", {
+        "reduce": {"": []},
+        "test-inclusion": {"-delong": FLAGS["test-inclusion"]["-delong"]}},
      ("json",)),
 ]
 INPUTS = {run[0] for run in RUNS}
@@ -260,6 +272,32 @@ def ints_rows(rng: random.Random) -> list[list[str]]:
     return rows
 
 
+def sig3(v: float) -> str:
+    """v > 0 rounded to 3 significant digits, written without an exponent."""
+    places = 2 - math.floor(math.log10(v))
+    return f"{round(v, places):.{max(0, places)}f}"
+
+
+def decimal_rows(rng: random.Random) -> list[list[str]]:
+    """bili, chol, albumin, copper and ast, log-normal and driven by one
+    latent trait (albumin falls with it), and a 1-4 stage; rows 0 and 1
+    differ only in bili and stage, with equal written totals of the two."""
+    rows = []
+    for _ in range(N_DECIMAL_ROWS):
+        trait = rng.gauss(0.0, 1.0)
+        d = int(trait + rng.gauss(0.0, 0.9) > 0.3)
+        labs = [sig3(math.exp(mu + w * trait + rng.gauss(0.0, sd)))
+                for mu, w, sd in ((0.3, 0.6, 0.5), (5.8, 0.25, 0.4),
+                                  (1.2, -0.08, 0.08), (-3.5, 0.15, 0.6),
+                                  (4.0, 0.3, 0.5))]
+        stage = min(4, max(1, round(2.5 + 0.9 * trait + rng.gauss(0.0, 0.8))))
+        rows.append(labs + [str(stage), str(d)])
+    rows[0][0], rows[0][5] = "2.07", "1"
+    rows[1][:6] = rows[0][:6]
+    rows[1][0], rows[1][5] = "1.07", "2"
+    return rows
+
+
 def write_fixtures(data: Path) -> None:
     rows = [["a", "b", "c", "e", "f", "d"]] + mixed_rows(random.Random(SEED))
     text = "".join(",".join(row) + "\n" for row in rows)
@@ -274,6 +312,10 @@ def write_fixtures(data: Path) -> None:
         "".join(",".join(row) + "\n" for row in rows), encoding="utf-8")
     rows = [["u", "v", "w", "d"]] + ints_rows(random.Random(SEED))
     (data / "cli_ints.csv").write_text(
+        "".join(",".join(row) + "\n" for row in rows), encoding="utf-8")
+    rows = [["bili", "chol", "albumin", "copper", "ast", "stage", "d"]] + (
+        decimal_rows(random.Random(SEED)))
+    (data / "cli_decimal.csv").write_text(
         "".join(",".join(row) + "\n" for row in rows), encoding="utf-8")
     for name, lines in (("cli_gray.csv", GRAY_ROWS),
                         ("cli_gray_order.csv", GRAY_ORDER_ROWS),
