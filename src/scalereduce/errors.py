@@ -15,8 +15,8 @@ class ScaleReduceError(Exception):
 
 
 class LoadError(ScaleReduceError):
-    """The input (the CSV file, a flag value or the environment) could not
-    be turned into a valid dataset or run."""
+    """The input (the CSV file or a flag value) could not be turned into a
+    valid dataset or run."""
 
 
 class MissingDecisionColumn(LoadError):

@@ -7,11 +7,12 @@ class. AUC uses the pairwise kernel
 
 so it equals the Mann-Whitney probability that a random positive outranks a
 random negative, with ties counted half. AUC and placements are both read
-off per-class counts over the sorted distinct score levels (the ordinal form
-of Hanley & McNeil, 1982), taken in one count per score vector, so they
-agree with the O(P*N) pair enumeration exactly, not just to rounding: the
-numerator is an integer count of half-pairs and the quotient is rounded
-once. NaN scores, which psi cannot order, raise ValueError.
+off per-class counts over ascending score levels (every integer in range
+for narrow-range integer scores; the ordinal form of Hanley & McNeil,
+1982), taken in one count per score vector, so they agree with the O(P*N)
+pair enumeration exactly, not just to rounding: the numerator is an
+integer count of half-pairs and the quotient is rounded once. NaN scores,
+which psi cannot order, raise ValueError.
 
 Everything here is a pure function of immutable inputs; concurrent calls
 are safe.
@@ -86,15 +87,17 @@ def _split(scores, decision) -> tuple[np.ndarray, np.ndarray]:
     return s, d
 
 
-def _levels(s: np.ndarray, d=False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Distinct values of the nonempty 1-d array s (ascending), each
-    entry's index into them, as np.unique(s, return_inverse=True) gives
-    them, and counts[i, c], the entries at level i whose d is c.
+def _class_counts(scores, decision):
+    """The split decision, the levels of the split scores (ascending), the
+    positive and negative counts at each level and each row's level index,
+    from one bincount over (level, class) slots.
 
-    Signed-integer s spanning at most 4*m values is counted by one bincount
-    over (s - s.min(), d) slots, in O(m + range); the offsets are the index
-    unless some value in range is unoccupied. np.unique sorts any other s.
-    """
+    Signed-integer scores spanning at most 4*m values are counted over
+    their whole range, levels lo..hi and index s - lo, in O(m + range), so
+    a level inside the range may hold no row. np.unique sorts any other
+    scores, and sorts NaN last: a NaN score, which psi cannot order, shows
+    as the last level and raises ValueError."""
+    s, d = _split(scores, decision)
     integer = s.dtype.kind == "i"
     lo, hi = (int(s.min()), int(s.max())) if integer else (0, 0)
     if integer and hi - lo <= 4 * s.size:
@@ -102,26 +105,10 @@ def _levels(s: np.ndarray, d=False) -> tuple[np.ndarray, np.ndarray, np.ndarray]
         levels = lo + np.arange(hi - lo + 1)
     else:
         levels, index = np.unique(s, return_inverse=True)
-    # minlength: the top level may hold only entries whose d is 0
-    counts = np.bincount(index * 2 + d, minlength=2 * levels.size).reshape(-1, 2)
-    occupied = np.logical_or(*counts.T)
-    if not occupied.all():
-        levels, counts = levels[occupied], counts[occupied]
-        index = (np.cumsum(occupied) - 1)[index]
-    return levels, index, counts
-
-
-def _class_counts(scores, decision):
-    """The split decision, the distinct levels of the split scores
-    (ascending), the positive and negative counts at each level and each
-    row's level index, from one _levels count. NaN scores raise ValueError:
-    they are float, which _levels sorts by np.unique, and np.unique sorts
-    NaN last, so a NaN level can only be the last one."""
-    s, d = _split(scores, decision)
-    levels, index, counts = _levels(s, d)
-    if np.isnan(levels[-1]):
-        raise ValueError("scores must not be NaN")
-    neg, pos = counts.T
+        if np.isnan(levels[-1]):
+            raise ValueError("scores must not be NaN")
+    # minlength: the top level may hold only negatives
+    neg, pos = np.bincount(index * 2 + d, minlength=2 * levels.size).reshape(-1, 2).T
     return d, levels, pos, neg, index
 
 
@@ -141,9 +128,8 @@ def auc(scores, decision) -> float:
     """Tie-aware AUC of scores against the binary decision.
 
     Counting evaluation, O(m + range) for narrow-range integer scores and
-    O(m log m) otherwise (see _levels): with pos and neg the class counts
-    at each distinct score level and neg_below the negatives at lower
-    levels,
+    O(m log m) otherwise (see _class_counts): with pos and neg the class
+    counts at each score level and neg_below the negatives at lower levels,
 
         auc = sum(pos * (2*neg_below + neg)) / (2*P*N)
     """
@@ -172,7 +158,9 @@ def _curve(counts) -> RocCurve:
     _, levels, pos, neg, _ = counts
     n_pos = int(pos.sum())
     n_neg = int(neg.sum())
-    # descending thresholds: one point per distinct level, highest first
+    # descending thresholds: one point per level some row holds, highest first
+    used = (pos + neg) > 0
+    levels, pos, neg = levels[used], pos[used], neg[used]
     fpr = np.concatenate(([0.0], np.cumsum(neg[::-1]) / n_neg))
     tpr = np.concatenate(([0.0], np.cumsum(pos[::-1]) / n_pos))
     thresholds = np.concatenate(([np.inf], levels[::-1]))

@@ -2,8 +2,10 @@
 
 The oracles compare the library with brute force on the same parsed
 values, so a convention both share is invisible to them. These tests
-instead run cli.main on each golden input and on a transformed copy of
-its CSV text, and check a relation that must hold between the reports:
+instead run cli.main on an input and on a transformed copy of its CSV
+text, and check a relation that must hold between the reports. The
+inputs are the golden ones and hypothesis-drawn tables of integer codes
+with gaps and short decimals:
 
 * row duplication: every row written twice multiplies 2U and 2PN by 4,
   so every single, running and DeLong AUC stays identical;
@@ -18,16 +20,23 @@ its CSV text, and check a relation that must hold between the reports:
 * column permutation: the ranking orders the items by single AUC, so
   where no two single AUCs tie, rank, reduce and both paired tests stay
   identical. Tied items keep column order by contract, so an input with
-  tied single AUCs would be left out; no golden input has any.
+  tied single AUCs is left out; no golden input has any, and a drawn
+  table with them is drawn again.
 """
 
+import contextlib
 import csv
+import io
 import json
 import math
 import random
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from scalereduce.cli import main
 
@@ -55,12 +64,13 @@ RUNS = {
 }
 
 
-def report(capsys, command, path, decision, *flags):
+def report(command, path, decision, *flags):
     """Exit code and parsed JSON report (None on failure) of one run."""
-    code = main([*RUNS[command], str(path), "--decision", decision,
-                 *flags, "--format", "json"])
-    out = capsys.readouterr().out
-    return code, json.loads(out) if code == 0 else None
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main([*RUNS[command], str(path), "--decision", decision,
+                     *flags, "--format", "json"])
+    return code, json.loads(out.getvalue()) if code == 0 else None
 
 
 def aucs(command, rep):
@@ -75,17 +85,25 @@ def aucs(command, rep):
             for t in results["tests"]]
 
 
-@pytest.mark.parametrize("command", sorted(COMMANDS))
-@pytest.mark.parametrize("name, decision", INPUTS)
-def test_row_duplication_keeps_every_auc(capsys, tmp_path, name, decision,
-                                         command):
-    header, *rows = (DATA_DIR / name).read_text(encoding="utf-8").splitlines(
-        keepends=True)
+def data_lines(path):
+    """The header line and the data lines of a CSV file, each ending in a
+    line end."""
+    header, *rows = path.read_text(encoding="utf-8").splitlines(keepends=True)
     rows[-1] = rows[-1].rstrip("\r\n") + "\n"
-    doubled = tmp_path / name
+    return header, rows
+
+
+def copy_path(tmp, path):
+    """Where a transformed copy of the input at path is written."""
+    return Path(tmp) / f"copy-{path.name}"
+
+
+def check_row_duplication(tmp, path, decision, command):
+    header, rows = data_lines(path)
+    doubled = copy_path(tmp, path)
     doubled.write_text(header + "".join(rows * 2), encoding="utf-8")
-    code, once = report(capsys, command, DATA_DIR / name, decision)
-    doubled_code, twice = report(capsys, command, doubled, decision)
+    code, once = report(command, path, decision)
+    doubled_code, twice = report(command, doubled, decision)
     assert doubled_code == code
     if code == 0:
         assert aucs(command, twice) == aucs(command, once)
@@ -93,16 +111,14 @@ def test_row_duplication_keeps_every_auc(capsys, tmp_path, name, decision,
             2 * once["positives"], 2 * once["negatives"])
 
 
-@pytest.mark.parametrize("name, decision", INPUTS)
-def test_decision_relabel_complements_single_aucs(capsys, name, decision):
-    path = DATA_DIR / name
+def check_decision_relabel(path, decision):
     with open(path, newline="", encoding="utf-8-sig") as f:
         values = {float(row[decision]) for row in csv.DictReader(f)
                   if row[decision].strip()}
     assert len(values) == 2
-    code, rep = report(capsys, "rank", path, decision)
+    code, rep = report("rank", path, decision)
     assert code == 0
-    code, relabelled = report(capsys, "rank", path, decision,
+    code, relabelled = report("rank", path, decision,
                               "--positive", repr(min(values)))
     assert code == 0
     assert (relabelled["positives"], relabelled["negatives"]) == (
@@ -114,17 +130,15 @@ def test_decision_relabel_complements_single_aucs(capsys, name, decision):
         assert gap <= max(math.ulp(auc), math.ulp(flipped[item])), item
 
 
-def permuted_rows(tmp_path, name, seed=0):
+def permuted_rows(tmp, path, seed):
     """A copy of the input with its data rows in a seeded random order,
     and, per row of the copy, the row of the input it holds."""
-    header, *rows = (DATA_DIR / name).read_text(encoding="utf-8").splitlines(
-        keepends=True)
-    rows[-1] = rows[-1].rstrip("\r\n") + "\n"
+    header, rows = data_lines(path)
     order = list(range(len(rows)))
     random.Random(seed).shuffle(order)
-    path = tmp_path / name
-    path.write_text(header + "".join(rows[i] for i in order), encoding="utf-8")
-    return path, order
+    copy = copy_path(tmp, path)
+    copy.write_text(header + "".join(rows[i] for i in order), encoding="utf-8")
+    return copy, order
 
 
 def loaded_rows(path):
@@ -135,38 +149,22 @@ def loaded_rows(path):
                 if all(cell.strip() for cell in row)]
 
 
-@pytest.mark.parametrize("command", sorted(COMMANDS))
-@pytest.mark.parametrize("name, decision", INPUTS)
-def test_row_permutation_keeps_every_result(capsys, tmp_path, name, decision,
-                                            command):
-    path, _ = permuted_rows(tmp_path, name)
-    code, rep = report(capsys, command, DATA_DIR / name, decision)
-    permuted_code, permuted = report(capsys, command, path, decision)
+def check_row_permutation(tmp, path, decision, command, seed=0):
+    permuted_path, _ = permuted_rows(tmp, path, seed)
+    code, rep = report(command, path, decision)
+    permuted_code, permuted = report(command, permuted_path, decision)
     assert permuted_code == code
     if code == 0:
         assert permuted["results"] == rep["results"]
 
 
-def test_row_permutation_keeps_multinomial_bootstrap(capsys, tmp_path):
-    # both classes of cli_few_cells.csv draw multinomial cell counts (see
-    # test_golden_cases_cover_the_interface)
-    path, _ = permuted_rows(tmp_path, "cli_few_cells.csv")
-    code, rep = report(capsys, "bootstrap", DATA_DIR / "cli_few_cells.csv", "d")
+def check_gray_pair_renumbering(tmp, path, decision, seed=0):
+    permuted_path, order = permuted_rows(tmp, path, seed)
+    code, rep = report("audit", path, decision)
     assert code == 0
-    code, permuted = report(capsys, "bootstrap", path, "d")
+    code, permuted = report("audit", permuted_path, decision)
     assert code == 0
-    assert permuted["results"] == rep["results"]
-
-
-@pytest.mark.parametrize("name, decision", AUDITED)
-def test_row_permutation_renumbers_gray_pairs(capsys, tmp_path, name,
-                                              decision):
-    path, order = permuted_rows(tmp_path, name)
-    code, rep = report(capsys, "audit", DATA_DIR / name, decision)
-    assert code == 0
-    code, permuted = report(capsys, "audit", path, decision)
-    assert code == 0
-    before, after = loaded_rows(DATA_DIR / name), loaded_rows(path)
+    before, after = loaded_rows(path), loaded_rows(permuted_path)
     assert len(before) == len(after) == rep["n_rows"]
     # loaded row of the input -> loaded row of the copy
     renumber = {before.index(order[row]): i for i, row in enumerate(after)}
@@ -184,24 +182,138 @@ def test_row_permutation_renumbers_gray_pairs(capsys, tmp_path, name,
         == {k: v for k, v in rep["results"].items() if k != "gray_pairs"}
 
 
-@pytest.mark.parametrize("command", ["rank", "reduce", "both"])
-@pytest.mark.parametrize("name, decision", INPUTS)
-def test_column_permutation_keeps_every_result(capsys, tmp_path, name,
-                                               decision, command):
-    with open(DATA_DIR / name, newline="", encoding="utf-8-sig") as f:
+def check_column_permutation(tmp, path, decision, command, seed=0):
+    with open(path, newline="", encoding="utf-8-sig") as f:
         table = list(csv.reader(f))
-    columns, rng = list(range(len(table[0]))), random.Random(0)
+    columns, rng = list(range(len(table[0]))), random.Random(seed)
     while columns == sorted(columns):
         rng.shuffle(columns)
-    path = tmp_path / name
-    with open(path, "w", newline="", encoding="utf-8") as f:
+    permuted_path = copy_path(tmp, path)
+    with open(permuted_path, "w", newline="", encoding="utf-8") as f:
         csv.writer(f, lineterminator="\n").writerows(
             [row[i] for i in columns] for row in table)
-    singles = [auc for _, auc in aucs("rank", report(
-        capsys, "rank", DATA_DIR / name, decision)[1])]
+    singles = [auc for _, auc in aucs("rank", report("rank", path, decision)[1])]
     assert len(set(singles)) == len(singles), "tied single AUCs"
-    code, rep = report(capsys, command, DATA_DIR / name, decision)
-    permuted_code, permuted = report(capsys, command, path, decision)
+    code, rep = report(command, path, decision)
+    permuted_code, permuted = report(command, permuted_path, decision)
     assert permuted_code == code
     if code == 0:
         assert permuted["results"] == rep["results"]
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+@pytest.mark.parametrize("name, decision", INPUTS)
+def test_row_duplication_keeps_every_auc(tmp_path, name, decision, command):
+    check_row_duplication(tmp_path, DATA_DIR / name, decision, command)
+
+
+@pytest.mark.parametrize("name, decision", INPUTS)
+def test_decision_relabel_complements_single_aucs(name, decision):
+    check_decision_relabel(DATA_DIR / name, decision)
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+@pytest.mark.parametrize("name, decision", INPUTS)
+def test_row_permutation_keeps_every_result(tmp_path, name, decision,
+                                            command):
+    check_row_permutation(tmp_path, DATA_DIR / name, decision, command)
+
+
+def test_row_permutation_keeps_multinomial_bootstrap(tmp_path):
+    # both classes of cli_few_cells.csv draw multinomial cell counts (see
+    # test_golden_cases_cover_the_interface)
+    check_row_permutation(tmp_path, DATA_DIR / "cli_few_cells.csv", "d",
+                          "bootstrap")
+
+
+@pytest.mark.parametrize("name, decision", AUDITED)
+def test_row_permutation_renumbers_gray_pairs(tmp_path, name, decision):
+    check_gray_pair_renumbering(tmp_path, DATA_DIR / name, decision)
+
+
+@pytest.mark.parametrize("command", ["rank", "reduce", "both"])
+@pytest.mark.parametrize("name, decision", INPUTS)
+def test_column_permutation_keeps_every_result(tmp_path, name, decision,
+                                               command):
+    check_column_permutation(tmp_path, DATA_DIR / name, decision, command)
+
+
+# the codes one item's cells take: one digit with gaps such as {0, 5, 9};
+# signed two- or three-digit integers at most 60 apart, so that most
+# running sums span at most 4 values per row and are counted over their
+# range, empty levels and all; or short signed decimals
+ITEM_CODES = st.one_of(
+    st.lists(st.integers(0, 9), min_size=2, max_size=4, unique=True),
+    st.tuples(st.integers(-99, 99), st.sampled_from([1, 10])).flatmap(
+        lambda b: st.lists(st.integers(b[0] * b[1] - 30, b[0] * b[1] + 30),
+                           min_size=2, max_size=4, unique=True)),
+    st.lists(st.integers(-999, 999).map(lambda k: k / 100),
+             min_size=2, max_size=4, unique=True),
+)
+
+
+@st.composite
+def drawn_tables(draw):
+    """CSV text of 2-4 items drawn from ITEM_CODES and a 0/1 decision "d"
+    in a drawn column, in 8-40 complete rows with at least two of each
+    class."""
+    codes = draw(st.lists(ITEM_CODES, min_size=2, max_size=4))
+    m = draw(st.integers(8, 40))
+    decision = [1, 1, 0, 0, *draw(st.lists(st.sampled_from([0, 1]),
+                                           min_size=m - 4, max_size=m - 4))]
+    header = [f"q{j}" for j in range(len(codes))]
+    at = draw(st.integers(0, len(codes)))
+    header.insert(at, "d")
+    lines = [",".join(header)]
+    for d in decision:
+        cells = [str(draw(st.sampled_from(c))) for c in codes]
+        cells.insert(at, str(d))
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+@contextlib.contextmanager
+def drawn_input(text):
+    """A temporary directory holding the drawn table, and its path."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "drawn.csv"
+        path.write_text(text, encoding="utf-8")
+        yield tmp, path
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(drawn_tables(), st.sampled_from(["rank", "reduce", "delong", "audit"]),
+       st.integers(0, 2**16))
+def test_row_permutation_on_drawn_tables(text, command, seed):
+    # the bootstrap is left out: a class too fine for multinomial cell
+    # counts draws row indices, and so other rows
+    with drawn_input(text) as (tmp, path):
+        if command == "audit":
+            check_gray_pair_renumbering(tmp, path, "d", seed)
+        else:
+            check_row_permutation(tmp, path, "d", command, seed)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(drawn_tables(), st.sampled_from(["rank", "reduce", "both"]),
+       st.integers(0, 2**16))
+def test_column_permutation_on_drawn_tables(text, command, seed):
+    with drawn_input(text) as (tmp, path):
+        singles = [auc for _, auc in aucs("rank", report("rank", path, "d")[1])]
+        # tied single AUCs keep column order by contract
+        assume(len(set(singles)) == len(singles))
+        check_column_permutation(tmp, path, "d", command, seed)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(drawn_tables(), st.sampled_from(sorted(COMMANDS)))
+def test_row_duplication_on_drawn_tables(text, command):
+    with drawn_input(text) as (tmp, path):
+        check_row_duplication(tmp, path, "d", command)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(drawn_tables())
+def test_decision_relabel_on_drawn_tables(text):
+    with drawn_input(text) as (_, path):
+        check_decision_relabel(path, "d")

@@ -16,7 +16,7 @@ from scalereduce import (
     total_auc,
 )
 from scalereduce.errors import ScoreOverflow, SingleClass, UnknownColumn
-from scalereduce.roc import _class_counts, _levels
+from scalereduce.roc import _class_counts
 
 from conftest import random_scores_decision, write_csv
 from oracles import auc_pairs, placements_pairs
@@ -205,36 +205,45 @@ def level_inputs(draw):
 @example((np.array([-0.1, 1.9, np.nextafter(1.9, 2)]), np.array([True, False, True])))
 # the top level holds negatives only: its (level, class) count needs minlength
 @example((np.array([0.0, 1.0, 2.0, 3.0]), np.array([True, False, True, False])))
-# gapped levels {0, 5, 9}: the codes must be remapped into an index
+# gapped float levels {0, 5, 9} are sorted, so none is empty
 @example((np.array([5.0, 0.0, 9.0, 5.0, 0.0]), np.array([True, False, True, False, True])))
-# dense levels: the index is the codes themselves
+# gapped integer levels {0, 5, 9} span their range: 1-4 and 6-8 are empty
+@example((np.array([5, 0, 9, 5, 0]), np.array([True, False, True, False, True])))
+# dense levels: every level in range holds a row
 @example((np.array([2.0, 0.0, 1.0, 2.0, 1.0]), np.array([True, False, False, True, False])))
+@example((np.array([2, 0, 1, 2, 1]), np.array([True, False, False, True, False])))
 # a narrow range at either int64 end is counted in intp offsets
 @example((np.array([2**63 - 1, 2**63 - 3, 2**63 - 1]), np.array([True, False, False])))
 @example((np.array([-2**63, -2**63 + 2, -2**63]), np.array([True, False, True])))
 # both int64 ends: the range itself overflows int64, so it is sorted
 @example((np.array([-2**63, 2**63 - 1, 0]), np.array([True, False, True])))
 def test_level_counts_equal_np_unique_on_every_path(case):
-    # integer-coded scores are grouped by counting, the rest by np.unique;
-    # both must give np.unique's grouping, without a warning, and
-    # _class_counts must count it or, where a NaN was drawn, reject it
+    # integer-coded scores are counted over their range, the rest sorted by
+    # np.unique; both must give np.unique's grouping once empty levels are
+    # dropped, and the ROC curve must drop them, all without a warning;
+    # where a NaN was drawn, _class_counts must reject it
     scores, decision = case
-    levels, index = np.unique(scores, return_inverse=True)
+    distinct = np.unique(scores)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got_levels, got_index, _ = _levels(scores)
-        assert np.array_equal(got_levels, levels, equal_nan=True)  # 0.0 == -0.0
-        assert got_index.tolist() == index.tolist()
         if np.isnan(scores).any():
             with pytest.raises(ValueError, match="NaN"):
                 _class_counts(scores, decision)
             return
-        d, got_levels, pos, neg, got_index = _class_counts(scores, decision)
+        d, levels, pos, neg, index = _class_counts(scores, decision)
+        curve = roc_curve(scores, decision)
     assert d.tolist() == decision.tolist()
-    assert np.array_equal(got_levels, levels)
-    assert got_index.tolist() == index.tolist()
+    # compared, not differenced: np.diff overflows at the int64 ends
+    assert (levels[1:] > levels[:-1]).all()
+    assert np.array_equal(levels[index], scores)  # 0.0 == -0.0
+    assert np.array_equal(levels[pos + neg > 0], distinct)
     assert pos.tolist() == np.bincount(index[decision], minlength=levels.size).tolist()
     assert neg.tolist() == np.bincount(index[~decision], minlength=levels.size).tolist()
+    if scores.dtype.kind == "f" or int(scores.max()) - int(scores.min()) > 4 * scores.size:
+        assert levels.size == distinct.size  # sorted: no empty level
+    # the origin, then one point per distinct score, highest first
+    assert curve.thresholds.tolist() == [np.inf, *distinct[::-1].tolist()]
+    assert curve.fpr.size == curve.tpr.size == distinct.size + 1
 
 
 def test_integer_scores_past_2_53_compare_exactly():

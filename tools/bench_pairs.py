@@ -3,6 +3,14 @@
     python3 tools/bench_pairs.py --parent ../parent --workload clinical-mixed \
         --seeds 7001-7010
 
+It first copies each side's src/, bench/ (without work/ and results/),
+tools/ and BENCHMARK.json into a fresh directory, the two directories
+siblings whose paths have the same length, and runs both sides there.
+Run from its own directory, a side read 1-7% slower than a fresh copy of
+the same code, and the reports' paths add 8 bytes per path character to
+cli.report_bytes, so copies alike in all but their code keep the two
+sides comparable.
+
 For each seed it runs one bench/run.py of each side, each with that
 side's own bench/ and src/, with the same workload and seed, for the
 run_seconds of BENCHMARK.json and without tracing, and alternates which
@@ -19,16 +27,19 @@ exceeds that bound, unless every change run beats every parent run; and
 from BENCHMARK.json. A run that is not correct, or that fails an
 operation, is reported and stops the tool.
 
-It reads bench/ and writes only what bench/run.py writes itself.
+It writes only the two copies, which it removes at the end, and what
+bench/run.py writes in them.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -40,6 +51,15 @@ def seeds(text: str) -> list[int]:
         first, last = (int(s) for s in text.split("-"))
         return list(range(first, last + 1))
     return [int(s) for s in text.split(",")]
+
+
+def copy_side(checkout: Path, side: Path) -> Path:
+    """side, now holding what bench/run.py runs of checkout."""
+    skip = shutil.ignore_patterns("work", "results", "__pycache__")
+    for name in ("src", "bench", "tools"):
+        shutil.copytree(checkout / name, side / name, ignore=skip)
+    shutil.copy2(checkout / "BENCHMARK.json", side)
+    return side
 
 
 def run(checkout: Path, workload: str, seed: int,
@@ -76,17 +96,20 @@ def main(argv=None) -> int:
               for m in spec["end_to_end"] + spec["per_layer"]}
     bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
 
-    sides = {"parent": args.parent.resolve(), "change": ROOT}
     runs = {"parent": [], "change": []}
-    for i, seed in enumerate(args.seeds):
-        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-        for side in order:
-            runs[side].append(run(sides[side], args.workload, seed,
-                                  spec["run_seconds"]))
-        values = ", ".join(f"{name} {runs['parent'][-1][name]:.4g} -> "
-                           f"{runs['change'][-1][name]:.4g}"
-                           for name in runs["parent"][-1])
-        print(f"seed {seed} ({order[0]} first): {values}", file=sys.stderr)
+    with tempfile.TemporaryDirectory(prefix="bench_pairs-") as tmp:
+        # "parent" and "change" have the same length
+        sides = {side: copy_side(checkout, Path(tmp) / side) for side, checkout
+                 in (("parent", args.parent.resolve()), ("change", ROOT))}
+        for i, seed in enumerate(args.seeds):
+            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            for side in order:
+                runs[side].append(run(sides[side], args.workload, seed,
+                                      spec["run_seconds"]))
+            values = ", ".join(f"{name} {runs['parent'][-1][name]:.4g} -> "
+                               f"{runs['change'][-1][name]:.4g}"
+                               for name in runs["parent"][-1])
+            print(f"seed {seed} ({order[0]} first): {values}", file=sys.stderr)
 
     pairs = len(args.seeds)
     print(f"{args.workload}: {pairs} pairs, seeds "
