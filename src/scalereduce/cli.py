@@ -7,7 +7,8 @@ test-inclusion (paired ROC tests for adding one more item).
 Outputs are pure functions of (input bytes, flags, seed), and read no
 environment variable. Exit codes: 0 success, 2 input error (a bad flag
 value included, such as --n-boot above MAX_N_BOOT, and a stdout that
-cannot take the report), 3 analysis-domain error. A reader that closes
+cannot take the report), 3 analysis-domain error or running out of
+memory, in any command or while writing the report. A reader that closes
 stdout early (| head) still gets 0, and a message that stderr cannot take
 is dropped. Reports are written as UTF-8 whatever the locale or
 PYTHONIOENCODING says, and a path given in bytes that are not UTF-8 is
@@ -39,9 +40,9 @@ from .roc import _curve, auc
 from .svg import points_csv, roc_chart, running_auc_chart
 
 TOOL = "scalereduce"
-# Largest --n-boot: the replicate differences take 8 MB at this size. A
-# replicate costs about 0.16 ms on 10k rows and 1.4 ms on 100k rows where
-# a class draws rows, and 0.015 ms and 0.05 ms where both draw counts.
+# Largest --n-boot. The bootstrap's z is its exact value for unlimited
+# replicates, so --n-boot and --seed are checked against their bounds and
+# recorded in the report, but change no result.
 MAX_N_BOOT = 1_000_000
 
 
@@ -440,8 +441,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_test.add_argument("--alternative", choices=ALTERNATIVES,
                         default="two-sided")
     p_test.add_argument("--n-boot", type=_int_in(1, MAX_N_BOOT), default=2000,
-                        help=f"bootstrap replicates, at most {MAX_N_BOOT}")
-    p_test.add_argument("--seed", type=_int_in(0), default=1234)
+                        help=f"at least 1 and at most {MAX_N_BOOT}; recorded "
+                             "in the report, but the bootstrap z is its "
+                             "exact value for unlimited replicates")
+    p_test.add_argument("--seed", type=_int_in(0), default=1234,
+                        help="at least 0; recorded in the report, but the "
+                             "bootstrap draws nothing")
     p_test.set_defaults(func=cmd_test_inclusion)
 
     return parser
@@ -466,6 +471,15 @@ def _say(message: str) -> None:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    try:
+        return _run(args)
+    except MemoryError as exc:
+        _say(f"{TOOL}: out of memory: {str(exc) or 'an allocation failed'}")
+        return 3
+
+
+def _run(args) -> int:
+    """Run the parsed command and write its report; main's exit code."""
     try:
         ds, results = args.func(args)
     except LoadError as exc:

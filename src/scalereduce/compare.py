@@ -14,22 +14,23 @@ must account for the correlation. Two methods:
 
       z**2 = sx**2 (P-1)(N-1) / (ssx (N-1) + ssy (P-1))
 
-* bootstrap_test: stratified resampling. Each replicate redraws P positives
-  and N negatives with replacement, keeping scores_1/scores_2 paired within
-  each drawn row; z = (2U_1 - 2U_2) / sd of the replicates' 2U_1 - 2U_2.
-  Fully determined by the seed: each class draws from its own generator,
-  both spawned from the seed, as the two classes are resampled
-  independently. Replicates are evaluated one block at a time, so memory
-  grows with the rows, not with n_boot. Per score, a block counts its
-  drawn negatives on the levels the negatives occupy, and each drawn
-  positive reads its 2U contribution off one table over those levels and
-  the gaps between them; each row's place among them is read off the
-  negative counts per level that the scores were already counted into. A
-  class with at least _ROWS_PER_CELL (20) rows per distinct (scores_1,
-  scores_2) cell draws how often each cell is drawn as one multinomial, at
-  a cost that grows with the cells; any other class draws one row index
-  per row. The two give the same counts in distribution, not the same
-  random stream.
+* bootstrap_test: the stratified bootstrap, which redraws P positives and
+  N negatives with replacement, keeping scores_1/scores_2 paired within
+  each drawn row, at its exact n_boot -> infinity value (Bandos, Rockette
+  & Gur, 2007): z = (2U_1 - 2U_2) / sd*(2U_1 - 2U_2). With H = 2psi_1 -
+  2psi_2 over all P*N positive x negative pairs, so that sx = sum(H),
+
+      P*N * Var*(2U_1 - 2U_2) = (N-1) ssx + (P-1) ssy + P*N sum(H**2) - sx**2
+
+  sum(H**2) = sum((2psi_1)**2) + sum((2psi_2)**2) - 2 sum(2psi_1 * 2psi_2);
+  the squares come off each vector's level counts, and the cross term is
+  four strict 2-D dominance counts over the classes' (scores_1, scores_2)
+  cells (_cross). No replicate is drawn, so z depends on the data alone:
+  n_boot and seed are checked and recorded, as the CLI's report echoes
+  them, but change no result.
+
+Both z**2 are a quotient of Python ints, rounded once, and z is within 1
+ulp of its exact value.
 
 Zero-difference convention: when auc_1 equals auc_2 exactly the result is
 z = 0, p = 1, whatever the variance would be; this avoids 0/0 on identical
@@ -58,23 +59,6 @@ from .roc import _area, _class_counts, _split, _twice_below, _twice_u
 
 ALTERNATIVES = ("two-sided", "less", "greater")
 
-# Bootstrap replicates are drawn and evaluated in blocks of as many as
-# keep the widest per-replicate array (a class's drawn rows or cells, or a
-# score's slot table) within this many entries, and at least one. The
-# bootstrap holds one block's draws, counts and tables at a time, so its
-# memory does not grow with n_boot. Consecutive blocks leave the random
-# streams as one draw would, so, unlike _ROWS_PER_CELL, this is a tuning
-# knob that changes no output.
-_BLOCK = 2**15
-
-# A class with at least this many rows per distinct (scores_1, scores_2)
-# cell draws a block's cell counts as one multinomial, at a cost that
-# grows with its cells; any other class draws one row index per row. The
-# two cost about the same near 20 rows per cell. Which way a class draws
-# decides its random stream, so changing this constant changes bootstrap
-# z: it is part of the output, not a tuning knob.
-_ROWS_PER_CELL = 20
-
 # While P*N*max(P, N) < this, DeLong's sums of squares (<= 4x it) fit int64.
 _INT64_MOMENTS = 2**61
 
@@ -85,8 +69,9 @@ class PairedRocTest:
 
     z is signed by auc_1 - auc_2. For alternative "greater" the alternative
     hypothesis is auc_1 > auc_2; "less" the reverse. n_boot and seed are
-    set for bootstrap results only. The fields are in the order of a test
-    entry in the CLI's report, which is dataclasses.asdict of this record.
+    set for bootstrap results only, as given; they do not change z. The
+    fields are in the order of a test entry in the CLI's report, which is
+    dataclasses.asdict of this record.
     """
 
     method: str
@@ -143,13 +128,7 @@ def _paired_test(method, c1, c2, alternative, n_boot, seed) -> PairedRocTest:
     and c2, recording n_boot and seed as given; both AUCs and the spread
     are read off those counts. Equal AUCs give z = 0 without a spread."""
     auc_1, auc_2 = _area(c1), _area(c2)
-    if auc_1 == auc_2:
-        z = 0.0
-    elif method == "delong":
-        z = _delong_z(c1, c2)
-    else:
-        twice_diff = int(_twice_u(*c1[2:4])) - int(_twice_u(*c2[2:4]))
-        z = twice_diff / _bootstrap_sd(c1, c2, n_boot, seed)
+    z = 0.0 if auc_1 == auc_2 else _z(method, c1, c2)
     return PairedRocTest(
         method=method, auc_1=auc_1, auc_2=auc_2, z=z,
         p_value=_p_value(z, alternative), alternative=alternative,
@@ -168,26 +147,105 @@ def _vector_test(method, scores_1, scores_2, decision, alternative,
                         alternative, n_boot, seed)
 
 
-def _delong_z(c1, c2) -> float:
-    """DeLong's z from both vectors' _class_counts, by the integer moments
-    of the module docstring; within 1 ulp of its exact value."""
-    d, _, pos_1, neg_1, level_1 = c1
-    _, _, pos_2, neg_2, level_2 = c2
+def _moments(c1, c2) -> tuple[int, int, int]:
+    """sx, ssx and ssy of the module docstring, as Python ints, from both
+    vectors' _class_counts."""
+    d = c1.decision
     n_pos, n_neg = int(d.sum()), int((~d).sum())
     wide = n_pos * n_neg * max(n_pos, n_neg) >= _INT64_MOMENTS
     moments = []
-    for rows, c_1, c_2 in ((d, neg_1, neg_2), (~d, pos_1, pos_2)):
-        t = _twice_below(c_1)[level_1[rows]] - _twice_below(c_2)[level_2[rows]]
+    for rows, c_1, c_2 in ((d, c1.neg, c2.neg), (~d, c1.pos, c2.pos)):
+        t = (_twice_below(c_1)[c1.index[rows]]
+             - _twice_below(c_2)[c2.index[rows]])
         t = t.astype(object) if wide else t
         moments.append((int(t.sum()), t.size * int(t @ t)))
     (sx, px), (sy, py) = moments
-    den = (px - sx * sx) * (n_neg - 1) + (py - sy * sy) * (n_pos - 1)
-    if den == 0:
-        raise DegenerateVariance(
-            "variance of the AUC difference is zero with unequal AUCs: the "
-            "placement differences are constant or a class has one row")
-    return math.copysign(
-        math.sqrt(sx * sx * (n_pos - 1) * (n_neg - 1) / den), sx)
+    return sx, px - sx * sx, py - sy * sy
+
+
+def _dominance(query, data) -> int:
+    """Sum of w_q * w_p over the query points q and data points p, each
+    argument a triple (x, y, w) of integer arrays, y nonnegative, where q
+    strictly dominates p: x_q > x_p and y_q > y_p (Bentley, 1980).
+
+    All points are ranked by x, each data point after the query points of
+    its x, so a query point's data points of smaller x are those ranked
+    before it. Pass k pairs the blocks of 2**k ranks: each query point in
+    an upper block adds the weight of its pair's lower block's data points
+    of smaller y, found with one argsort of the lower blocks' data by
+    (pair, y) and two searchsorted calls. A data point ranked before a
+    query point is counted once, at the highest bit in which their ranks
+    differ.
+    """
+    (x_q, y_q, w_q), (x_p, y_p, w_p) = query, data
+    rank = np.empty(x_q.size + x_p.size, dtype=np.intp)
+    rank[np.argsort(np.concatenate((2 * x_q, 2 * x_p + 1)))] = np.arange(
+        rank.size)
+    r_q, r_p = rank[:x_q.size], rank[x_q.size:]
+    span = int(max(y_q.max(), y_p.max())) + 1
+    total = 0
+    for k in range((rank.size - 1).bit_length()):
+        lower, upper = (r_p >> k) & 1 == 0, (r_q >> k) & 1 == 1
+        key = (r_p[lower] >> (k + 1)) * span + y_p[lower]
+        at = np.argsort(key)
+        key = key[at]
+        below = np.concatenate(([0], np.cumsum(w_p[lower][at])))
+        pair = (r_q[upper] >> (k + 1)) * span
+        ends = np.searchsorted(key, pair + y_q[upper])
+        total += int(w_q[upper] @ (below[ends]
+                                   - below[np.searchsorted(key, pair)]))
+    return total
+
+
+def _cross(c1, c2) -> int:
+    """Sum of 2psi_1 * 2psi_2 over all positive x negative pairs, from both
+    vectors' _class_counts. On level indices, 2psi(a, b) = [2a > 2b] +
+    [2a + 1 > 2b], so the sum is four strict dominance counts: of the
+    positives' distinct (2a_1 + s, 2a_2 + t) cells, s and t in {0, 1},
+    over the negatives' (2a_1, 2a_2) cells, each cell weighted by its
+    rows, all four in one _dominance call."""
+    d, width = c1.decision, c2.levels.size
+    cells = []
+    for rows in (d, ~d):
+        key, n = np.unique(c1.index[rows] * width + c2.index[rows],
+                           return_counts=True)
+        cells.append((2 * (key // width), 2 * (key % width), n))
+    (x, y, n), negatives = cells
+    return _dominance((np.concatenate((x, x, x + 1, x + 1)),
+                       np.concatenate((y, y + 1, y, y + 1)), np.tile(n, 4)),
+                      negatives)
+
+
+_ZERO_SPREAD = {
+    "delong": "variance of the AUC difference is zero with unequal AUCs: the "
+              "placement differences are constant or a class has one row",
+    "bootstrap": "bootstrap AUC differences have zero spread with unequal "
+                 "AUCs",
+}
+
+
+def _variance(method, c1, c2) -> tuple[int, int, int]:
+    """sx = 2U_1 - 2U_2, and the method's variance of it as the quotient
+    spread / scale of Python ints, from both vectors' _class_counts by the
+    integer moments of the module docstring."""
+    n_pos, n_neg = int(c1.pos.sum()), int(c1.neg.sum())
+    sx, ssx, ssy = _moments(c1, c2)
+    spread = ssx * (n_neg - 1) + ssy * (n_pos - 1)
+    if method == "delong":
+        return sx, spread, (n_pos - 1) * (n_neg - 1)
+    squares = sum(2 * int(_twice_u(c.pos, c.neg)) - int(c.pos @ c.neg)
+                  for c in (c1, c2))
+    scale = n_pos * n_neg
+    return sx, spread + scale * (squares - 2 * _cross(c1, c2)) - sx * sx, scale
+
+
+def _z(method, c1, c2) -> float:
+    """The method's z = sx / sqrt(spread / scale) of _variance, its square
+    a quotient of Python ints rounded once."""
+    sx, spread, scale = _variance(method, c1, c2)
+    if spread == 0:
+        raise DegenerateVariance(_ZERO_SPREAD[method])
+    return math.copysign(math.sqrt(sx * sx * scale / spread), sx)
 
 
 def delong_test(
@@ -195,83 +253,6 @@ def delong_test(
 ) -> PairedRocTest:
     """Asymptotic test for a difference of two correlated AUCs."""
     return _vector_test("delong", scores_1, scores_2, decision, alternative)
-
-
-def _bootstrap_sd(c1, c2, n_boot: int, seed: int) -> float:
-    """Sd of the replicates' 2U_1 - 2U_2, 2PN times their AUC difference,
-    from both vectors' _class_counts.
-
-    For each score, every negative gets its index among the L levels the
-    negatives occupy, and every positive its slot lo + hi among the 2L + 1
-    gaps and levels, lo and hi the counts of those levels below it and at
-    or below it; both are read off the score's negative counts per level,
-    a cumsum over the occupied levels. A block counts its drawn negatives
-    per level, and one cumsum of the counts gives the table of a positive's
-    2U contribution at each slot, below[lo] + below[hi] with below the
-    negatives under each level: a replicate's 2U is that table summed over
-    its drawn positives.
-    A class drawing multinomial cell counts weights each cell's level or
-    slot by its count instead. The positives and the negatives each draw
-    from their own generator, spawned from seed, one block at a time.
-    Every count and every 2U sum is an integer below 2**53, so the float
-    arithmetic on them is exact and only the sd is rounded.
-    """
-    d, _, _, _, level_1 = c1
-    _, levels_2, _, _, level_2 = c2
-    scores = []
-    for _, _, _, neg, level in (c1, c2):
-        occupied = neg > 0
-        scores.append(((np.cumsum(occupied) - 1)[level[~d]],
-                       _twice_below(occupied)[level[d]],
-                       np.count_nonzero(occupied)))
-    draws = []
-    for rows, seq in zip((d, ~d), np.random.SeedSequence(seed).spawn(2)):
-        # the first row of each distinct (scores_1, scores_2) cell, the
-        # cells in ascending order, and each cell's rows
-        _, cell, cell_n = np.unique(
-            level_1[rows] * levels_2.size + level_2[rows],
-            return_index=True, return_counts=True)
-        n = cell_n.sum()
-        freq = cell_n / n if cell.size * _ROWS_PER_CELL <= n else None
-        draws.append((np.random.default_rng(seq), n, cell, freq))
-
-    block = max(1, _BLOCK // max(
-        *(n if freq is None else cell.size for _, n, cell, freq in draws),
-        *(2 * width + 1 for _, _, width in scores)))
-    diffs = np.empty(n_boot)
-    for start in range(0, n_boot, block):
-        rows = min(block, n_boot - start)
-        # each class's drawn rows, or its cells and how often each was drawn
-        (pos_at, pos_n), (neg_at, neg_n) = [
-            (rng.integers(0, n, size=(rows, n)), None) if freq is None
-            else (cell, rng.multinomial(n, freq, size=rows))
-            for rng, n, cell, freq in draws]
-        replicate = np.arange(rows)[:, None]
-        twice_u = []
-        for neg_index, slot, width in scores:
-            count = np.bincount(
-                (neg_index[neg_at] + width * replicate).ravel(),
-                weights=None if neg_n is None else neg_n.ravel(),
-                minlength=rows * width).reshape(rows, width)
-            # slot 2j + 1 is tied with level j, slot 2j the gap below it;
-            # filled in place, as roc._twice_below or np.repeat over the
-            # counts would take three to seven times as long
-            table = np.zeros((rows, 2 * width + 1), count.dtype)
-            above = table[:, 2::2]
-            np.cumsum(count, axis=1, out=above)
-            above *= 2
-            np.subtract(above, count, out=table[:, 1::2])
-            at = table.ravel()[slot[pos_at] + (2 * width + 1) * replicate]
-            twice_u.append(at.sum(axis=1) if pos_n is None
-                           else np.einsum("ij,ij->i", at, pos_n))
-        diffs[start:start + rows] = twice_u[0] - twice_u[1]
-
-    sd = float(diffs.std(ddof=1)) if n_boot > 1 else 0.0
-    if not np.isfinite(sd) or sd <= 0.0:
-        raise DegenerateVariance(
-            "bootstrap AUC differences have zero spread with unequal AUCs"
-        )
-    return sd
 
 
 def bootstrap_test(
@@ -282,7 +263,9 @@ def bootstrap_test(
     n_boot: int = 2000,
     seed: int | None = None,
 ) -> PairedRocTest:
-    """Stratified-bootstrap test for a difference of two correlated AUCs."""
+    """Stratified-bootstrap test for a difference of two correlated AUCs,
+    at the bootstrap's exact n_boot -> infinity variance; n_boot and seed
+    are checked and recorded but do not change z."""
     return _vector_test("bootstrap", scores_1, scores_2, decision,
                         alternative, n_boot=n_boot, seed=seed)
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -87,10 +88,19 @@ def _split(scores, decision) -> tuple[np.ndarray, np.ndarray]:
     return s, d
 
 
-def _class_counts(scores, decision):
-    """The split decision, the levels of the split scores (ascending), the
-    positive and negative counts at each level and each row's level index,
-    from one bincount over (level, class) slots.
+class ClassCounts(NamedTuple):
+    """A score vector counted per level and class by _class_counts."""
+
+    decision: np.ndarray  # the split decision, True for a positive
+    levels: np.ndarray  # ascending score levels
+    pos: np.ndarray  # positives at each level
+    neg: np.ndarray  # negatives at each level
+    index: np.ndarray  # each row's level index
+
+
+def _class_counts(scores, decision) -> ClassCounts:
+    """The ClassCounts of the split scores and decision, from one
+    bincount over (level, class) slots.
 
     Signed-integer scores spanning at most 4*m values are counted over
     their whole range, levels lo..hi and index s - lo, in O(m + range), so
@@ -109,7 +119,7 @@ def _class_counts(scores, decision):
             raise ValueError("scores must not be NaN")
     # minlength: the top level may hold only negatives
     neg, pos = np.bincount(index * 2 + d, minlength=2 * levels.size).reshape(-1, 2).T
-    return d, levels, pos, neg, index
+    return ClassCounts(d, levels, pos, neg, index)
 
 
 def _twice_below(c):
@@ -138,7 +148,7 @@ def auc(scores, decision) -> float:
 
 def _area(counts) -> float:
     """Tie-aware AUC from a score vector's _class_counts, rounded once."""
-    _, _, pos, neg, _ = counts
+    pos, neg = counts.pos, counts.neg
     return int(_twice_u(pos, neg)) / (2 * int(pos.sum()) * int(neg.sum()))
 
 
@@ -155,7 +165,7 @@ def roc_curve(scores, decision) -> RocCurve:
 
 def _curve(counts) -> RocCurve:
     """roc_curve from the _class_counts of a score vector."""
-    _, levels, pos, neg, _ = counts
+    levels, pos, neg = counts.levels, counts.pos, counts.neg
     n_pos = int(pos.sum())
     n_neg = int(neg.sum())
     # descending thresholds: one point per level some row holds, highest first
@@ -182,9 +192,10 @@ def placements(scores, decision) -> PlacementValues:
     v01 = 1 - (2*pos_below + pos) / (2P), each quotient of integers rounded
     once. Entries are in row order of the input within each class.
     """
-    d, _, pos, neg, index = _class_counts(scores, decision)
-    v10 = _twice_below(neg)[index[d]] / (2 * int(neg.sum()))
-    v01 = 1.0 - _twice_below(pos)[index[~d]] / (2 * int(pos.sum()))
+    c = _class_counts(scores, decision)
+    d = c.decision
+    v10 = _twice_below(c.neg)[c.index[d]] / (2 * int(c.neg.sum()))
+    v01 = 1.0 - _twice_below(c.pos)[c.index[~d]] / (2 * int(c.pos.sum()))
     return PlacementValues(v10=v10, v01=v01)
 
 

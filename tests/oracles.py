@@ -155,83 +155,54 @@ def best_subset_auc(attrs, decision, auc_fn=auc_pairs):
     return best, best_cols
 
 
-def bootstrap_z_matrices(scores_1, scores_2, decision, n_boot, seed,
-                         rows_per_cell):
-    """z of the stratified bootstrap with every replicate materialised.
+def bootstrap_replicates(scores_1, scores_2, decision, n_boot, seed,
+                         block=2000):
+    """2U_1 - 2U_2 of n_boot stratified-bootstrap replicates, each one's
+    rows drawn explicitly.
 
-    The straightforward implementation: each class draws from its own
-    generator spawned from the seed, all n_boot replicates in one call. A
-    class with at least rows_per_cell rows per distinct (scores_1,
-    scores_2) cell draws each replicate's cell counts with one
-    rng.multinomial call, over its cells in ascending order, and each
-    count becomes that many copies of the cell's first row; any other
-    class draws row indices with one rng.integers call. Then it builds the
-    two (n_boot, m) resampled score matrices and takes each replicate's
-    2U = 2*rank_sum - P(P+1), twice its Mann-Whitney count, from row-wise
-    midranks; z is the full sample's 2U_1 - 2U_2 over the sd of the
-    replicates'. Uses the same random streams as
-    scalereduce.bootstrap_test, so the two agree exactly. Returns None
-    when the replicate differences have no spread.
+    A replicate draws P positives and N negatives with replacement, as row
+    indices from one generator seeded with seed, and keeps scores_1 and
+    scores_2 paired within each drawn row. Its 2U, twice its Mann-Whitney
+    count, sums 2 * (drawn negatives below) + (drawn negatives tied) over
+    its drawn positives, from its own count of drawn negatives per score
+    level. Replicates are drawn a block at a time, to bound the memory.
     """
-    from scipy.stats import rankdata
-
-    s1 = np.asarray(scores_1, dtype=float)
-    s2 = np.asarray(scores_2, dtype=float)
     d = np.asarray(decision, dtype=bool)
-    pos = np.nonzero(d)[0]
-    neg = np.nonzero(~d)[0]
-    n_pos = pos.size
-
-    def draw(rows, rng):
-        """(n_boot, rows.size) indices of each replicate's drawn rows."""
-        cells = {}
-        for i in rows:  # a dict key does not tell -0.0 from 0.0
-            cells.setdefault((float(s1[i]), float(s2[i])), []).append(i)
-        keys = sorted(cells)
-        if len(keys) * rows_per_cell > rows.size:
-            return rows[rng.integers(0, rows.size, size=(n_boot, rows.size))]
-        freq = np.array([len(cells[k]) for k in keys]) / rows.size
-        first = [cells[k][0] for k in keys]
-        return np.array([
-            np.repeat(first, counts)
-            for counts in rng.multinomial(rows.size, freq, size=n_boot)
-        ])
-
-    pos_draw, neg_draw = (
-        draw(rows, np.random.default_rng(s))
-        for rows, s in zip((pos, neg), np.random.SeedSequence(seed).spawn(2))
-    )
-
-    def twice_u_by_row(s):
-        rep = np.concatenate((s[pos_draw], s[neg_draw]), axis=1)
-        rank_sum = rankdata(rep, method="average", axis=1)[:, :n_pos].sum(axis=1)
-        return 2 * rank_sum - n_pos * (n_pos + 1)
-
-    def twice_u_full(s):
-        ranks = rankdata(s, method="average")
-        return 2 * ranks[d].sum() - n_pos * (n_pos + 1)
-
-    diffs = twice_u_by_row(s1) - twice_u_by_row(s2)
-    sd = float(diffs.std(ddof=1)) if n_boot > 1 else 0.0
-    if not np.isfinite(sd) or sd <= 0.0:
-        return None
-    return float((twice_u_full(s1) - twice_u_full(s2)) / sd)
+    pos, neg = np.nonzero(d)[0], np.nonzero(~d)[0]
+    codes = [np.unique(np.asarray(s, dtype=float), return_inverse=True)[1]
+             for s in (scores_1, scores_2)]
+    rng = np.random.default_rng(seed)
+    out = []
+    for start in range(0, n_boot, block):
+        rows = min(block, n_boot - start)
+        pos_draw = pos[rng.integers(0, pos.size, size=(rows, pos.size))]
+        neg_draw = neg[rng.integers(0, neg.size, size=(rows, neg.size))]
+        replicate = np.arange(rows)[:, None]
+        twice_u = []
+        for code in codes:
+            width = int(code.max()) + 1
+            count = np.bincount((code[neg_draw] + width * replicate).ravel(),
+                                minlength=rows * width).reshape(rows, width)
+            below = 2 * np.cumsum(count, axis=1) - count
+            twice_u.append(below[replicate, code[pos_draw]].sum(axis=1))
+        out.append(twice_u[0] - twice_u[1])
+    return np.concatenate(out)
 
 
-def bootstrap_variance_exact(scores_1, scores_2, decision) -> float:
-    """Ideal variance of the stratified-bootstrap AUC difference.
+def _bootstrap_moments(scores_1, scores_2, decision):
+    """auc_1 - auc_2 and its ideal stratified-bootstrap variance, as
+    Fractions, by pair enumeration.
 
-    The limit, as n_boot grows, of the variance of auc_1 - auc_2 over
-    replicates that each redraw P positives and N negatives with
-    replacement. By pair enumeration: take h = psi_1 - psi_2 over all P*N
+    The variance is the limit, as n_boot grows, of the variance of auc_1 -
+    auc_2 over replicates that each redraw P positives and N negatives
+    with replacement. Take h = psi_1 - psi_2 over all P*N
     positive-negative pairs, with mean hbar, row means r_i (one per
     positive) and column means c_j (one per negative); then
 
         Var* = ((N-1)*z10 + (P-1)*z01 + z11) / (P*N)
 
     with z10 = mean((r_i - hbar)^2), z01 = mean((c_j - hbar)^2) and
-    z11 = mean((h_ij - hbar)^2) (Bandos, Rockette & Gur 2007). Independent
-    of any random stream.
+    z11 = mean((h_ij - hbar)^2) (Bandos, Rockette & Gur 2007).
     """
     rows = [
         (float(a), float(b), bool(d))
@@ -241,7 +212,7 @@ def bootstrap_variance_exact(scores_1, scores_2, decision) -> float:
     neg = [(a, b) for a, b, d in rows if not d]
     n_pos, n_neg = len(pos), len(neg)
     h = [
-        [psi(p1, n1) - psi(p2, n2) for n1, n2 in neg]
+        [Fraction(psi(p1, n1)) - Fraction(psi(p2, n2)) for n1, n2 in neg]
         for p1, p2 in pos
     ]
     mean = sum(x for row in h for x in row) / (n_pos * n_neg)
@@ -250,7 +221,26 @@ def bootstrap_variance_exact(scores_1, scores_2, decision) -> float:
     z10 = sum((r - mean) ** 2 for r in row_means) / n_pos
     z01 = sum((c - mean) ** 2 for c in col_means) / n_neg
     z11 = sum((x - mean) ** 2 for row in h for x in row) / (n_pos * n_neg)
-    return ((n_neg - 1) * z10 + (n_pos - 1) * z01 + z11) / (n_pos * n_neg)
+    return mean, ((n_neg - 1) * z10 + (n_pos - 1) * z01 + z11) / (n_pos * n_neg)
+
+
+def bootstrap_variance_exact(scores_1, scores_2, decision) -> float:
+    """Ideal variance of the stratified-bootstrap AUC difference (see
+    _bootstrap_moments), rounded once. Independent of any random stream."""
+    return float(_bootstrap_moments(scores_1, scores_2, decision)[1])
+
+
+def bootstrap_z_exact(scores_1, scores_2, decision):
+    """z = (auc_1 - auc_2) / sqrt(Var*) of the ideal stratified bootstrap,
+    in rationals from pair enumeration (see _bootstrap_moments), rounded
+    once to the nearest float; 0.0 where the AUCs are equal, and None
+    where Var* is zero."""
+    diff, variance = _bootstrap_moments(scores_1, scores_2, decision)
+    if diff == 0:
+        return 0.0
+    if variance == 0:
+        return None
+    return math.copysign(sqrt_nearest(diff * diff / variance), diff)
 
 
 def load_csv_cells(path, decision_column, positive_value="auto"):

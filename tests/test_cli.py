@@ -54,6 +54,16 @@ def run(capsys, argv):
     return code, captured.out, captured.err
 
 
+def patch_everywhere(monkeypatch, module, name, replacement):
+    """Set name to replacement in every scalereduce module that holds
+    module.name."""
+    original = getattr(module, name)
+    for loaded in list(sys.modules.values()):
+        if (getattr(loaded, "__name__", "").startswith("scalereduce")
+                and getattr(loaded, name, None) is original):
+            monkeypatch.setattr(loaded, name, replacement)
+
+
 def counted_calls(monkeypatch, module, name):
     """Count the calls of module.name from every scalereduce module that
     holds it; returns the list that gains one entry per call."""
@@ -64,10 +74,7 @@ def counted_calls(monkeypatch, module, name):
         calls.append(1)
         return original(*args, **kwargs)
 
-    for loaded in list(sys.modules.values()):
-        if (getattr(loaded, "__name__", "").startswith("scalereduce")
-                and getattr(loaded, name, None) is original):
-            monkeypatch.setattr(loaded, name, counted)
+    patch_everywhere(monkeypatch, module, name, counted)
     return calls
 
 
@@ -781,6 +788,28 @@ def test_closed_stderr_keeps_the_report(fmt):
     assert closed.stdout == normal.stdout
     missing = _cli_child("2>&-", "audit", "missing.csv", "--decision", "d")
     assert (missing.returncode, missing.stdout) == (2, b"")
+
+
+@pytest.mark.parametrize("module, name, command, message", [
+    (scalereduce.dataset, "load_csv", "audit", "Unable to allocate 3.2 GiB"),
+    (hygiene, "_screen", "audit", "Unable to allocate 3.2 GiB"),
+    (reduction, "_walk", "reduce", "Unable to allocate 3.2 GiB"),
+    (scalereduce.compare, "_paired_test", "test-inclusion", ""),
+    (cli, "_write", "rank", ""),
+], ids=["load_csv", "_screen", "_walk", "_paired_test", "_write"])
+def test_memory_error_exits_3_with_one_line(capsys, monkeypatch, module, name,
+                                            command, message):
+    # out of memory in loading, screening, the walk, a paired test or
+    # writing the report: exit 3 and one line on stderr, no traceback
+    def exhausted(*args, **kwargs):
+        raise MemoryError(message) if message else MemoryError
+
+    patch_everywhere(monkeypatch, module, name, exhausted)
+    code, _, err = run(capsys, [command, str(DATA_DIR / "scale21.csv"),
+                                "--decision", "verdict"])
+    assert code == 3
+    assert err == (f"scalereduce: out of memory: "
+                   f"{message or 'an allocation failed'}\n")
 
 
 def test_reports_do_not_depend_on_the_environment():

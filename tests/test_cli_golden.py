@@ -17,9 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from scalereduce import load_csv, rsr, sum_scores, total_auc
 from scalereduce.cli import main
-from scalereduce.compare import _ROWS_PER_CELL
 
 from conftest import DATA_DIR
 
@@ -57,10 +55,8 @@ def test_golden_cases_cover_the_interface():
     row, gray pairs whose decision codes and cells json and {:g} print
     differently, the below-0.5 advisory, flipped items, a byte-order-marked
     input, the four plot files of each plotted input, one of them a scale of a
-    single item, a bootstrap whose classes both have enough rows per
-    (scores_1, scores_2) cell to draw multinomial counts, and an input
-    whose row sums overflow only past the next item all appear in the
-    recorded outputs."""
+    single item, and an input whose row sums overflow only past the next
+    item all appear in the recorded outputs."""
     argvs = [c["argv"] for c in CASES.values()]
     assert {a[0] for a in argvs} == {"audit", "rank", "reduce", "test-inclusion"}
     assert {a[a.index("--format") + 1] for a in argvs} == {"json", "csv", "table"}
@@ -90,10 +86,6 @@ def test_golden_cases_cover_the_interface():
     # a byte-order mark before the header changes nothing csv prints
     bom = (GOLDEN / "cli_mixed_bom-rank-csv.out").read_bytes()
     assert bom == (GOLDEN / "cli_mixed-rank-csv.out").read_bytes()
-    booted = {(a[1], a[a.index("--decision") + 1]) for a in argvs
-              if a[0] == "test-inclusion" and "delong" not in a}
-    assert any(min(_rows_per_cell(*input)) >= _ROWS_PER_CELL
-               for input in booted)
     # test-inclusion sums no item past the next one, so it succeeds where
     # reduce, which reports every running AUC, fails naming the items
     tail = {c["argv"][0]: c for c in CASES.values()
@@ -119,17 +111,6 @@ def test_decimal_goldens_pin_float_sums():
         exact = sum(Fraction(row[item]) for item in items)
         sums.setdefault(exact, set()).add(sum(float(row[item]) for item in items))
     assert any(len(floats) > 1 for floats in sums.values())
-
-
-def _rows_per_cell(name, decision):
-    """Rows per distinct (scores_1, scores_2) cell of the inclusion
-    scores, in the positives and in the negatives of an input."""
-    ds = load_csv(DATA_DIR / name, decision)
-    ranking = total_auc(ds)
-    kept = len(rsr(ds).items)
-    s1, s2 = (sum_scores(ds, ranking.order[:k]) for k in (kept, kept + 1))
-    return [rows.sum() / len(set(zip(s1[rows], s2[rows])))
-            for rows in (ds.decision, ~ds.decision)]
 
 
 def test_goldens_are_current():

@@ -21,14 +21,16 @@ from scalereduce import (
     rsr,
 )
 from scalereduce import compare
-from scalereduce.compare import _BLOCK, _ROWS_PER_CELL, _bootstrap_sd
+from scalereduce.compare import _cross, _dominance, _variance
 from scalereduce.errors import DegenerateVariance, NoNextAttribute
 from scalereduce.roc import _class_counts
 
 from oracles import (
+    bootstrap_replicates,
     bootstrap_variance_exact,
-    bootstrap_z_matrices,
+    bootstrap_z_exact,
     delong_z_exact,
+    psi,
     sqrt_nearest,
 )
 
@@ -52,19 +54,21 @@ DEGENERATE = ([3, 3, 3, 3, 3, 3, 3, 2], [0, 1, 1, 1, 0, 2, 0, 0],
 
 
 # (negatives, positives) of one score, three rows each, with the positives
-# at an end of the bootstrap's slot range: below every negative level, tied
-# with the lowest and with the highest, above every one, and around the
-# one level of negatives that all tie
-SLOT_BOUNDS = {
+# at an end of the negatives' levels: below every one, tied with the
+# lowest and with the highest, above every one, and around the one level
+# of negatives that all tie
+LEVEL_ENDS = {
     "below": ([4.0, 5.0, 6.0], [1.0, 2.0, 3.0]),
     "tied": ([2.0, 3.0, 4.0], [2.0, 4.0, 2.5]),
     "above": ([1.0, 2.0, 3.0], [4.0, 5.0, 6.0]),
     "single": ([3.0, 3.0, 3.0], [1.0, 3.0, 5.0]),
 }
 
-# whether (the positives, the negatives) draw multinomial cell counts
+# whether (the positives, the negatives) write each of their three rows
+# COPIES times, so that a class's cells hold many rows each, or once
 ARMS = {"rows": (False, False), "cells": (True, True),
         "pos-cells": (True, False), "neg-cells": (False, True)}
+COPIES = 20
 
 
 @pytest.fixture
@@ -74,37 +78,26 @@ def no_work(monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("work done before the arguments were checked")
 
-    for name in ("_class_counts", "start_auc", "_walk", "_delong_z",
-                 "_bootstrap_sd"):
+    for name in ("_class_counts", "start_auc", "_walk", "_moments",
+                 "_cross"):
         monkeypatch.setattr(compare, name, fail)
-
-
-def multinomial_arms(s1, s2, decision):
-    """Whether the positives and the negatives each have enough rows per
-    distinct (s1, s2) cell to draw their counts from a multinomial."""
-    return tuple(
-        len(set(zip(s1[rows].tolist(), s2[rows].tolist()))) * _ROWS_PER_CELL
-        <= rows.sum()
-        for rows in (decision, ~decision)
-    )
 
 
 def replicate_case(kind, rng, seed):
     """(s1, s2, decision) for test_matches_materialised_replicates_exactly.
 
-    A SLOT_BOUNDS kind "case/arm" puts scores_1's positives at that case's
-    end of the slot range and scores_2's at the next case's, each class
-    repeated _ROWS_PER_CELL times where ARMS[arm] has it draw multinomial
-    counts over its three cells, and written once where it draws rows.
+    A LEVEL_ENDS kind "case/arm" puts scores_1's positives at that case's
+    end of the negatives' levels and scores_2's at the next case's, each
+    class's rows written COPIES times or once, as ARMS[arm] says.
     """
     if "/" in kind:
         case, _, arm = kind.partition("/")
-        names = list(SLOT_BOUNDS)
+        names = list(LEVEL_ENDS)
         following = names[(names.index(case) + 1) % len(names)]
         (neg_1, pos_1), (neg_2, pos_2) = (
-            SLOT_BOUNDS[case], SLOT_BOUNDS[following])
+            LEVEL_ENDS[case], LEVEL_ENDS[following])
         pos_copies, neg_copies = (
-            _ROWS_PER_CELL if cells else 1 for cells in ARMS[arm])
+            COPIES if copied else 1 for copied in ARMS[arm])
         s1 = np.array(pos_1 * pos_copies + neg_1 * neg_copies)
         s2 = np.array(pos_2 * pos_copies + neg_2 * neg_copies)
         decision = np.arange(s1.size) < 3 * pos_copies
@@ -282,11 +275,15 @@ class TestBootstrap:
         json.dumps(asdict(c))
 
     def test_different_seed_differs(self):
+        # two seeds give two records that differ in the seed they record
+        # and in nothing else: z is the exact value, which no draw moves
         rng = np.random.default_rng(109)
         s1, s2, decision = correlated_scores(rng, m=60)
         a = bootstrap_test(s1, s2, decision, n_boot=300, seed=1)
         b = bootstrap_test(s1, s2, decision, n_boot=300, seed=2)
-        assert a.z != b.z
+        assert a != b
+        assert (a.seed, b.seed) == (1, 2)
+        assert asdict(a) | {"seed": 2} == asdict(b)
 
     def test_agrees_with_delong(self):
         rng = np.random.default_rng(113)
@@ -314,61 +311,76 @@ class TestBootstrap:
 
     @pytest.mark.parametrize("kind", [
         "tie-heavy", "all-distinct", "signed-zeros", "few-cells", "mixed",
-        *(f"{case}/{arm}" for case in SLOT_BOUNDS for arm in ARMS)])
-    def test_matches_materialised_replicates_exactly(self, kind, monkeypatch):
-        # same seed, same draws: the per-level counting must reproduce the
-        # z of explicit (n_boot, m) replicate matrices bit for bit, for
-        # n_boot on and off the block boundaries, with each class drawing
-        # row indices or, given enough rows per cell, multinomial counts.
-        # A _BLOCK of 8 * 7 entries makes blocks of 8 replicates on the
-        # SLOT_BOUNDS kinds, whose widest array is a 7-slot table, so n_boot
-        # 7, 8 and 9 end a block short of, at and past a boundary, and of 1
-        # to 8 on the other kinds; at 2**11 the blocks hold 14 to 292
-        # replicates, and at the default _BLOCK at least 229
+        *(f"{case}/{arm}" for case in LEVEL_ENDS for arm in ARMS)])
+    def test_matches_materialised_replicates_exactly(self, kind):
+        # z is within 1 ulp of the rational z of the ideal bootstrap, whose
+        # variance is that of every replicate materialised, taken by pair
+        # enumeration (oracles.bootstrap_z_exact), and DegenerateVariance
+        # exactly where that variance is zero; on tied and distinct
+        # scores, classes of one row per cell and of 20 rows per cell
         rng = np.random.default_rng(139)
         checked = 0
-        arms = set()
-        for seed, n_boot in enumerate([1, 2, 3, 7, 8, 9, 21, 300]):
+        for seed in range(8):
             s1, s2, decision = replicate_case(kind, rng, seed)
             if auc(s1, decision) == auc(s2, decision):
                 continue
-            arms.add(multinomial_arms(s1, s2, decision))
-            reference = bootstrap_z_matrices(
-                s1, s2, decision, n_boot, seed, _ROWS_PER_CELL)
-            for budget in (8 * 7, 2**11, _BLOCK):
-                monkeypatch.setattr(compare, "_BLOCK", budget)
-                if reference is None:
-                    with pytest.raises(DegenerateVariance):
-                        bootstrap_test(s1, s2, decision, n_boot=n_boot,
-                                       seed=seed)
-                else:
-                    t = bootstrap_test(s1, s2, decision, n_boot=n_boot,
-                                       seed=seed)
-                    assert t.z == reference
-            checked += reference is not None
+            exact = bootstrap_z_exact(s1, s2, decision)
+            if exact is None:
+                with pytest.raises(DegenerateVariance, match="zero spread"):
+                    bootstrap_test(s1, s2, decision, seed=seed)
+            else:
+                z = bootstrap_test(s1, s2, decision, seed=seed).z
+                assert abs(z - exact) <= math.ulp(exact), (z, exact)
+            checked += exact is not None
         assert checked >= 5
-        assert arms == {
-            "few-cells": {(True, True)},
-            "mixed": {(True, False), (False, True)},
-        }.get(kind, {ARMS.get(kind.partition("/")[2], (False, False))})
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_z_within_one_ulp_of_the_exact_value(self, data):
+        # as DeLong's test of the same name: tie-heavy integer or
+        # one-decimal scores, a second vector that may repeat the first in
+        # some rows, and classes of one row included. z is within 1 ulp of
+        # the rational oracle, and the variance of 2U_1 - 2U_2 that it is
+        # taken with within 1e-12 of (2PN)**2 times the oracle's variance
+        # of the AUC difference
+        m = data.draw(st.integers(2, 30))
+        decision = data.draw(st.lists(st.booleans(), min_size=m, max_size=m))
+        decision[:2] = [True, False]
+        value = st.sampled_from(data.draw(st.sampled_from(
+            [[0, 1], [0, 1, 2, 3], [k / 10 for k in range(10)]])))
+        s1 = data.draw(st.lists(value, min_size=m, max_size=m))
+        s2 = [a if data.draw(st.booleans()) else data.draw(value) for a in s1]
+        exact = bootstrap_z_exact(s1, s2, decision)
+        if exact is None:
+            with pytest.raises(DegenerateVariance, match="zero spread"):
+                bootstrap_test(s1, s2, decision, seed=0)
+            return
+        z = bootstrap_test(s1, s2, decision, seed=0).z
+        assert abs(z - exact) <= math.ulp(exact), (z, exact)
+        _, spread, scale = _variance("bootstrap", _class_counts(
+            s1, decision), _class_counts(s2, decision))
+        twice_pn = 2 * sum(decision) * (m - sum(decision))
+        assert spread / scale == pytest.approx(
+            twice_pn ** 2 * bootstrap_variance_exact(s1, s2, decision),
+            rel=1e-12, abs=0)
 
     def test_variance_matches_exact_bootstrap_variance(self):
-        # the replicate variance of 2U_1 - 2U_2 estimates (2PN)**2 times
-        # the ideal bootstrap variance of the AUC difference, known in
-        # closed form; a sample variance of B near-normal
-        # replicates has relative standard error sqrt(2 / (B - 1)), and
-        # each set must land within five of those; tie-heavy sets draw
-        # rows, and few-cells sets draw multinomial counts in both classes
+        # the sample variance of 2U_1 - 2U_2 over 40 000 replicates, each
+        # one's rows drawn explicitly (oracles.bootstrap_replicates),
+        # estimates the exact variance of the same: a sample variance
+        # of B near-normal replicates has relative standard error
+        # sqrt(2 / (B - 1)), and each set must land within five of those;
+        # on tie-heavy sets of 25-114 rows and two-level sets of 160-260
         n_boot = 40_000
         bound = 5 * math.sqrt(2 / (n_boot - 1))
         rng = np.random.default_rng(151)
 
-        def check(seed, s1, s2, decision, arms):
-            assert multinomial_arms(s1, s2, decision) == arms
-            twice_pn = 2 * int(decision.sum()) * int((~decision).sum())
-            exact = twice_pn ** 2 * bootstrap_variance_exact(s1, s2, decision)
-            var = _bootstrap_sd(_class_counts(s1, decision),
-                                _class_counts(s2, decision), n_boot, seed) ** 2
+        def check(seed, s1, s2, decision):
+            _, spread, scale = _variance("bootstrap", _class_counts(
+                s1, decision), _class_counts(s2, decision))
+            exact = spread / scale
+            var = bootstrap_replicates(s1, s2, decision, n_boot, seed).var(
+                ddof=1)
             assert abs(var / exact - 1) < bound, (seed, len(s1), var, exact)
 
         for seed in range(12):
@@ -377,43 +389,45 @@ class TestBootstrap:
             rng.shuffle(decision)
             s1 = rng.integers(0, int(rng.integers(2, 7)), m).astype(float)
             s2 = s1 + rng.integers(0, 3, m)
-            check(seed, s1, s2, decision, (False, False))
+            check(seed, s1, s2, decision)
         for seed in range(12, 18):
             m = int(rng.integers(160, 261))
             decision = np.arange(m) < int(rng.integers(80, m - 79))
             rng.shuffle(decision)
             s1 = rng.integers(0, 2, m).astype(float)
             s2 = s1 + rng.integers(0, 2, m)
-            check(seed, s1, s2, decision, (True, True))
+            check(seed, s1, s2, decision)
 
     def test_memory_does_not_grow_with_n_boot(self):
-        # 3-decimal scores on 20k rows: about as many cells as rows, so a
-        # (n_boot, cells) matrix would grow tenfold from 200 to 2000
+        # 3-decimal scores, about as many (s1, s2) cells as rows: the peak
+        # does not grow with n_boot, from 1 to a million, and stays within
+        # 0.25 kB per row on 10k and 20k rows (it peaks at 0.19 kB)
         rng = np.random.default_rng(149)
-        m = 20_000
-        decision = np.arange(m) < m // 2
-        s1 = np.round(rng.normal(size=m) + 0.5 * decision, 3)
-        s2 = np.round(s1 + rng.normal(size=m), 3)
-        peaks = []
-        for n_boot in (200, 2000):
-            tracemalloc.start()
-            try:
-                bootstrap_test(s1, s2, decision, n_boot=n_boot, seed=1)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-        assert peaks[1] <= 1.5 * peaks[0]
+        for m in (10_000, 20_000):
+            decision = np.arange(m) < m // 2
+            s1 = np.round(rng.normal(size=m) + 0.5 * decision, 3)
+            s2 = np.round(s1 + rng.normal(size=m), 3)
+            peaks = []
+            for n_boot in (1, 2000, 1_000_000):
+                tracemalloc.start()
+                try:
+                    bootstrap_test(s1, s2, decision, n_boot=n_boot, seed=1)
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+            assert max(peaks) <= 1.01 * min(peaks), peaks
+            assert max(peaks) < 250 * m, peaks
 
     def test_row_arm_memory_per_row(self):
-        # the same 3-decimal scores on 20k rows take the row arm in both
-        # classes, so a block holds the 3 replicates whose 10k drawn rows
-        # per class fit in _BLOCK entries; the test peaks at 0.14 kB per row
+        # the same 3-decimal scores on 20k rows, nearly every row its own
+        # (s1, s2) cell in both classes, once took the row-draw arm; the
+        # dominance kernel over those cells peaks at 0.19 kB per row
         rng = np.random.default_rng(149)
         m = 20_000
         decision = np.arange(m) < m // 2
         s1 = np.round(rng.normal(size=m) + 0.5 * decision, 3)
         s2 = np.round(s1 + rng.normal(size=m), 3)
-        assert multinomial_arms(s1, s2, decision) == (False, False)
+        assert len(set(zip(s1, s2))) > 0.99 * m
         tracemalloc.start()
         try:
             bootstrap_test(s1, s2, decision, n_boot=200, seed=1)
@@ -423,15 +437,80 @@ class TestBootstrap:
         assert peak < 200 * m
 
     def test_single_replicate_degenerate(self):
-        with pytest.raises(DegenerateVariance):
-            bootstrap_test(
-                HAND_SCORES_1, HAND_SCORES_2, HAND_DECISION, n_boot=1, seed=0
-            )
+        # one replicate once had zero spread; the exact variance draws
+        # nothing, so one replicate or a million, any seed, give the same
+        # z and record the n_boot and seed given, and a single replicate is
+        # degenerate only where the data's spread is zero
+        rng = np.random.default_rng(109)
+        s1, s2, decision = correlated_scores(rng, m=60)
+        for args in [(s1, s2, decision),
+                     (HAND_SCORES_1, HAND_SCORES_2, HAND_DECISION)]:
+            tests = [bootstrap_test(*args, n_boot=n_boot, seed=seed)
+                     for n_boot, seed in [(1, 0), (2, 1), (300, 2),
+                                          (1_000_000, 2**70)]]
+            assert len({t.z for t in tests}) == 1
+            assert tests[0].z != 0.0
+            assert [(t.n_boot, t.seed) for t in tests] == [
+                (1, 0), (2, 1), (300, 2), (1_000_000, 2**70)]
+        with pytest.raises(DegenerateVariance, match="zero spread"):
+            bootstrap_test(*DEGENERATE, n_boot=1, seed=0)
 
     def test_zero_spread_degenerate(self):
-        # every replicate difference 2U_1 - 2U_2 is the same integer
+        # every pair's 2psi_1 - 2psi_2 is the same integer, so every
+        # replicate difference 2U_1 - 2U_2 is too
         with pytest.raises(DegenerateVariance, match="zero spread"):
             bootstrap_test(*DEGENERATE, n_boot=200, seed=7)
+
+
+class TestDominance:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_four_counts_equal_pair_enumeration(self, data):
+        # on level indices with ties in both scores, each of the four
+        # strict dominance counts of the positives' cells shifted by
+        # (s, t) over the negatives' cells, weighted by their rows, counts
+        # the pairs with 2a_1 + s > 2b_1 and 2a_2 + t > 2b_2; their sum
+        # is _cross, the sum of 2psi_1 * 2psi_2 over all pairs
+        m = data.draw(st.integers(2, 40))
+        decision = np.array(data.draw(
+            st.lists(st.booleans(), min_size=m, max_size=m)))
+        decision[:2] = [True, False]
+        levels = data.draw(st.integers(1, 5))
+        s1, s2 = (np.array(data.draw(st.lists(
+            st.integers(0, levels), min_size=m, max_size=m)))
+            for _ in range(2))
+        pos, neg = np.nonzero(decision)[0], np.nonzero(~decision)[0]
+        total = 0
+        for s in (0, 1):
+            for t in (0, 1):
+                count = _dominance(
+                    (2 * s1[pos] + s, 2 * s2[pos] + t, np.ones(pos.size, int)),
+                    (2 * s1[neg], 2 * s2[neg], np.ones(neg.size, int)))
+                assert count == sum(
+                    2 * s1[i] + s > 2 * s1[j] and 2 * s2[i] + t > 2 * s2[j]
+                    for i in pos for j in neg)
+                total += count
+        assert total == _cross(_class_counts(s1, decision),
+                               _class_counts(s2, decision)) == sum(
+            int(2 * psi(s1[i], s1[j]) * 2 * psi(s2[i], s2[j]))
+            for i in pos for j in neg)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_weighted_count_equals_enumeration(self, data):
+        # points with tied and repeated coordinates, some shared between
+        # the two sets, and weights of zero and more
+        def points(size):
+            coord = st.lists(st.integers(0, 6), min_size=size, max_size=size)
+            weight = st.lists(st.integers(0, 9), min_size=size, max_size=size)
+            return tuple(np.array(data.draw(c)) for c in (coord, coord, weight))
+
+        query = points(data.draw(st.integers(1, 30)))
+        data_points = points(data.draw(st.integers(1, 30)))
+        assert _dominance(query, data_points) == sum(
+            int(wq) * int(wp)
+            for xq, yq, wq in zip(*query) for xp, yp, wp in zip(*data_points)
+            if xq > xp and yq > yp)
 
 
 class TestVarianceEstimator:

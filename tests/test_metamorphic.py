@@ -13,10 +13,9 @@ with gaps and short decimals:
   classes, so each single AUC becomes 1 - AUC; both are correctly
   rounded quotients, so their exact sum is within 1 ulp of 1;
 * row permutation: every count and every score is the same multiset, so
-  rank, reduce and DeLong results stay identical, and audit lists the
-  same gray pairs under the permuted row numbers. Bootstrap z stays
-  identical where both classes draw multinomial cell counts, which do not
-  depend on row order; a class that draws row indices draws other rows;
+  rank, reduce and both paired tests stay identical (the bootstrap's z is
+  its exact value, a function of the multiset of rows), and audit lists
+  the same gray pairs under the permuted row numbers;
 * column permutation: the ranking orders the items by single AUC, so
   where no two single AUCs tie, rank, reduce and both paired tests stay
   identical. Tied items keep column order by contract, so an input with
@@ -212,18 +211,11 @@ def test_decision_relabel_complements_single_aucs(name, decision):
     check_decision_relabel(DATA_DIR / name, decision)
 
 
-@pytest.mark.parametrize("command", sorted(COMMANDS))
+@pytest.mark.parametrize("command", sorted([*COMMANDS, "bootstrap"]))
 @pytest.mark.parametrize("name, decision", INPUTS)
 def test_row_permutation_keeps_every_result(tmp_path, name, decision,
                                             command):
     check_row_permutation(tmp_path, DATA_DIR / name, decision, command)
-
-
-def test_row_permutation_keeps_multinomial_bootstrap(tmp_path):
-    # both classes of cli_few_cells.csv draw multinomial cell counts (see
-    # test_golden_cases_cover_the_interface)
-    check_row_permutation(tmp_path, DATA_DIR / "cli_few_cells.csv", "d",
-                          "bootstrap")
 
 
 @pytest.mark.parametrize("name, decision", AUDITED)
@@ -282,11 +274,10 @@ def drawn_input(text):
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
-@given(drawn_tables(), st.sampled_from(["rank", "reduce", "delong", "audit"]),
+@given(drawn_tables(), st.sampled_from(["rank", "reduce", "delong",
+                                        "bootstrap", "audit"]),
        st.integers(0, 2**16))
 def test_row_permutation_on_drawn_tables(text, command, seed):
-    # the bootstrap is left out: a class too fine for multinomial cell
-    # counts draws row indices, and so other rows
     with drawn_input(text) as (tmp, path):
         if command == "audit":
             check_gray_pair_renumbering(tmp, path, "d", seed)

@@ -21,11 +21,10 @@ from hypothesis import strategies as st
 from scipy.stats import norm
 
 from scalereduce.cli import main
-from scalereduce.compare import _ROWS_PER_CELL
 
 from oracles import (
     auc_pairs,
-    bootstrap_z_matrices,
+    bootstrap_z_exact,
     delong_z_exact,
     duplicates_quadratic,
     gray_pairs_quadratic,
@@ -42,10 +41,9 @@ def small_csvs(draw):
     rows, in classes of even or uneven size. A row may repeat an earlier
     one, with the same decision (a duplicate) or either (a gray row), in
     some files so often that a class has 20 rows per distinct pair of
-    inclusion scores, and the bootstrap draws it multinomial counts. A row
-    may lose one cell (an incomplete row the loader drops). The decision
-    is coded 0/1 or 1/2; the first two rows are complete and of opposite
-    classes.
+    inclusion scores. A row may lose one cell (an incomplete row the
+    loader drops). The decision is coded 0/1 or 1/2; the first two rows
+    are complete and of opposite classes.
     """
     n_items = draw(st.sampled_from(range(1, 7)))
     repeats = draw(st.sampled_from([3, 3, 9, 10]))  # in 10 rows
@@ -157,8 +155,8 @@ def test_every_report_field_matches_the_oracles(drawn, n_boot, seed):
     if auc_1 == auc_2:
         expected = [0.0, 0.0]
     else:
-        expected = [delong_z_exact(s1, s2, decision), bootstrap_z_matrices(
-            s1, s2, decision, n_boot, seed, _ROWS_PER_CELL)]
+        expected = [delong_z_exact(s1, s2, decision),
+                    bootstrap_z_exact(s1, s2, decision)]
     if None in expected:
         assert code == 3
         assert ("variance" if expected[0] is None else "spread") in err
@@ -172,8 +170,8 @@ def test_every_report_field_matches_the_oracles(drawn, n_boot, seed):
     assert (delong["method"], boot["method"]) == ("delong", "bootstrap")
     assert (delong["n_boot"], delong["seed"]) == (None, None)
     assert (boot["n_boot"], boot["seed"]) == (n_boot, seed)
-    assert abs(delong["z"] - expected[0]) <= math.ulp(expected[0])
-    assert boot["z"] == expected[1]
+    for test, z in zip((delong, boot), expected):
+        assert abs(test["z"] - z) <= math.ulp(z)
     for test in (delong, boot):
         assert (test["auc_1"], test["auc_2"]) == (auc_1, auc_2)
         assert test["alternative"] == "two-sided"

@@ -18,8 +18,8 @@ tests/data/cli_one_item.csv, a scale of a single item, whose reduce --plot
 case draws the running-AUC chart over one item count, and
 tests/data/cli_few_cells.csv, 300 seeded rows of four 0-1 items, whose
 inclusion scores fall into six (scores_1, scores_2) cells with at least
-20 rows per cell in each class, so its bootstrap case draws multinomial
-counts, and tests/data/cli_overflow_tail.csv, 60 seeded rows whose items
+20 rows per cell in each class, so its bootstrap case counts few cells of
+many rows each, and tests/data/cli_overflow_tail.csv, 60 seeded rows whose items
 rank x, y, z1, z2 and whose scale keeps x alone, while z1 and z2 hold
 scores near 1e308 that overflow float64 when summed: its test-inclusion
 case succeeds, as the walk sums no item past y, and its reduce case,
