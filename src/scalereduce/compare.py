@@ -150,13 +150,13 @@ def _vector_test(method, scores_1, scores_2, decision, alternative,
 def _moments(c1, c2) -> tuple[int, int, int]:
     """sx, ssx and ssy of the module docstring, as Python ints, from both
     vectors' _class_counts."""
-    d = c1.decision
+    d, index_1, index_2 = c1.decision, c1.index, c2.index
     n_pos, n_neg = int(d.sum()), int((~d).sum())
     wide = n_pos * n_neg * max(n_pos, n_neg) >= _INT64_MOMENTS
     moments = []
     for rows, c_1, c_2 in ((d, c1.neg, c2.neg), (~d, c1.pos, c2.pos)):
-        t = (_twice_below(c_1)[c1.index[rows]]
-             - _twice_below(c_2)[c2.index[rows]])
+        t = (_twice_below(c_1)[index_1[rows]]
+             - _twice_below(c_2)[index_2[rows]])
         t = t.astype(object) if wide else t
         moments.append((int(t.sum()), t.size * int(t @ t)))
     (sx, px), (sy, py) = moments
@@ -205,10 +205,10 @@ def _cross(c1, c2) -> int:
     over the negatives' (2a_1, 2a_2) cells, each cell weighted by its
     rows, all four in one _dominance call."""
     d, width = c1.decision, c2.levels.size
+    cell = c1.index * width + c2.index  # intp: a narrow index would wrap
     cells = []
     for rows in (d, ~d):
-        key, n = np.unique(c1.index[rows] * width + c2.index[rows],
-                           return_counts=True)
+        key, n = np.unique(cell[rows], return_counts=True)
         cells.append((2 * (key // width), 2 * (key % width), n))
     (x, y, n), negatives = cells
     return _dominance((np.concatenate((x, x, x + 1, x + 1)),

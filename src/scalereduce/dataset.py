@@ -169,13 +169,13 @@ def _records(fh, path: str):
 
 
 def _complete_cases(records, n_cols: int, path: str) -> tuple[np.ndarray, int]:
-    """The complete rows of records as a (rows, n_cols) float matrix, and
-    the count of rows dropped for a wrong field count or a missing,
-    unparseable or non-finite cell.
+    """The complete rows of records as an (n_cols, rows) float matrix, one
+    row per column of the file, and the count of rows dropped for a wrong
+    field count or a missing, unparseable or non-finite cell.
 
     Each record is converted once, and a kept row goes straight into one
-    flat float buffer, which the matrix is a view of. Blank lines are not
-    data rows and are neither kept nor counted.
+    flat float buffer, which the matrix is a transposed view of. Blank
+    lines are not data rows and are neither kept nor counted.
     """
     buf = array("d")
     dropped = 0
@@ -195,16 +195,25 @@ def _complete_cases(records, n_cols: int, path: str) -> tuple[np.ndarray, int]:
         table = table[finite]
     if not table.size:
         raise EmptyDataset(f"{path}: no complete rows")
-    return table, dropped
+    return table.T, dropped
+
+
+# rows of a one-digit body checked and transposed at a time
+_BLOCK_ROWS = 4096
 
 
 def _one_digit_table(raw: bytes) -> tuple[list[str], np.ndarray] | None:
-    """The header fields and the body as a (rows, fields) uint8 matrix of
-    values when every body field is one ASCII digit, fields are separated
-    by "," and every row ends in "\n"; None for any other file.
+    """The header fields and the body as a (fields, rows) uint8 matrix of
+    values, one row per column of the file, when every body field is one
+    ASCII digit, fields are separated by "," and every row ends in "\n";
+    None for any other file.
 
-    Such a body is pure ASCII, has no blank line and drops no row, so
-    csv.reader and float() would read it the same way.
+    Each field and the byte after it are read as one little-endian uint16,
+    from which the digit "0" and its expected separator are subtracted: the
+    difference is at most 9 exactly when both bytes are right. The body is
+    checked and transposed _BLOCK_ROWS rows at a time, so no temporary is
+    as large as the table. Such a body is pure ASCII, has no blank line and
+    drops no row, so csv.reader and float() would read it the same way.
     """
     end = raw.find(b"\n")
     if not 0 <= end < csv.field_size_limit():
@@ -219,17 +228,24 @@ def _one_digit_table(raw: bytes) -> tuple[list[str], np.ndarray] | None:
     if not text:
         return None  # csv.reader reads a blank header line as no fields
     fields = text.split(",")
-    width = 2 * len(fields)
-    body = np.frombuffer(raw, dtype=np.uint8, offset=end + 1)
-    if body.size == 0 or body.size % width:
+    size = len(raw) - end - 1
+    if size == 0 or size % (2 * len(fields)):
         return None
-    body = body.reshape(-1, width)
-    ends = np.full(len(fields), ord(","), dtype=np.uint8)
-    ends[-1] = ord("\n")
-    values = body[:, 0::2] - np.uint8(ord("0"))  # wraps below "0"
-    if (values > 9).any() or (body[:, 1::2] != ends).any():
-        return None
-    return fields, values
+    body = np.frombuffer(raw, dtype="<u2", offset=end + 1).reshape(
+        -1, len(fields))
+    zeros = np.full(len(fields), ord("0") | ord(",") << 8, dtype=np.uint16)
+    zeros[-1] = ord("0") | ord("\n") << 8
+    table = np.empty(body.shape[::-1], dtype=np.uint8)
+    values = np.empty((min(_BLOCK_ROWS, body.shape[0]), len(fields)),
+                      dtype=np.uint16)
+    for start in range(0, body.shape[0], _BLOCK_ROWS):
+        block = body[start:start + _BLOCK_ROWS]
+        # wraps below "0" and off the separator, past 9 either way
+        digits = np.subtract(block, zeros, out=values[:block.shape[0]])
+        if digits.max() > 9:
+            return None
+        table[:, start:start + _BLOCK_ROWS] = digits.T
+    return fields, table
 
 
 def _checked_header(
@@ -280,7 +296,7 @@ def load_csv(
     dropped = 0
     if one_digit is not None:
         del raw  # the table holds its own copy
-        header_row, table = one_digit
+        header_row, columns = one_digit
         header, d_idx = _checked_header(header_row, decision_column, path)
     else:
         records = _records(io.TextIOWrapper(
@@ -288,15 +304,14 @@ def load_csv(
         del raw  # the reader holds it until the last line is read
         header, d_idx = _checked_header(
             next(records, None), decision_column, path)
-        table, dropped = _complete_cases(records, len(header), path)
+        columns, dropped = _complete_cases(records, len(header), path)
 
-    raw_decision = table[:, d_idx].copy()
+    raw_decision = columns[d_idx].copy()
     keep = [i for i in range(len(header)) if i != d_idx]
-    # column-major on purpose, as items are read a column at a time: on
-    # the 100k x 50 survey-large workload start_auc takes 19 ms on it and
-    # 33 ms on a row-major copy (2-vCPU VM)
-    attrs = table[:, keep]
-    del table  # Dataset narrows attrs to its item dtype
+    # column-major, as items are read a column at a time: taking whole
+    # rows of the one-digit table copies each item in one run
+    attrs = columns[keep].T
+    del columns  # Dataset narrows attrs to its item dtype
     labels = tuple(header[i] for i in keep)
 
     # return_counts keeps np.unique off its np.ma check, which imports numpy.ma

@@ -46,7 +46,8 @@ def _as_matrix(attrs) -> np.ndarray:
         a = a.reshape(-1, 1)
     if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
         raise EmptyDataset("attribute matrix must have at least one row and column")
-    a += 0  # maps -0.0 to +0.0 so byte keys agree with == comparison
+    if a.dtype.kind == "f":
+        a += 0  # maps -0.0 to +0.0 so byte keys agree with == comparison
     return a
 
 

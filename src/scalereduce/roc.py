@@ -95,7 +95,13 @@ class ClassCounts(NamedTuple):
     levels: np.ndarray  # ascending score levels
     pos: np.ndarray  # positives at each level
     neg: np.ndarray  # negatives at each level
-    index: np.ndarray  # each row's level index
+    slot: np.ndarray  # each row's 2 * level index + decision, unsigned
+
+    @property
+    def index(self) -> np.ndarray:
+        """Each row's level index, slot >> 1, formed anew as intp on each
+        read, so that products of it such as index * width cannot wrap."""
+        return np.right_shift(self.slot, 1, dtype=np.intp)
 
 
 def _class_counts(scores, decision) -> ClassCounts:
@@ -103,23 +109,33 @@ def _class_counts(scores, decision) -> ClassCounts:
     bincount over (level, class) slots.
 
     Signed-integer scores spanning at most 4*m values are counted over
-    their whole range, levels lo..hi and index s - lo, in O(m + range), so
-    a level inside the range may hold no row. np.unique sorts any other
-    scores, and sorts NaN last: a NaN score, which psi cannot order, shows
-    as the last level and raises ValueError."""
+    their whole range, levels lo..hi and level index s - lo, in
+    O(m + range), so a level inside the range may hold no row. np.unique
+    sorts any other scores, and sorts NaN last: a NaN score, which psi
+    cannot order, shows as the last level and raises ValueError.
+
+    Each row's slot, 2 * index + decision, is built in place in the
+    narrowest unsigned dtype that holds 2 * levels.size - 1. On the range
+    path s - lo is formed modulo that dtype's range, which holds it, so
+    no intp copy of the scores is made."""
     s, d = _split(scores, decision)
     integer = s.dtype.kind == "i"
     lo, hi = (int(s.min()), int(s.max())) if integer else (0, 0)
     if integer and hi - lo <= 4 * s.size:
-        index = s.astype(np.intp) - lo
         levels = lo + np.arange(hi - lo + 1)
     else:
-        levels, index = np.unique(s, return_inverse=True)
+        levels, s = np.unique(s, return_inverse=True)
+        lo = 0
         if np.isnan(levels[-1]):
             raise ValueError("scores must not be NaN")
+    slot = s.astype(np.min_scalar_type(2 * levels.size - 1))  # wraps
+    if lo:
+        slot -= lo % (1 << 8 * slot.itemsize)
+    slot <<= 1
+    slot |= d
     # minlength: the top level may hold only negatives
-    neg, pos = np.bincount(index * 2 + d, minlength=2 * levels.size).reshape(-1, 2).T
-    return ClassCounts(d, levels, pos, neg, index)
+    neg, pos = np.bincount(slot, minlength=2 * levels.size).reshape(-1, 2).T
+    return ClassCounts(d, levels, pos, neg, slot)
 
 
 def _twice_below(c):
@@ -193,23 +209,29 @@ def placements(scores, decision) -> PlacementValues:
     once. Entries are in row order of the input within each class.
     """
     c = _class_counts(scores, decision)
-    d = c.decision
-    v10 = _twice_below(c.neg)[c.index[d]] / (2 * int(c.neg.sum()))
-    v01 = 1.0 - _twice_below(c.pos)[c.index[~d]] / (2 * int(c.pos.sum()))
+    d, index = c.decision, c.index
+    v10 = _twice_below(c.neg)[index[d]] / (2 * int(c.neg.sum()))
+    v01 = 1.0 - _twice_below(c.pos)[index[~d]] / (2 * int(c.pos.sum()))
     return PlacementValues(v10=v10, v01=v01)
 
 
 def _running_sums(ds: Dataset, idx: list[int]) -> Iterator[np.ndarray]:
     """Row sums of the columns idx[:1], idx[:2], ..., in one array updated
-    in place, in int64 for integer items. Raises ScoreOverflow, naming the
+    in place. Integer items are summed in the narrowest signed dtype that
+    holds len(idx) times the item dtype's most negative value, which
+    bounds every sum, so no sum wraps. Raises ScoreOverflow, naming the
     items summed, where finite float cells sum past the float64 range."""
-    total = np.zeros(ds.n_rows, dtype=np.result_type(ds.attributes, np.int64))
+    attrs = ds.attributes
+    dtype = attrs.dtype
+    if dtype.kind == "i":
+        dtype = np.min_scalar_type(len(idx) * int(np.iinfo(dtype).min))
+    total = np.zeros(ds.n_rows, dtype=dtype)
     for k, i in enumerate(idx, 1):
         try:
             # scoped to the add: the caller's code between yields keeps
             # its own floating-point error settings
             with np.errstate(over="raise"):
-                total += ds.attributes[:, i]
+                total += attrs[:, i]
         except FloatingPointError:
             items = ", ".join(ds.labels[j] for j in idx[:k])
             raise ScoreOverflow(
@@ -223,4 +245,4 @@ def sum_scores(ds: Dataset, cols: ColumnSelection) -> np.ndarray:
     items; raises ScoreOverflow if a float sum leaves the float64 range."""
     for total in _running_sums(ds, resolve_columns(ds, cols)):
         pass
-    return total
+    return total.astype(np.result_type(total, np.int64), copy=False)

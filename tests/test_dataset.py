@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 
 from scalereduce import Dataset, load_csv, select_columns
 from scalereduce.cli import _orient, main
-from scalereduce.dataset import _one_digit_table
+from scalereduce.dataset import _BLOCK_ROWS, _one_digit_table
 from scalereduce.errors import (
     DuplicateColumn,
     EmptyDataset,
@@ -271,6 +271,10 @@ def test_dataset_picks_the_item_dtype(cells, dtype):
     assert attrs.flags.writeable  # the caller's array is copied, not frozen
 
 
+# rows "i % 5,i % 2\n" of a one-digit body, 4 bytes a row, over two full
+# blocks of the loader and a partial third
+_ONE_DIGIT_BODY = b"".join(b"%d,%d\n" % (i % 5, i % 2)
+                           for i in range(2 * _BLOCK_ROWS + 3))
 # Files at the edges of the one-digit byte path, each with whether that
 # path reads it. Several are sized to a whole number of rows, so that the
 # digit or the separator check, not the length check, turns them away.
@@ -295,6 +299,19 @@ ONE_DIGIT_EDGES = {
     "empty-cell": (b"q0,d\n1,0\n,1\n2,1\n", False),
     "one-cell-per-row": (b"d\n1\n0\n", True),
     "blank-header": (b"\n1\n0\n", False),  # csv.reader reads no fields
+    # one byte value off: "-" for ",", "\x0b" for "\n", "/" and ":" for digits
+    "dash-for-comma": (b"q0,d\n1-0\n2,1\n3,0\n", False),
+    "vt-for-newline": (b"q0,d\n1,0\x0b2,1\n3,0\n", False),
+    "slash-digit": (b"q0,d\n1,/\n2,1\n3,0\n", False),
+    "colon-digit": (b"q0,d\n:,0\n2,1\n3,0\n", False),
+    # bodies of two full blocks and a partial one, checked a block at a time
+    "odd-offset-blocks": (b"q0,d\n" + _ONE_DIGIT_BODY, True),
+    "even-offset-blocks": (b"q00,d\n" + _ONE_DIGIT_BODY, True),
+    "bad-byte-in-last-partial-block": (
+        b"q0,d\n" + _ONE_DIGIT_BODY[:-4] + b"x,1\n", False),
+    "bad-byte-in-first-row-of-second-block": (
+        b"q0,d\n" + _ONE_DIGIT_BODY[:4 * _BLOCK_ROWS] + b"x"
+        + _ONE_DIGIT_BODY[4 * _BLOCK_ROWS + 1:], False),
 }
 
 

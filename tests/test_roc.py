@@ -15,8 +15,10 @@ from scalereduce import (
     sum_scores,
     total_auc,
 )
+from scalereduce.cli import _orient
+from scalereduce.dataset import Dataset
 from scalereduce.errors import ScoreOverflow, SingleClass, UnknownColumn
-from scalereduce.roc import _class_counts
+from scalereduce.roc import _class_counts, _running_sums
 
 from conftest import random_scores_decision, write_csv
 from oracles import auc_pairs, placements_pairs
@@ -230,9 +232,16 @@ def test_level_counts_equal_np_unique_on_every_path(case):
             with pytest.raises(ValueError, match="NaN"):
                 _class_counts(scores, decision)
             return
-        d, levels, pos, neg, index = _class_counts(scores, decision)
+        counts = _class_counts(scores, decision)
         curve = roc_curve(scores, decision)
+    d, levels, index = counts.decision, counts.levels, counts.index
+    pos, neg, slot = counts.pos, counts.neg, counts.slot
     assert d.tolist() == decision.tolist()
+    # the index is intp, so products of it cannot wrap; the slot is the
+    # narrowest unsigned dtype holding 2 * index + decision for every level
+    assert index.dtype == np.intp
+    assert np.array_equal(slot, 2 * index + d)
+    assert slot.dtype == np.min_scalar_type(2 * levels.size - 1)
     # compared, not differenced: np.diff overflows at the int64 ends
     assert (levels[1:] > levels[:-1]).all()
     assert np.array_equal(levels[index], scores)  # 0.0 == -0.0
@@ -341,3 +350,32 @@ class TestSumScores:
             sum_scores(ds, ["b", "a", "c"])
         with pytest.raises(ScoreOverflow):
             total_auc(ds)
+
+
+@pytest.mark.parametrize("auto_orient", [False, True],
+                         ids=["as-is", "flipped"])
+@pytest.mark.parametrize("top", [127, -127, 32767, -32767])
+def test_narrow_running_sums_equal_int64_row_sums(top, auto_orient):
+    # 300 identical items, each at top in one positive row and at -top in
+    # one negative row: int8 items sum to +-38100 and int16 items to
+    # +-9830100, both past int16; a wrapped sum would reorder the rows and
+    # move the running AUCs. Items with a negative top rank below AUC 0.5,
+    # so --auto-orient's flip negates every column
+    decision = np.array([True, True, False, False])
+    column = np.array([top, 0, 0, -top])
+    labels = tuple(f"q{i}" for i in range(300))
+    ds = Dataset(np.tile(column[:, None], 300), labels, decision)
+    assert ds.attributes.dtype == (np.int8 if abs(top) < 128 else np.int16)
+    ds, flipped, _ = _orient(ds, auto_orient)
+    assert len(flipped) == (300 if auto_orient and top < 0 else 0)
+    wide = ds.attributes.astype(np.int64)
+    idx = list(range(300))
+    for k, total in enumerate(_running_sums(ds, idx), 1):
+        assert total.tolist() == wide[:, :k].sum(axis=1).tolist()
+    scores = sum_scores(ds, labels)
+    assert scores.dtype == np.int64
+    assert scores.tolist() == wide.sum(axis=1).tolist()
+    ranking = total_auc(ds)
+    assert ranking.order == labels
+    assert ranking.running_auc == tuple(
+        auc(wide[:, :k].sum(axis=1), decision) for k in range(1, 301))

@@ -1,7 +1,7 @@
 """Pair bench/run.py runs of a parent checkout and this working tree.
 
-    python3 tools/bench_pairs.py --parent ../parent --workload clinical-mixed \
-        --seeds 7001-7010
+    python3 tools/bench_pairs.py --parent ../parent \
+        --workload survey-large,clinical-mixed --seeds 7001-7010
 
 It first copies each side's src/, bench/ (without work/ and results/),
 tools/ and BENCHMARK.json into a fresh directory, the two directories
@@ -11,14 +11,17 @@ the same code, and the reports' paths add 8 bytes per path character to
 cli.report_bytes, so copies alike in all but their code keep the two
 sides comparable.
 
-For each seed it runs one bench/run.py of each side, each with that
-side's own bench/ and src/, with the same workload and seed, for the
+For each workload of the comma-separated --workload list in turn, and
+each seed, it runs one bench/run.py of each side, each with that side's
+own bench/ and src/, with the same workload and seed, for the
 run_seconds of BENCHMARK.json and without tracing, and alternates which
-side runs first. Then it prints, per metric, each side's median and
-quartiles over the seeds, how many pairs the change won (ties count for
-neither side) and whether the gain rule holds: the change wins at least
-nine tenths of the pairs, and the medians differ by more than the
-distance between the parent's quartiles. For each end-to-end metric it
+side runs first. Then it prints one table per workload: per metric,
+each side's median and quartiles over the seeds, how many pairs the
+change won (ties count for neither side) and whether the gain rule
+holds: the change wins at least nine tenths of the pairs, and the
+medians differ by more than the distance between the parent's
+quartiles. Both sides are copied once, so every table comes from one
+sitting. For each end-to-end metric it
 also prints a no-regression verdict: "worse" where the change's median is
 worse than the parent's by more than the metric's bound, a fraction of
 the parent's median; "unresolved" where the parent's quartile spread
@@ -81,39 +84,14 @@ def run(checkout: Path, workload: str, seed: int,
     return {name: m["value"] for name, m in result["metrics"].items()}
 
 
-def main(argv=None) -> int:
-    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    p.add_argument("--parent", type=Path, required=True,
-                   help="a checkout of the parent commit")
-    p.add_argument("--workload", required=True)
-    p.add_argument("--seeds", type=seeds, required=True,
-                   help='"first-last" or "a,b,c"; at least two')
-    args = p.parse_args(argv)
-    if len(args.seeds) < 2:
-        p.error("--seeds needs at least two seeds")
-    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+def table(workload: str, seeds: list[int], runs: dict, spec: dict) -> None:
+    """Print the paired runs of one workload, one row per metric."""
     better = {m["name"]: m["better"]
               for m in spec["end_to_end"] + spec["per_layer"]}
     bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
-
-    runs = {"parent": [], "change": []}
-    with tempfile.TemporaryDirectory(prefix="bench_pairs-") as tmp:
-        # "parent" and "change" have the same length
-        sides = {side: copy_side(checkout, Path(tmp) / side) for side, checkout
-                 in (("parent", args.parent.resolve()), ("change", ROOT))}
-        for i, seed in enumerate(args.seeds):
-            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-            for side in order:
-                runs[side].append(run(sides[side], args.workload, seed,
-                                      spec["run_seconds"]))
-            values = ", ".join(f"{name} {runs['parent'][-1][name]:.4g} -> "
-                               f"{runs['change'][-1][name]:.4g}"
-                               for name in runs["parent"][-1])
-            print(f"seed {seed} ({order[0]} first): {values}", file=sys.stderr)
-
-    pairs = len(args.seeds)
-    print(f"{args.workload}: {pairs} pairs, seeds "
-          f"{', '.join(map(str, args.seeds))}, --seconds "
+    pairs = len(seeds)
+    print(f"{workload}: {pairs} pairs, seeds "
+          f"{', '.join(map(str, seeds))}, --seconds "
           f"{spec['run_seconds']:g}; median [Q1, Q3]")
     print(f"{'metric':36} {'parent':28} {'change':28} wins   gain  "
           f"regression")
@@ -137,6 +115,40 @@ def main(argv=None) -> int:
         print(f"{name:36} {f'{om:.4g} [{o1:.4g}, {o3:.4g}]':28} "
               f"{f'{nm:.4g} [{n1:.4g}, {n3:.4g}]':28} "
               f"{wins:2d}/{pairs:<2d}  {'yes' if gain else 'no':4}  {verdict}")
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("--parent", type=Path, required=True,
+                   help="a checkout of the parent commit")
+    p.add_argument("--workload", type=lambda text: text.split(","),
+                   required=True, help='one workload, or "a,b,c"')
+    p.add_argument("--seeds", type=seeds, required=True,
+                   help='"first-last" or "a,b,c"; at least two')
+    args = p.parse_args(argv)
+    if len(args.seeds) < 2:
+        p.error("--seeds needs at least two seeds")
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+
+    with tempfile.TemporaryDirectory(prefix="bench_pairs-") as tmp:
+        # "parent" and "change" have the same length
+        sides = {side: copy_side(checkout, Path(tmp) / side) for side, checkout
+                 in (("parent", args.parent.resolve()), ("change", ROOT))}
+        for workload in args.workload:
+            runs = {"parent": [], "change": []}
+            for i, seed in enumerate(args.seeds):
+                order = (("parent", "change") if i % 2 == 0
+                         else ("change", "parent"))
+                for side in order:
+                    runs[side].append(run(sides[side], workload, seed,
+                                          spec["run_seconds"]))
+                values = ", ".join(
+                    f"{name} {runs['parent'][-1][name]:.4g} -> "
+                    f"{runs['change'][-1][name]:.4g}"
+                    for name in runs["parent"][-1])
+                print(f"{workload} seed {seed} ({order[0]} first): {values}",
+                      file=sys.stderr)
+            table(workload, args.seeds, runs, spec)
     return 0
 
 
